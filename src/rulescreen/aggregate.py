@@ -19,8 +19,11 @@ import numpy as np
 from .errors import NoActiveRule, NonFiniteLoss, SpecMismatch
 from .rules import RuleSet, activates
 
+# Losses take scalars or broadcastable arrays. float_power calls C pow on
+# every element, as `** 2` does on a scalar; `** 2` on an array squares by
+# multiplication, which can differ in the last bit.
 LOSS_KINDS: Dict[str, Callable[[float, float], float]] = {
-    "squared": lambda p, y: (p - y) ** 2,
+    "squared": lambda p, y: np.float_power(p - y, 2.0),
 }
 
 
@@ -143,38 +146,52 @@ def update(
     state: AggregationState,
     ruleset: RuleSet,
     x,
-    y: float,
+    y,
     active: Optional[np.ndarray] = None,
 ) -> AggregationState:
-    """One weight update from a resolved outcome y.
+    """Weight update from resolved outcomes, one row or a block of rows.
+
+    Single row: x is one code vector and y a float. Block: y has shape (k,)
+    and active shape (k, R), or active is omitted and x is the (k, d) code
+    matrix. A block applies its rows in order on one weight vector and gives
+    exactly the weights of k single-row calls.
 
     Active rules are charged their own (clipped) loss; inactive rules keep
     exactly their current weight, so a rule that never activates retains its
-    initial relative weight bit for bit. When nothing activates, weights are
-    returned unchanged.
+    initial relative weight bit for bit. A row that activates nothing leaves
+    the weights unchanged; so does one whose active mass underflows to zero.
+    Every row advances the step count.
     """
-    if not np.isfinite(y):
-        raise NonFiniteLoss(f"outcome {y!r} is not finite")
-    if active is None:
-        active = _active_mask_single(ruleset, x)
-    if not active.any():
-        return replace(state, step=state.step + 1)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 0:
+        if active is None:
+            active = _active_mask_single(ruleset, x)
+        y = y.reshape(1)
+        active = np.asarray(active, dtype=bool).reshape(1, -1)
+    elif active is None:
+        active = ruleset.activation_matrix(np.asarray(x))
+    else:
+        active = np.asarray(active, dtype=bool)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise NonFiniteLoss(f"outcome {float(y[~finite][0])!r} is not finite")
 
-    loss_fn = LOSS_KINDS[state.loss_kind]
     w = state.weights.copy()
-    preds = np.array([r.prediction for r in ruleset.rules])
-    losses = np.array([loss_fn(p, y) for p in preds[active]])
-    if not np.all(np.isfinite(losses)):
-        raise NonFiniteLoss("non-finite loss on an active rule")
-    losses = np.minimum(losses, state.loss_clip)
-    factors = np.exp(-state.eta * losses)
-
-    block = w[active] * factors
-    block_sum = block.sum()
-    target = 1.0 - w[~active].sum()  # mass the active block must keep
-    if block_sum > 0.0:
-        w[active] = block * (target / block_sum)
-    return replace(state, weights=w, step=state.step + 1)
+    rows = np.flatnonzero(active.any(axis=1))
+    if len(rows):
+        preds = np.array([r.prediction for r in ruleset.rules])
+        losses = LOSS_KINDS[state.loss_kind](preds, y[rows, None])
+        if not np.all(np.isfinite(losses[active[rows]])):
+            raise NonFiniteLoss("non-finite loss on an active rule")
+        factors = np.exp(-state.eta * np.minimum(losses, state.loss_clip))
+        for f, i in zip(factors, rows):
+            on = active[i]
+            block = w[on] * f[on]
+            block_sum = block.sum()
+            target = 1.0 - w[~on].sum()  # mass the active block must keep
+            if block_sum > 0.0:
+                w[on] = block * (target / block_sum)
+    return replace(state, weights=w, step=state.step + len(y))
 
 
 def score(y_hat: float, epsilon: float) -> int:

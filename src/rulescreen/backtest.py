@@ -18,7 +18,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .aggregate import default_eta, init_state, predict_many, score_many, update
+from .aggregate import (
+    AggregationState,
+    default_eta,
+    init_state,
+    predict_many,
+    score_many,
+    update,
+)
 from .errors import (
     EmptyAfterFilter,
     GridMismatch,
@@ -29,6 +36,7 @@ from .errors import (
     UnknownLearningYear,
 )
 from .panel import (
+    DiscretizedPanel,
     FeatureSpec,
     RawPanel,
     apply_discretizer,
@@ -318,19 +326,33 @@ def simulate(
     i0 = review_idx[0]
     holdings, _, ids0, w0 = target_holdings(i0, 100.0)
     history = [(reviews[0], ids0, w0)]
-    values = [100.0]
-    review_at = {i: r for i, r in zip(review_idx[1:], reviews[1:])}
-    for t in range(i0 + 1, prices.n):
-        holdings = holdings * (1.0 + prices.returns[t])
-        if t in review_at:
-            level = float(holdings.sum())
-            holdings, _, ids, w = target_holdings(t, level)
-            history.append((review_at[t], ids, w))
-        values.append(float(holdings.sum()))
+    values = np.empty(prices.n - i0, dtype=np.float64)
+    values[0] = 100.0
+    review_at = {i: r for i, r in zip(review_idx[1:], reviews[1:]) if i > i0}
+
+    def hold(h: np.ndarray, t: int, stop: int) -> np.ndarray:
+        """Buy and hold h from the close of day t to the close of day stop:
+        h * (1 + r[t+1]) * (1 + r[t+2]) ... multiplied in day order, each
+        day's level its row sum. Returns the holdings at stop."""
+        grown = np.multiply.accumulate(
+            np.vstack([h, 1.0 + prices.returns[t + 1 : stop + 1]]), axis=0
+        )[1:]
+        values[t + 1 - i0 : stop + 1 - i0] = grown.sum(axis=1)
+        return grown[-1]
+
+    t = i0
+    for stop in sorted(review_at):
+        grown = hold(holdings, t, stop)
+        holdings, _, ids, w = target_holdings(stop, float(grown.sum()))
+        history.append((review_at[stop], ids, w))
+        values[stop - i0] = holdings.sum()
+        t = stop
+    if t + 1 < prices.n:
+        hold(holdings, t, prices.n - 1)
     return PortfolioSeries(
         name=name,
         dates=prices.dates[i0:],
-        values=np.array(values, dtype=np.float64),
+        values=values,
         weights_history=history,
     )
 
@@ -448,13 +470,30 @@ class StudyResult:
     reviews: np.ndarray
 
 
-def _raw_take(panel: RawPanel, index: np.ndarray) -> RawPanel:
-    return RawPanel(
-        dates=panel.dates[index],
-        stock_ids=panel.stock_ids[index],
-        columns=[c[index] for c in panel.columns],
-        y=panel.y[index],
-    )
+def _rows_by_key(keys: np.ndarray) -> Dict[object, np.ndarray]:
+    """Row indices of each distinct key, ascending within a key."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(distinct, np.split(order, starts[1:])))
+
+
+def replay_state(
+    ruleset: RuleSet,
+    replay: DiscretizedPanel,
+    eta: float,
+    loss_kind: str,
+    loss_clip: float,
+    epsilon: Optional[float],
+) -> AggregationState:
+    """Uniform weights over the ruleset, updated by every replay row in order
+    (one block update). With epsilon None, the dead zone is the standard
+    deviation of the replayed rows' predictions under the final weights."""
+    state = init_state(ruleset.R, eta, loss_kind=loss_kind, loss_clip=loss_clip)
+    A = ruleset.activation_matrix(replay.x)
+    state = update(state, ruleset, replay.x, replay.y, active=A)
+    if epsilon is None:
+        epsilon = float(np.std(predict_many(state, ruleset, replay.x, activation=A)))
+    return replace(state, epsilon=epsilon)
 
 
 def _year(date: np.datetime64) -> int:
@@ -525,10 +564,7 @@ def run_study(
     scores: Dict[np.datetime64, Dict[str, Tuple[float, int]]] = {}
     learnings: List[LearningRecord] = []
 
-    by_date: Dict[np.datetime64, List[int]] = {}
-    for i, d in enumerate(raw_panel.dates):
-        by_date.setdefault(d, []).append(i)
-    rows_by_date = {d: np.array(ix, dtype=np.int64) for d, ix in by_date.items()}
+    rows_by_date = _rows_by_key(raw_panel.dates)
 
     n_total_labeled = int(labeled.sum())
 
@@ -537,7 +573,7 @@ def run_study(
         in_learning = labeled & (resolution <= L)
         if not in_learning.any():
             raise InsufficientHistory(f"no resolved labels at learning {L}")
-        raw_learn = _raw_take(raw_panel, np.flatnonzero(in_learning))
+        raw_learn = raw_panel.take(np.flatnonzero(in_learning))
         discretizer = fit_discretizer(raw_learn, specs, cfg.m)
         panel_L = apply_discretizer(raw_learn, discretizer)
         N = panel_L.n
@@ -552,25 +588,16 @@ def run_study(
         eta = cfg.eta if cfg.eta is not None else default_eta(
             R, max(1, n_total_labeled - n_design)
         )
-        state = init_state(R, eta, loss_kind=cfg.loss_kind, loss_clip=cfg.loss_clip)
         replay = parts.aggregate
-        A_replay = ruleset.activation_matrix(replay.x)
-        for i in range(replay.n):
-            state = update(
-                state, ruleset, replay.x[i], float(replay.y[i]), active=A_replay[i]
-            )
-        if cfg.epsilon is not None:
-            epsilon = cfg.epsilon
-        else:
-            fit_preds = predict_many(state, ruleset, replay.x, activation=A_replay)
-            epsilon = float(np.std(fit_preds))
-        state = replace(state, epsilon=epsilon)
+        state = replay_state(
+            ruleset, replay, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
+        )
         learnings.append(
             LearningRecord(
                 date=L,
                 year=_year(L),
                 ruleset=ruleset,
-                epsilon=epsilon,
+                epsilon=state.epsilon,
                 report=report,
                 n_design=parts.learn.n,
                 n_replay=replay.n,
@@ -583,15 +610,13 @@ def run_study(
         if next_L is not None:
             pending &= resolution <= next_L
         pend_idx = np.flatnonzero(pending)
-        pend_lists: Dict[np.datetime64, List[int]] = {}
+        pend_by_day: Dict[np.datetime64, np.ndarray] = {}
         if len(pend_idx):
-            raw_pend = _raw_take(raw_panel, pend_idx)
-            panel_pend = apply_discretizer(raw_pend, discretizer)
+            panel_pend = apply_discretizer(raw_panel.take(pend_idx), discretizer)
             A_pend = ruleset.activation_matrix(panel_pend.x)
-            res_pend = np.busday_offset(panel_pend.dates, cfg.horizon_days)
-            for pos in range(panel_pend.n):
-                pend_lists.setdefault(res_pend[pos], []).append(pos)
-        pend_by_day = {d: np.array(v, dtype=np.int64) for d, v in pend_lists.items()}
+            pend_by_day = _rows_by_key(
+                np.busday_offset(panel_pend.dates, cfg.horizon_days)
+            )
 
         t_start = prices.index_of(L) + 1
         t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
@@ -599,20 +624,15 @@ def run_study(
             day = grid[t]
             todo = pend_by_day.get(day)
             if todo is not None:
-                for pos in todo:
-                    state = update(
-                        state,
-                        ruleset,
-                        panel_pend.x[pos],
-                        float(panel_pend.y[pos]),
-                        active=A_pend[pos],
-                    )
+                state = update(
+                    state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
+                    active=A_pend[todo],
+                )
             if t in score_idx:
                 row_ix = rows_by_date.get(day)
                 if row_ix is None or not len(row_ix):
                     raise SpecMismatch(f"no panel rows to score on {day}")
-                raw_day = _raw_take(raw_panel, row_ix)
-                panel_day = apply_discretizer(raw_day, discretizer)
+                panel_day = apply_discretizer(raw_panel.take(row_ix), discretizer)
                 y_hat = predict_many(state, ruleset, panel_day.x)
                 ternary = score_many(y_hat, state.epsilon)
                 scores[day] = {

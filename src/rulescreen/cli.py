@@ -24,7 +24,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .aggregate import AggregationState, default_eta, init_state, predict_many, score_many, update
+from .aggregate import (
+    AggregationState,
+    default_eta,
+    predict_many,
+    score_many,
+    update,  # noqa: F401  (the name perfbench/tracing.py wraps as cli.update)
+)
 from .backtest import (
     BENCHMARK,
     POSITIVE,
@@ -32,6 +38,7 @@ from .backtest import (
     learning_y,
     load_prices_csv,
     load_universe_csv,
+    replay_state,
     run_study,
     write_calendar_csv,
     write_kpis_json,
@@ -266,36 +273,16 @@ def _load_labeled_panel(features_path: str, returns_path: str):
     return panel, specs
 
 
-def _take_rows(panel, mask):
-    return type(panel)(
-        dates=panel.dates[mask],
-        stock_ids=panel.stock_ids[mask],
-        columns=[c[mask] for c in panel.columns],
-        y=panel.y[mask],
-    )
-
-
 def _fit_state(parts, ruleset, cfg: RunConfig):
     """Replay the post-design observations through the weight update and fix
-    the score dead zone; mirrors one learning step of the study engine."""
+    the score dead zone: one learning step of the study engine, with eta
+    sized to the replay set."""
     eta = cfg.eta if cfg.eta is not None else default_eta(
         ruleset.R, max(1, parts.aggregate.n)
     )
-    state = init_state(
-        ruleset.R, eta, loss_kind=cfg.loss_kind, loss_clip=cfg.loss_clip
+    return replay_state(
+        ruleset, parts.aggregate, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
     )
-    A = ruleset.activation_matrix(parts.aggregate.x)
-    for i in range(parts.aggregate.n):
-        state = update(
-            state,
-            ruleset,
-            parts.aggregate.x[i],
-            float(parts.aggregate.y[i]),
-            active=A[i],
-        )
-    preds = predict_many(state, ruleset, parts.aggregate.x, activation=A)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else float(np.std(preds))
-    return replace(state, epsilon=epsilon)
 
 
 def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
@@ -392,7 +379,7 @@ def cmd_discretize(args) -> int:
         keep = np.isfinite(panel.y)
         if not keep.any():
             raise EmptyPanel("no labeled rows to fit on")
-        panel = _take_rows(panel, keep)
+        panel = panel.take(keep)
     disc = fit_discretizer(panel, specs, cfg.m)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -410,7 +397,7 @@ def cmd_learn(args) -> int:
     keep = np.isfinite(panel.y)
     if not keep.any():
         raise EmptyPanel("returns attach to no feature rows")
-    labeled = _take_rows(panel, keep)
+    labeled = panel.take(keep)
     disc = fit_discretizer(labeled, specs, cfg.m)
     codes = apply_discretizer(labeled, disc)
     if codes.n < 2:
@@ -457,7 +444,7 @@ def cmd_score(args) -> int:
     keep = panel.dates == asof
     if not keep.any():
         raise EmptyPanel(f"no feature rows dated {asof}")
-    codes = apply_discretizer(_take_rows(panel, keep), disc)
+    codes = apply_discretizer(panel.take(keep), disc)
     y_hat = predict_many(state, ruleset, codes.x)
     ternary = score_many(y_hat, state.epsilon)
     out = Path(args.out)
@@ -492,7 +479,7 @@ def cmd_backtest(args) -> int:
             stock_ids=prices.stock_ids,
             returns=prices.returns[dmask],
         )
-        panel = _take_rows(panel, (panel.dates >= lo) & (panel.dates <= hi))
+        panel = panel.take((panel.dates >= lo) & (panel.dates <= hi))
         universe = type(universe)(
             {d: s for d, s in universe.snapshots.items() if lo <= d <= hi}
         )

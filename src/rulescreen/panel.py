@@ -80,6 +80,15 @@ class RawPanel:
     def n(self) -> int:
         return len(self.dates)
 
+    def take(self, index) -> "RawPanel":
+        """Rows selected by an index array, boolean mask or slice."""
+        return RawPanel(
+            dates=self.dates[index],
+            stock_ids=self.stock_ids[index],
+            columns=[c[index] for c in self.columns],
+            y=self.y[index],
+        )
+
 
 def as_date64(value) -> np.datetime64:
     """Normalize a date-like value to numpy datetime64[D]."""

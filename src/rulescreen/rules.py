@@ -9,6 +9,7 @@ set) and its activation count.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -137,12 +138,18 @@ def sample_std(panel: DiscretizedPanel) -> float:
     return float(np.std(y, ddof=1))
 
 
+@functools.lru_cache(maxsize=None)
+def _gaussian_quantile(alpha: float) -> float:
+    """q(1 - alpha/2), computed once per alpha: a search asks for it once per
+    candidate rule, and norm.ppf costs far more than the rest of the test."""
+    return float(norm.ppf(1.0 - alpha / 2.0))
+
+
 def gaussian_threshold(n_activations: int, alpha: float, sigma: float) -> float:
     """Two-sided gaussian mean test threshold: q(1 - alpha/2) * sigma / sqrt(n)."""
     if n_activations < 1:
         raise NoActivations("threshold undefined with zero activations")
-    q = float(norm.ppf(1.0 - alpha / 2.0))
-    return q * sigma / np.sqrt(n_activations)
+    return _gaussian_quantile(alpha) * sigma / np.sqrt(n_activations)
 
 
 Z_KINDS: Dict[str, Callable[[int, float, float], float]] = {
@@ -374,6 +381,7 @@ class RuleSet:
                 "prediction": float(rule.prediction),
                 "activations": int(rule.activations),
                 "learned_at": str(self.learned_at),
+                "global_mean": float(self.global_mean),
             }
             if rule.is_default:
                 entry["is_default"] = True
@@ -388,6 +396,7 @@ class RuleSet:
         index = {f: k for k, f in enumerate(feature_ids)}
         rules = []
         learned_at = None
+        global_mean = None
         for entry in blob:
             intervals = []
             for iv in entry["intervals"]:
@@ -397,6 +406,8 @@ class RuleSet:
                     Interval(index[iv["feature_id"]], int(iv["lo"]), int(iv["hi"]))
                 )
             learned_at = np.datetime64(entry["learned_at"], "D")
+            if "global_mean" in entry:
+                global_mean = float(entry["global_mean"])
             rules.append(
                 Rule(
                     condition=Condition(tuple(intervals)),
@@ -406,15 +417,18 @@ class RuleSet:
                     is_default=bool(entry.get("is_default", False)),
                 )
             )
-        default_pred = next((r.prediction for r in rules if r.is_default), 0.0)
-        # The schema does not carry signs; recover them against the default
-        # (full-space) prediction, which equals the learning-set mean.
+        if global_mean is None:
+            # Files written before the learning-set mean was stored: the
+            # default (full-space) rule predicts it, when there is one.
+            global_mean = next((r.prediction for r in rules if r.is_default), 0.0)
+        # The schema does not carry signs; recover them against the
+        # learning-set mean, as the search set them.
         rules = [
             Rule(
                 condition=r.condition,
                 prediction=r.prediction,
                 activations=r.activations,
-                sign=int(np.sign(r.prediction - default_pred)),
+                sign=int(np.sign(r.prediction - global_mean)),
                 is_default=r.is_default,
             )
             for r in rules
@@ -424,5 +438,5 @@ class RuleSet:
             learned_at=learned_at,
             feature_ids=list(feature_ids),
             n_codes=list(n_codes),
-            global_mean=default_pred,
+            global_mean=global_mean,
         )

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .backtest import month_ends
 from .errors import InconsistentSpec
 from .panel import FeatureSpec, RawPanel
 from .rules import Condition
@@ -110,14 +111,6 @@ class SynthData:
 def business_day_grid(start, n_dates: int) -> np.ndarray:
     start = np.busday_offset(np.datetime64(start, "D"), 0, roll="forward")
     return np.busday_offset(start, np.arange(n_dates))
-
-
-def month_end_reviews(dates: np.ndarray) -> np.ndarray:
-    """Last business day of each month present in a daily grid."""
-    months = dates.astype("datetime64[M]")
-    keep = np.ones(len(dates), dtype=bool)
-    keep[:-1] = months[:-1] != months[1:]
-    return dates[keep]
 
 
 def true_modality(raw: np.ndarray, m: int) -> np.ndarray:
@@ -220,7 +213,7 @@ def generate(spec: SynthSpec) -> SynthData:
 
     # Universe snapshots live at score dates: snapshot_lag_days grid days
     # before each month-end review, which is where the backtester looks.
-    review_dates = month_end_reviews(dates)
+    review_dates = month_ends(dates)
     base_caps = rng.uniform(0.5, 1.5, size=S)
     base_caps = base_caps / base_caps.sum()
     n_sectors = spec.n_sectors if spec.n_sectors is not None else m

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rulescreen.errors import NoActiveRule, NonFiniteLoss, SpecMismatch
 from rulescreen.aggregate import (
+    LOSS_KINDS,
     AggregationState,
     default_eta,
     init_state,
@@ -181,3 +182,163 @@ def test_state_json_round_trip():
     assert clone.eta == st0.eta
     assert clone.epsilon == st0.epsilon
     assert clone.step == st0.step
+
+
+# --- block updates ------------------------------------------------------------
+
+
+def reference_update(weights, preds, y, active, eta, clip):
+    """One row of the update as a plain per-row loop: scalar losses, the
+    active block rescaled to keep its mass, nothing done when no rule is
+    active or the active mass underflows."""
+    w = weights.copy()
+    if not active.any():
+        return w
+    losses = np.minimum(np.array([(p - y) ** 2 for p in preds[active]]), clip)
+    block = w[active] * np.exp(-eta * losses)
+    block_sum = block.sum()
+    target = 1.0 - w[~active].sum()
+    if block_sum > 0.0:
+        w[active] = block * (target / block_sum)
+    return w
+
+
+@st.composite
+def update_blocks(draw):
+    R = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 25))
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    preds = draw(st.lists(value, min_size=R, max_size=R))
+    ys = draw(st.lists(value, min_size=k, max_size=k))
+    bits = draw(st.lists(st.booleans(), min_size=k * R, max_size=k * R))
+    eta = draw(st.sampled_from([0.0, 0.3, 5.0, 1e4]))
+    clip = draw(st.sampled_from([1.0, 0.05]))
+    return preds, np.array(ys), np.array(bits).reshape(k, R), eta, clip
+
+
+@given(update_blocks())
+@settings(max_examples=80, deadline=None)
+def test_block_update_equals_row_by_row(case):
+    """A block update gives exactly (==) the weights of k single-row calls
+    and of the per-row reference loop, through all-inactive rows, clipped
+    losses (|p - y| up to 4 against clips of 1 and 0.05) and blocks whose
+    active mass underflows (eta = 1e4)."""
+    preds, ys, active, eta, clip = case
+    rs = ruleset_of(preds)
+    st0 = init_state(len(preds), eta, loss_clip=clip)
+
+    block = update(st0, rs, None, ys, active=active)
+    rows = st0
+    want = st0.weights
+    for y, on in zip(ys, active):
+        rows = update(rows, rs, None, float(y), active=on)
+        want = reference_update(want, np.array(preds), float(y), on, eta, clip)
+    assert block.weights.tolist() == rows.weights.tolist()
+    assert block.weights.tolist() == want.tolist()
+    assert block.step == rows.step == len(ys)
+
+
+def test_block_update_equals_reference_on_random_returns():
+    """Thousands of return-like outcomes, not only the short floats that
+    hypothesis favours."""
+    rng = np.random.default_rng(11)
+    k, R, eta = 3000, 5, 2.0
+    preds = rng.normal(0.0, 0.3, R)
+    ys = rng.normal(0.0, 0.3, k)
+    active = rng.random((k, R)) < 0.6
+    rs = ruleset_of(preds)
+    st0 = init_state(R, eta=eta)
+    want = st0.weights
+    for y, on in zip(ys, active):
+        want = reference_update(want, preds, float(y), on, eta, 1.0)
+    got = update(st0, rs, None, ys, active=active)
+    assert got.weights.tolist() == want.tolist()
+
+def test_squared_loss_block_equals_scalar_losses():
+    """The loss matrix of a block holds exactly the losses a per-row loop
+    takes one scalar at a time. `** 2` on a float64 scalar calls C pow, while
+    on an array it multiplies, which differs in the last bit on about one
+    loss in a thousand."""
+    rng = np.random.default_rng(5)
+    preds = rng.normal(0.0, 0.1, 50)
+    ys = rng.normal(0.0, 0.1, 400)
+    block = LOSS_KINDS["squared"](preds, ys[:, None])
+    scalar = [[(p - float(y)) ** 2 for p in preds] for y in ys]
+    assert block.tolist() == scalar
+
+def test_block_update_underflow_and_clip_hand_cases():
+    rs = ruleset_of([1.0, -1.0, 0.0], [Condition(), Condition(), C((0, 4, 4))])
+    st0 = init_state(3, eta=1e4)
+    x = np.array([[0], [0], [1]], dtype=np.int32)
+    st1 = update(st0, rs, x, np.array([0.0, 1.0, 3.0]))
+    # row 0: both active losses are 1, exp(-1e4) underflows, weights stay;
+    # row 1: losses 0 and 4 (clipped to 1): the exact rule takes the mass;
+    # row 2: losses 4 and 16 both clip to 1 and underflow again.
+    assert st1.weights[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert st1.weights[1] == 0.0
+    assert st1.weights[2] == st0.weights[2]  # the sleeper, bit for bit
+    assert st1.step == 3
+    assert update(st1, rs, x[2:], np.array([3.0])).weights.tolist() == \
+        st1.weights.tolist()
+
+
+def test_block_update_derives_activations_from_codes():
+    rs = ruleset_of([0.1, -0.2], [C((0, 0, 2)), C((0, 2, 4))])
+    x = np.array([[0], [2], [4], [3]], dtype=np.int32)
+    y = np.array([0.05, -0.1, 0.3, 0.0])
+    st0 = init_state(2, eta=0.9)
+    got = update(st0, rs, x, y)
+    want = update(st0, rs, None, y, active=rs.activation_matrix(x))
+    assert got.weights.tolist() == want.weights.tolist()
+
+
+def test_block_update_rejects_a_non_finite_outcome_anywhere():
+    rs = ruleset_of([0.1])
+    with pytest.raises(NonFiniteLoss):
+        update(init_state(1, 0.1), rs, np.zeros((3, 1), np.int32),
+               np.array([0.0, np.inf, 0.1]))
+
+
+# --- scoring through saved files -------------------------------------------------
+
+
+@st.composite
+def saved_models(draw):
+    """A ruleset with no default rule (so some rows activate nothing), its
+    weights, and code rows that include missing codes (-1)."""
+    R = draw(st.integers(1, 5))
+    conditions, preds = [], []
+    for _ in range(R):
+        lo = draw(st.integers(0, 4))
+        hi = draw(st.integers(lo, 4))
+        conditions.append(C((draw(st.integers(0, 1)), lo, hi)))
+        preds.append(draw(st.floats(-0.2, 0.2, allow_nan=False)))
+    raw_w = draw(st.lists(st.floats(1e-6, 1.0), min_size=R, max_size=R))
+    codes = draw(st.lists(st.integers(-1, 4), min_size=2, max_size=80))
+    if len(codes) % 2:
+        codes = codes[:-1]
+    mean = draw(st.floats(-0.1, 0.1, allow_nan=False))
+    return conditions, preds, np.array(raw_w), np.array(codes, np.int32), mean
+
+
+@given(saved_models())
+@settings(max_examples=60, deadline=None)
+def test_scores_through_saved_files_match_in_memory(model):
+    """rules.json and state.json written and read back score every row like
+    the in-memory objects, rows that activate no rule included (they get the
+    learning-set mean)."""
+    conditions, preds, raw_w, codes, mean = model
+    rules = [Rule(c, p, 10, int(np.sign(p - mean))) for c, p in zip(conditions, preds)]
+    rs = RuleSet(rules=rules, learned_at="2015-12-31", feature_ids=["f0", "f1"],
+                 n_codes=[5, 5], global_mean=mean)
+    state = AggregationState(weights=raw_w / raw_w.sum(), eta=0.2, epsilon=0.01)
+    x = codes.reshape(-1, 2)
+
+    rs_disk = RuleSet.from_json(rs.to_json(), ["f0", "f1"], [5, 5])
+    state_disk = AggregationState.from_json(state.to_json())
+    want = predict_many(state, rs, x)
+    got = predict_many(state_disk, rs_disk, x)
+    assert got.tolist() == want.tolist()
+    assert score_many(got, state_disk.epsilon).tolist() == \
+        score_many(want, state.epsilon).tolist()
+    assert [r.sign for r in rs_disk.rules] == [r.sign for r in rules]

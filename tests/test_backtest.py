@@ -41,6 +41,7 @@ from rulescreen.backtest import (
     write_kpis_json,
     write_levels_csv,
 )
+from rulescreen.backtest import _rows_by_key
 from rulescreen.synth import PlantedRule, SynthSpec, generate
 from rulescreen.rules import Condition, Interval
 
@@ -346,6 +347,63 @@ def test_simulate_validates_weights():
                  score_lag_days=0)
 
 
+def reference_simulate(reviews, weights_fn, prices, universe, lag):
+    """The simulator as a per-day loop: grow the holdings one day at a time
+    and rebalance at each review close."""
+    reviews = sorted(np.datetime64(r, "D") for r in reviews)
+    idx = [prices.index_of(r) for r in reviews]
+
+    def target(i, level):
+        snap = universe.at(prices.dates[i - lag])
+        w = np.asarray(weights_fn(snap), dtype=np.float64)
+        h = np.zeros(len(prices.stock_ids))
+        for sid, wi in zip(snap.stock_ids, w):
+            h[prices.col[sid]] = level * wi
+        return h, w
+
+    holdings, w0 = target(idx[0], 100.0)
+    weights = [w0]
+    values = [100.0]
+    later = set(idx[1:])
+    for t in range(idx[0] + 1, prices.n):
+        holdings = holdings * (1.0 + prices.returns[t])
+        if t in later:
+            holdings, w = target(t, float(holdings.sum()))
+            weights.append(w)
+        values.append(float(holdings.sum()))
+    return np.array(values), weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("review_on_last_day", [False, True])
+def test_simulate_matches_per_day_loop_bitwise(seed, review_on_last_day):
+    rng = np.random.default_rng(seed)
+    n_days, n_stocks, lag = 150, 7, 3
+    dates = grid("2020-01-06", n_days)
+    ids = np.array([f"S{i}" for i in range(n_stocks)], dtype=object)
+    prices = PriceTable(dates, ids, rng.normal(0.0003, 0.02, (n_days, n_stocks)))
+    held = ids[:5]  # two priced stocks are never in the universe
+    snaps = {d: UniverseSnapshot(
+        date=d, stock_ids=held, cap_weight=np.full(5, 0.2),
+        sector=np.array(["X"] * 5, dtype=object),
+        peer_group=np.array(["G"] * 5, dtype=object),
+        esg_rating=np.arange(5.0)) for d in dates}
+    universe = UniverseTable(snaps)
+
+    def weights_fn(snap):
+        w = np.random.default_rng(int(snap.date.astype(int))).random(snap.n)
+        return w / w.sum()
+
+    ends = month_ends(dates)
+    reviews = list(ends if review_on_last_day else ends[:-1])
+    reviews = reviews[::-1] + [reviews[2]]  # unsorted, one review twice
+    series = simulate(reviews, weights_fn, prices, universe, score_lag_days=lag)
+    values, weights = reference_simulate(reviews, weights_fn, prices, universe, lag)
+    assert series.values.tolist() == values.tolist()
+    assert [h[2].tolist() for h in series.weights_history] == \
+        [w.tolist() for w in weights]
+    assert series.dates.tolist() == dates[prices.index_of(min(reviews)):].tolist()
+
 # --- kpis -------------------------------------------------------------------
 
 
@@ -534,6 +592,19 @@ def test_learning_y_report_is_named_for_its_year():
     rep = learning_y(data.panel, data.specs, universe, prices, cfg, 2012)
     assert rep.name == "Learning 2012"
 
+
+def test_rows_by_key_matches_dict_grouping():
+    """Array grouping gives the same keys and the same ascending row order
+    within each key as a per-row dict of lists."""
+    rng = np.random.default_rng(3)
+    dates = D("2020-01-01") + rng.integers(0, 40, 600)  # unsorted, repeated
+    by_date = {}
+    for i, d in enumerate(dates):
+        by_date.setdefault(d, []).append(i)
+    got = _rows_by_key(dates)
+    assert set(got) == set(by_date)
+    for d, rows in by_date.items():
+        assert got[d].tolist() == rows
 
 # --- csv interfaces ---------------------------------------------------------
 

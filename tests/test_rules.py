@@ -1,5 +1,7 @@
 """Conditions, activation, suitability, and rule serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,7 +290,26 @@ def test_ruleset_json_round_trip():
         assert a.activations == b.activations
         assert a.is_default == b.is_default
     assert clone.default_prediction() == rs.default_prediction()
+    assert clone.global_mean == rs.global_mean
     assert str(clone.learned_at) == "2015-12-31"
+
+
+def test_ruleset_json_keeps_the_mean_without_a_default_rule():
+    rs = make_ruleset()
+    rs.rules.pop()  # the learning rows were covered without the default rule
+    rs.global_mean = 0.0125
+    clone = RuleSet.from_json(rs.to_json(), ["f0", "f1"], [5, 5])
+    assert clone.global_mean == 0.0125
+    assert clone.default_prediction() == 0.0125
+    assert [r.sign for r in clone.rules] == [1, -1]
+
+
+def test_ruleset_json_without_a_stored_mean_reads_the_default_rule():
+    blob = json.loads(make_ruleset().to_json())
+    for entry in blob:
+        del entry["global_mean"]
+    clone = RuleSet.from_json(json.dumps(blob), ["f0", "f1"], [5, 5])
+    assert clone.global_mean == 0.005
 
 
 def test_ruleset_describe_mentions_features_and_default():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rulescreen.backtest import month_ends
 from rulescreen.errors import InconsistentSpec
 from rulescreen.rules import Condition, Interval
 from rulescreen.synth import (
@@ -10,7 +11,6 @@ from rulescreen.synth import (
     SynthSpec,
     business_day_grid,
     generate,
-    month_end_reviews,
     true_modality,
     write_prices_csv,
     write_universe_csv,
@@ -43,7 +43,7 @@ def test_business_day_grid_skips_weekends():
 
 def test_month_end_reviews():
     dates = business_day_grid("2020-01-02", 45)
-    reviews = month_end_reviews(dates)
+    reviews = month_ends(dates)
     assert np.datetime64("2020-01-31") in reviews
     assert np.datetime64("2020-02-28") in reviews
     # the running month always contributes its latest grid date
