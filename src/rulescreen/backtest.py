@@ -39,6 +39,8 @@ from .panel import (
     DiscretizedPanel,
     FeatureSpec,
     RawPanel,
+    _bad_row,
+    _fmt,
     apply_discretizer,
     fit_discretizer,
     split,
@@ -740,14 +742,10 @@ def learning_y(
 # CSV / JSON loaders and writers
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def load_universe_csv(path) -> UniverseTable:
     @dataclass
     class _Row:
-        date: str
+        date: np.datetime64
         stock_id: str
         cap_weight: float
         sector: str
@@ -760,17 +758,22 @@ def load_universe_csv(path) -> UniverseTable:
         need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise SpecMismatch(f"universe csv must have columns {sorted(need)}")
-        for rec in reader:
-            rows.append(
-                _Row(
-                    date=rec["date"],
-                    stock_id=rec["stock_id"],
-                    cap_weight=float(rec["cap_weight"]),
-                    sector=rec["sector"],
-                    peer_group=rec["peer_group"],
-                    esg_rating=float(rec["esg_rating"]),
+        try:
+            for rec in reader:
+                if None in rec.values():  # DictReader pads a short row with None
+                    raise IndexError
+                rows.append(
+                    _Row(
+                        date=np.datetime64(rec["date"], "D"),
+                        stock_id=rec["stock_id"],
+                        cap_weight=float(rec["cap_weight"]),
+                        sector=rec["sector"],
+                        peer_group=rec["peer_group"],
+                        esg_rating=float(rec["esg_rating"]),
+                    )
                 )
-            )
+        except (IndexError, ValueError) as exc:
+            raise _bad_row(path, reader.line_num, exc) from None
     if not rows:
         raise SpecMismatch("universe csv is empty")
     return UniverseTable.from_rows(rows)
@@ -786,14 +789,19 @@ def load_prices_csv(path) -> PriceTable:
         need = {"date", "stock_id", "total_return_daily"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise SpecMismatch(f"prices csv must have columns {sorted(need)}")
-        for rec in reader:
-            date = np.datetime64(rec["date"], "D")
-            sid = rec["stock_id"]
-            cells[(date, sid)] = float(rec["total_return_daily"])
-            if sid not in seen:
-                seen.add(sid)
-                stock_ids.append(sid)
-            dates_seen.add(date)
+        try:
+            for rec in reader:
+                if None in rec.values():  # DictReader pads a short row with None
+                    raise IndexError
+                date = np.datetime64(rec["date"], "D")
+                sid = rec["stock_id"]
+                cells[(date, sid)] = float(rec["total_return_daily"])
+                if sid not in seen:
+                    seen.add(sid)
+                    stock_ids.append(sid)
+                dates_seen.add(date)
+        except (IndexError, ValueError) as exc:
+            raise _bad_row(path, reader.line_num, exc) from None
     if not cells:
         raise MissingPriceData("prices csv is empty")
     dates = np.array(sorted(dates_seen), dtype="datetime64[D]")

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_type_hints
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .panel import (
     Discretizer,
+    _fmt,
     apply_discretizer,
     attach_returns,
     fit_discretizer,
@@ -125,40 +126,20 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {
-    "m",
-    "cp_max",
-    "M",
-    "horizon_days",
-    "initial_train_years",
-    "score_lag_days",
-    "worker_count",
-    "seed",
-}
-_FLOAT_KEYS = {
-    "alpha",
-    "c_min",
-    "c_max",
-    "loss_clip",
-    "learn_fraction",
-    "best_in_class_x",
-    "periods_per_year",
-}
-_AUTO_FLOAT_KEYS = {"eta", "epsilon"}
+# Each key's value type, as RunConfig declares it; Optional[float] keys also
+# take "auto" (None).
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _AUTO_FLOAT_KEYS:
+        if kind == Optional[float]:
             return None if raw == "auto" else float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
-    return raw
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -291,7 +272,7 @@ def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
         writer.writerow(["date", "stock_id", "y_hat", "score"])
         for i in range(len(stock_ids)):
             writer.writerow(
-                [str(dates[i]), str(stock_ids[i]), repr(float(y_hat[i])), int(score[i])]
+                [str(dates[i]), str(stock_ids[i]), _fmt(y_hat[i]), int(score[i])]
             )
 
 

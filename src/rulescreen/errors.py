@@ -32,6 +32,10 @@ class SpecMismatch(DataError):
     pass
 
 
+class MalformedRow(DataError):
+    """A CSV record with too few cells or a cell that does not parse."""
+
+
 class BadSplitPoint(ValidationError):
     pass
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BadSplitPoint,
     EmptyPanel,
+    MalformedRow,
     NonPositiveModalities,
     SpecMismatch,
 )
@@ -369,6 +370,32 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _bad_row(path, line_num: int, exc: Exception) -> MalformedRow:
+    """Typed error for one CSV record: a short row surfaces as an IndexError,
+    a cell that does not parse as a ValueError."""
+    reason = "too few cells" if isinstance(exc, IndexError) else str(exc)
+    return MalformedRow(f"{path}, line {line_num}: {reason}")
+
+
+def _raise_bad_feature_row(path, specs: Sequence[FeatureSpec]) -> None:
+    """Re-read features.csv record by record and raise MalformedRow for the
+    first one that does not parse; only runs after a column conversion failed,
+    so clean files are parsed once."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            try:
+                if len(row) < 2 + len(specs):
+                    raise IndexError
+                np.datetime64(row[0], "D")
+                for k, spec in enumerate(specs):
+                    if spec.kind == NUMERIC and row[2 + k] != "":
+                        float(row[2 + k])
+            except (IndexError, ValueError) as exc:
+                raise _bad_row(path, reader.line_num, exc) from None
+
+
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
     """Read features.csv (`date,stock_id,<feature_id>...`, empty cell = missing).
 
@@ -392,21 +419,27 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
         raise EmptyPanel(f"{path}: no data rows")
 
     n = len(rows)
-    dates = np.array([np.datetime64(r[0], "D") for r in rows], dtype="datetime64[D]")
-    stock_ids = np.array([r[1] for r in rows], dtype=object)
-    columns: List[np.ndarray] = []
-    for k, spec in enumerate(specs):
-        cells = [r[2 + k] for r in rows]
-        if spec.kind == CATEGORICAL:
-            columns.append(
-                np.array([c if c != "" else None for c in cells], dtype=object)
-            )
-        else:
-            col = np.full(n, np.nan, dtype=np.float64)
-            for i, c in enumerate(cells):
-                if c != "":
-                    col[i] = float(c)
-            columns.append(col)
+    try:
+        dates = np.array(
+            [np.datetime64(r[0], "D") for r in rows], dtype="datetime64[D]"
+        )
+        stock_ids = np.array([r[1] for r in rows], dtype=object)
+        columns: List[np.ndarray] = []
+        for k, spec in enumerate(specs):
+            cells = [r[2 + k] for r in rows]
+            if spec.kind == CATEGORICAL:
+                columns.append(
+                    np.array([c if c != "" else None for c in cells], dtype=object)
+                )
+            else:
+                col = np.full(n, np.nan, dtype=np.float64)
+                for i, c in enumerate(cells):
+                    if c != "":
+                        col[i] = float(c)
+                columns.append(col)
+    except (IndexError, ValueError):
+        _raise_bad_feature_row(path, specs)
+        raise
     y = np.full(n, np.nan, dtype=np.float64)
     return RawPanel(dates=dates, stock_ids=stock_ids, columns=columns, y=y), specs
 
@@ -421,9 +454,12 @@ def load_returns_csv(path) -> Dict[tuple, float]:
             raise SpecMismatch(
                 f"{path}: expected header date,stock_id,fwd_excess_return_3m"
             )
-        for row in reader:
-            if row[2] != "":
-                out[(np.datetime64(row[0], "D"), row[1])] = float(row[2])
+        try:
+            for row in reader:
+                if row[2] != "":
+                    out[(np.datetime64(row[0], "D"), row[1])] = float(row[2])
+        except (IndexError, ValueError) as exc:
+            raise _bad_row(path, reader.line_num, exc) from None
     return out
 
 

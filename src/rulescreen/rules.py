@@ -9,13 +9,12 @@ set) and its activation count.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DimensionMismatch,
@@ -138,18 +137,20 @@ def sample_std(panel: DiscretizedPanel) -> float:
     return float(np.std(y, ddof=1))
 
 
-@functools.lru_cache(maxsize=None)
-def _gaussian_quantile(alpha: float) -> float:
-    """q(1 - alpha/2), computed once per alpha: a search asks for it once per
-    candidate rule, and norm.ppf costs far more than the rest of the test."""
-    return float(norm.ppf(1.0 - alpha / 2.0))
+_STANDARD_NORMAL = NormalDist()
 
 
 def gaussian_threshold(n_activations: int, alpha: float, sigma: float) -> float:
-    """Two-sided gaussian mean test threshold: q(1 - alpha/2) * sigma / sqrt(n)."""
+    """Two-sided gaussian mean test threshold: q(1 - alpha/2) * sigma / sqrt(n).
+
+    alpha == 0 (or one too small to move 1 - alpha/2 off 1.0) asks for the
+    quantile at 1, which is infinite; inv_cdf raises there, so q is set to inf.
+    """
     if n_activations < 1:
         raise NoActivations("threshold undefined with zero activations")
-    return _gaussian_quantile(alpha) * sigma / np.sqrt(n_activations)
+    p = 1.0 - alpha / 2.0
+    q = np.inf if p == 1.0 else _STANDARD_NORMAL.inv_cdf(p)
+    return q * sigma / np.sqrt(n_activations)
 
 
 Z_KINDS: Dict[str, Callable[[int, float, float], float]] = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backtest import month_ends
 from .errors import InconsistentSpec
-from .panel import FeatureSpec, RawPanel
+from .panel import FeatureSpec, RawPanel, _fmt
 from .rules import Condition
 
 DEFAULT_START = "2010-01-04"
@@ -253,10 +253,6 @@ def generate(spec: SynthSpec) -> SynthData:
         price_returns=price_returns,
         review_dates=review_dates,
     )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def write_universe_csv(path, universe: List[UniverseRow]) -> None:

@@ -4,10 +4,15 @@ synth -> discretize -> learn -> score -> backtest -> report pipeline."""
 import csv
 import hashlib
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rulescreen
 from rulescreen.cli import (
     RunConfig,
     default_config_text,
@@ -199,6 +204,18 @@ def test_backtest_missing_prices_exits_two(tmp_path, caplog):
     assert "prices" in caplog.text
 
 
+def test_cli_imports_without_scipy():
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    check = "import rulescreen.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", check],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -376,3 +393,32 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path,
         a = (tmp_path / "w1" / name).read_bytes()
         b = (tmp_path / "w4" / name).read_bytes()
         assert a == b, name
+
+
+# ---------------------------------------------------------------------------
+# malformed input rows
+
+
+@pytest.mark.parametrize("name", ["features", "returns", "universe", "prices"])
+@pytest.mark.parametrize("fault", ["short_row", "non_numeric", "bad_date"])
+def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split(",")
+    if fault == "short_row":
+        cells = cells[:-1]
+    elif fault == "non_numeric":
+        cells[2] = "n/a"  # the first numeric column of every input file
+    else:
+        cells[0] = "2010-13-01"
+    lines[2] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    cfg = write_cfg(tmp_path, "".join(
+        f"{k} = {data / (k + '.csv')}\n"
+        for k in ("features", "returns", "universe", "prices")
+    ))
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"MalformedRow: {path}, line 3:" in caplog.text
+    assert "Traceback" not in caplog.text

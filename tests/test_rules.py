@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from rulescreen.errors import (
     DimensionMismatch,
@@ -154,6 +155,21 @@ def test_gaussian_threshold_table_value():
 
 def test_threshold_zero_at_alpha_one():
     assert gaussian_threshold(10, 1.0, 0.5) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(0.01)
+@example(0.05)
+@example(0.1)
+@example(0.5)
+def test_threshold_quantile_matches_scipy(alpha):
+    want = float(norm.ppf(1.0 - alpha / 2.0))
+    assert gaussian_threshold(1, alpha, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_threshold_infinite_at_alpha_zero():
+    assert gaussian_threshold(10, 0.0, 0.5) == np.inf
 
 
 def test_threshold_shrinks_with_root_n():
