@@ -9,11 +9,14 @@ had when deciding).
 
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +40,12 @@ from .errors import (
 )
 from .panel import (
     DiscretizedPanel,
+    Discretizer,
     FeatureSpec,
     RawPanel,
     _bad_row,
+    _DateCells,
+    _duplicate_row,
     _fmt,
     apply_discretizer,
     fit_discretizer,
@@ -154,6 +160,13 @@ class PriceTable:
             return self.date_index[key]
         except KeyError:
             raise MissingPriceData(f"no prices on {key}") from None
+
+    def columns_of(self, stock_ids) -> np.ndarray:
+        """Return-grid column of each stock id, in one mapped lookup."""
+        try:
+            return np.fromiter(map(self.col.__getitem__, stock_ids), np.intp, len(stock_ids))
+        except KeyError as exc:
+            raise MissingPriceData(f"no prices for {exc.args[0]}") from None
 
 
 def month_ends(dates: np.ndarray) -> np.ndarray:
@@ -319,10 +332,7 @@ def simulate(
         if np.any(w < -WEIGHT_TOL) or abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise SpecMismatch("weights must be non-negative and sum to 1")
         h = np.zeros(len(prices.stock_ids), dtype=np.float64)
-        for sid, wi in zip(snap.stock_ids, w):
-            if sid not in prices.col:
-                raise MissingPriceData(f"no prices for {sid}")
-            h[prices.col[sid]] = level * wi
+        h[prices.columns_of(snap.stock_ids)] = level * w
         return h, snap_date, snap.stock_ids, w
 
     i0 = review_idx[0]
@@ -463,12 +473,15 @@ class LearningRecord:
     n_replay: int
 
 
+Scores = Dict[np.datetime64, Dict[str, Tuple[float, int]]]  # score date -> stock
+
+
 @dataclass
 class StudyResult:
     reports: Dict[str, BacktestReport]
     series: Dict[str, PortfolioSeries]
     learnings: List[LearningRecord]
-    scores: Dict[np.datetime64, Dict[str, Tuple[float, int]]]  # score date -> stock
+    scores: Scores
     reviews: np.ndarray
 
 
@@ -519,31 +532,171 @@ def _learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datet
     return out
 
 
-def run_study(
+@dataclass(frozen=True)
+class _Learning:
+    """One learning of the schedule: its record, the discretizer it fitted
+    and the aggregation state after replaying the post-design labels."""
+
+    record: LearningRecord
+    discretizer: Discretizer
+    state: AggregationState
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """The learnings and walk-forward segment scores of one study, each a
+    prefix of its learning dates L_0 < L_1 < ... Segment k scores the days
+    in (L_k, L_k+1], the last one the days in (L_k, end of data]."""
+
+    key: str
+    learnings: Tuple[_Learning, ...]
+    segments: Tuple[Scores, ...]
+
+
+# The schedule of the last study, replaced whole (never changed in place).
+_last_schedule: Optional[_Schedule] = None
+
+
+def _fingerprint(
+    raw_panel: RawPanel,
+    specs: Sequence[FeatureSpec],
+    grid: np.ndarray,
+    cfg: WalkForwardConfig,
+) -> str:
+    """sha256 of everything a study's learnings and scores depend on: the
+    panel's rows, the feature specs, the trading-day grid and every config
+    field. Numeric arrays are hashed from their buffers, object arrays
+    pickled."""
+    h = hashlib.sha256()
+    for arr in (raw_panel.dates, raw_panel.stock_ids, *raw_panel.columns, raw_panel.y, grid):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape};".encode())
+        h.update(pickle.dumps(arr) if arr.dtype == object else arr.view(np.uint8))
+    h.update(pickle.dumps((list(specs), [(f.name, getattr(cfg, f.name)) for f in fields(cfg)])))
+    return h.hexdigest()
+
+
+class _Engine:
+    """The panel arrays that one study's learnings and out-of-sample
+    segments share."""
+
+    def __init__(self, raw_panel, specs, prices, cfg, score_idx):
+        self.raw_panel, self.specs, self.prices, self.cfg = raw_panel, specs, prices, cfg
+        self.score_idx = score_idx
+        self.labeled = np.isfinite(raw_panel.y)
+        self.resolution = np.busday_offset(raw_panel.dates, cfg.horizon_days)
+        self.rows_by_date = _rows_by_key(raw_panel.dates)
+        self.n_total_labeled = int(self.labeled.sum())
+
+    def learning(self, L: np.datetime64) -> _Learning:
+        """Refit the discretizer and rules at the close of L on every
+        observation whose outcome has resolved, then reset the weights to
+        uniform and replay the post-design labels."""
+        cfg = self.cfg
+        in_learning = self.labeled & (self.resolution <= L)
+        if not in_learning.any():
+            raise InsufficientHistory(f"no resolved labels at learning {L}")
+        raw_learn = self.raw_panel.take(np.flatnonzero(in_learning))
+        discretizer = fit_discretizer(raw_learn, self.specs, cfg.m)
+        panel_L = apply_discretizer(raw_learn, discretizer)
+        N = panel_L.n
+        if N < 2:
+            raise InsufficientHistory(f"learning set at {L} has {N} rows")
+        n_design = max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N))))
+        parts = split(panel_L, n_design)
+        ruleset, report = learn(
+            parts.learn, cfg.search_params(), learned_at=L, workers=cfg.workers
+        )
+        R = ruleset.R
+        eta = cfg.eta if cfg.eta is not None else default_eta(
+            R, max(1, self.n_total_labeled - n_design)
+        )
+        replay = parts.aggregate
+        state = replay_state(
+            ruleset, replay, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
+        )
+        record = LearningRecord(
+            date=L,
+            year=_year(L),
+            ruleset=ruleset,
+            epsilon=state.epsilon,
+            report=report,
+            n_design=parts.learn.n,
+            n_replay=replay.n,
+        )
+        return _Learning(record, discretizer, state)
+
+    def segment(
+        self, step: _Learning, L: np.datetime64, next_L: Optional[np.datetime64]
+    ) -> Scores:
+        """Out of sample from the close of L to the close of next_L (or the
+        end of data) under one learning: weights update daily as labels
+        resolve, and every score day in the segment is scored."""
+        raw_panel, prices, cfg = self.raw_panel, self.prices, self.cfg
+        ruleset, discretizer, state = step.record.ruleset, step.discretizer, step.state
+        pending = self.labeled & (self.resolution > L)
+        if next_L is not None:
+            pending &= self.resolution <= next_L
+        pend_idx = np.flatnonzero(pending)
+        pend_by_day: Dict[np.datetime64, np.ndarray] = {}
+        if len(pend_idx):
+            panel_pend = apply_discretizer(raw_panel.take(pend_idx), discretizer)
+            A_pend = ruleset.activation_matrix(panel_pend.x)
+            pend_by_day = _rows_by_key(
+                np.busday_offset(panel_pend.dates, cfg.horizon_days)
+            )
+
+        scores: Scores = {}
+        t_start = prices.index_of(L) + 1
+        t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
+        for t in range(t_start, t_stop):
+            day = prices.dates[t]
+            todo = pend_by_day.get(day)
+            if todo is not None:
+                state = update(
+                    state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
+                    active=A_pend[todo],
+                )
+            if t in self.score_idx:
+                row_ix = self.rows_by_date.get(day)
+                if row_ix is None or not len(row_ix):
+                    raise SpecMismatch(f"no panel rows to score on {day}")
+                panel_day = apply_discretizer(raw_panel.take(row_ix), discretizer)
+                y_hat = predict_many(state, ruleset, panel_day.x)
+                ternary = score_many(y_hat, state.epsilon)
+                scores[day] = {
+                    str(sid): (float(y_hat[j]), int(ternary[j]))
+                    for j, sid in enumerate(panel_day.stock_ids)
+                }
+        return scores
+
+
+def _scored_study(
     raw_panel: RawPanel,
     specs: Sequence[FeatureSpec],
     universe: UniverseTable,
     prices: PriceTable,
     cfg: WalkForwardConfig,
-    freeze_year: Optional[int] = None,
-) -> StudyResult:
-    """Shared engine behind walk_forward and learning_y.
+    freeze_year: Optional[int],
+) -> Tuple[List[_Learning], Scores, np.ndarray, UniverseTable]:
+    """Learnings, scores, review dates and scored universe of one study.
 
-    Learnings happen at the last trading day of each calendar year, starting
-    once `initial_train_years` are available. Each learning refits the
-    discretizer and rules on every observation whose outcome has resolved,
-    resets aggregation weights to uniform and replays the post-design labels,
-    then updates daily out of sample as labels resolve. With freeze_year set,
-    re-learning stops after that year's learning; weight updates continue.
+    A walk-forward study (freeze_year None) computes every learning and
+    segment and replaces the schedule memo with them. A frozen study takes
+    the learnings up to freeze_year and the walk-forward segments before it
+    from the memo when its fingerprint matches, computes what is missing,
+    and scores the segment from the freeze_year learning to the end of data.
     """
+    global _last_schedule
     grid = prices.dates
     learn_dates = _learning_dates(grid, cfg.initial_train_years)
+    n_learn = len(learn_dates)
     if freeze_year is not None:
         if freeze_year not in {_year(L) for L in learn_dates}:
             raise UnknownLearningYear(
                 f"{freeze_year} is not a completed learning year"
             )
-        learn_dates = [L for L in learn_dates if _year(L) <= freeze_year]
+        n_learn = sum(1 for L in learn_dates if _year(L) <= freeze_year)
     first_learning = learn_dates[0]
 
     lag = cfg.score_lag_days
@@ -560,89 +713,34 @@ def run_study(
     review_arr = np.array(reviews, dtype="datetime64[D]")
     score_idx = {prices.index_of(r) - lag: r for r in reviews}
 
-    labeled = np.isfinite(raw_panel.y)
-    resolution = np.busday_offset(raw_panel.dates, cfg.horizon_days)
+    engine = _Engine(raw_panel, specs, prices, cfg, score_idx)
+    key = _fingerprint(raw_panel, specs, grid, cfg)
+    memo = _last_schedule
+    if freeze_year is not None and memo is not None and memo.key == key:
+        learnings, segments = list(memo.learnings), list(memo.segments)
+    else:
+        learnings, segments = [], []
+    n_read = (len(learnings), len(segments))
 
-    scores: Dict[np.datetime64, Dict[str, Tuple[float, int]]] = {}
-    learnings: List[LearningRecord] = []
+    scores: Scores = {}
+    for k in range(n_learn):
+        L = learn_dates[k]
+        if k == len(learnings):
+            learnings.append(engine.learning(L))
+        # Only a frozen study's last segment, which runs on past the next
+        # learning date, differs from the walk-forward segment.
+        if k + 1 < n_learn or n_learn == len(learn_dates):
+            if k == len(segments):
+                next_L = learn_dates[k + 1] if k + 1 < len(learn_dates) else None
+                segments.append(engine.segment(learnings[k], L, next_L))
+            segment = segments[k]
+        else:
+            segment = engine.segment(learnings[k], L, None)
+        scores.update((day, dict(per_stock)) for day, per_stock in segment.items())
+    if (len(learnings), len(segments)) != n_read:
+        _last_schedule = _Schedule(key, tuple(learnings), tuple(segments))
 
-    rows_by_date = _rows_by_key(raw_panel.dates)
-
-    n_total_labeled = int(labeled.sum())
-
-    for k, L in enumerate(learn_dates):
-        # ---- learning at the close of L
-        in_learning = labeled & (resolution <= L)
-        if not in_learning.any():
-            raise InsufficientHistory(f"no resolved labels at learning {L}")
-        raw_learn = raw_panel.take(np.flatnonzero(in_learning))
-        discretizer = fit_discretizer(raw_learn, specs, cfg.m)
-        panel_L = apply_discretizer(raw_learn, discretizer)
-        N = panel_L.n
-        if N < 2:
-            raise InsufficientHistory(f"learning set at {L} has {N} rows")
-        n_design = max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N))))
-        parts = split(panel_L, n_design)
-        ruleset, report = learn(
-            parts.learn, cfg.search_params(), learned_at=L, workers=cfg.workers
-        )
-        R = ruleset.R
-        eta = cfg.eta if cfg.eta is not None else default_eta(
-            R, max(1, n_total_labeled - n_design)
-        )
-        replay = parts.aggregate
-        state = replay_state(
-            ruleset, replay, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
-        )
-        learnings.append(
-            LearningRecord(
-                date=L,
-                year=_year(L),
-                ruleset=ruleset,
-                epsilon=state.epsilon,
-                report=report,
-                n_design=parts.learn.n,
-                n_replay=replay.n,
-            )
-        )
-
-        # ---- out-of-sample until the next learning (or the end of data)
-        next_L = learn_dates[k + 1] if k + 1 < len(learn_dates) else None
-        pending = labeled & (resolution > L)
-        if next_L is not None:
-            pending &= resolution <= next_L
-        pend_idx = np.flatnonzero(pending)
-        pend_by_day: Dict[np.datetime64, np.ndarray] = {}
-        if len(pend_idx):
-            panel_pend = apply_discretizer(raw_panel.take(pend_idx), discretizer)
-            A_pend = ruleset.activation_matrix(panel_pend.x)
-            pend_by_day = _rows_by_key(
-                np.busday_offset(panel_pend.dates, cfg.horizon_days)
-            )
-
-        t_start = prices.index_of(L) + 1
-        t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
-        for t in range(t_start, t_stop):
-            day = grid[t]
-            todo = pend_by_day.get(day)
-            if todo is not None:
-                state = update(
-                    state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
-                    active=A_pend[todo],
-                )
-            if t in score_idx:
-                row_ix = rows_by_date.get(day)
-                if row_ix is None or not len(row_ix):
-                    raise SpecMismatch(f"no panel rows to score on {day}")
-                panel_day = apply_discretizer(raw_panel.take(row_ix), discretizer)
-                y_hat = predict_many(state, ruleset, panel_day.x)
-                ternary = score_many(y_hat, state.epsilon)
-                scores[day] = {
-                    str(sid): (float(y_hat[j]), int(ternary[j]))
-                    for j, sid in enumerate(panel_day.stock_ids)
-                }
-
-    # ---- attach scores to snapshots and simulate the strategy legs
+    # ---- attach scores to snapshots
     scored: Dict[np.datetime64, UniverseSnapshot] = {}
     for r in reviews:
         sd = grid[prices.index_of(r) - lag]
@@ -653,7 +751,12 @@ def run_study(
             dtype=np.int64,
         )
         scored[sd] = snap.with_scores(arr)
-    scored_table = UniverseTable(scored)
+    return learnings[:n_learn], scores, review_arr, UniverseTable(scored)
+
+
+def _leg_weights(cfg: WalkForwardConfig) -> Dict[str, Callable[[UniverseSnapshot], np.ndarray]]:
+    """Target weights of each strategy leg; the screened legs hold the
+    benchmark (with a WARNING) on a review where their screen is empty."""
 
     def benchmark_fn(snap: UniverseSnapshot) -> np.ndarray:
         return snap.cap_weight / snap.cap_weight.sum()
@@ -680,16 +783,48 @@ def run_study(
     def bic_fn(snap: UniverseSnapshot) -> np.ndarray:
         return best_in_class(snap, cfg.bic_x)
 
-    legs: Dict[str, Callable[[UniverseSnapshot], np.ndarray]] = {
+    return {
         BENCHMARK: benchmark_fn,
         POSITIVE: fallback(positive_fn, POSITIVE),
         POSITIVE_SM: fallback(positive_sm_fn, POSITIVE_SM),
         NEGATIVE: fallback(negative_fn, NEGATIVE),
         BEST_IN_CLASS: fallback(bic_fn, BEST_IN_CLASS),
     }
+
+
+def run_study(
+    raw_panel: RawPanel,
+    specs: Sequence[FeatureSpec],
+    universe: UniverseTable,
+    prices: PriceTable,
+    cfg: WalkForwardConfig,
+    freeze_year: Optional[int] = None,
+) -> StudyResult:
+    """Shared engine behind walk_forward and learning_y.
+
+    Learnings happen at the last trading day of each calendar year, starting
+    once `initial_train_years` are available. Each learning refits the
+    discretizer and rules on every observation whose outcome has resolved,
+    resets aggregation weights to uniform and replays the post-design labels,
+    then updates daily out of sample as labels resolve. With freeze_year set,
+    re-learning stops after that year's learning; weight updates continue.
+    Every strategy leg is simulated.
+
+    The learnings and out-of-sample scores of the last study are kept in a
+    one-entry memo keyed by a sha256 of the panel, specs, trading-day grid
+    and config (not of the universe or prices, which they do not depend on).
+    A walk-forward study never reads the memo: it learns every year and
+    replaces the entry. A frozen study reuses the entry's learnings up to
+    freeze_year and its segments before, and computes only the rest, so its
+    result is bit-identical to a cold run. The returned learnings and score
+    dicts are copies the memo does not share.
+    """
+    learnings, scores, reviews, scored = _scored_study(
+        raw_panel, specs, universe, prices, cfg, freeze_year
+    )
     series = {
-        name: simulate(review_arr, fn, prices, scored_table, name, lag)
-        for name, fn in legs.items()
+        name: simulate(reviews, fn, prices, scored, name, cfg.score_lag_days)
+        for name, fn in _leg_weights(cfg).items()
     }
     bench = series[BENCHMARK]
     reports = {
@@ -701,9 +836,9 @@ def run_study(
     return StudyResult(
         reports=reports,
         series=series,
-        learnings=learnings,
+        learnings=[copy.deepcopy(step.record) for step in learnings],
         scores=scores,
-        reviews=review_arr,
+        reviews=reviews,
     )
 
 
@@ -731,11 +866,23 @@ def learning_y(
     Aggregation weights keep updating daily, so the first year out of sample
     is the walk-forward Positive ML leg bit for bit; afterwards the static
     rules stop adapting.
+
+    This is run_study's frozen study: after a walk-forward study on the same
+    inputs it learns nothing and scores only the days after the year-Y
+    learning (see run_study's memo). It simulates only the Positive ML leg
+    and the benchmark its KPIs are measured against.
     """
-    result = run_study(raw_panel, specs, universe, prices, cfg, freeze_year=Y)
-    report = result.reports[POSITIVE]
-    renamed = replace(report.series, name=f"Learning {Y}")
-    return BacktestReport(name=f"Learning {Y}", series=renamed, kpis=report.kpis)
+    _, _, reviews, scored = _scored_study(
+        raw_panel, specs, universe, prices, cfg, freeze_year=Y
+    )
+    legs = _leg_weights(cfg)
+    name = f"Learning {Y}"
+    lag = cfg.score_lag_days
+    bench = simulate(reviews, legs[BENCHMARK], prices, scored, BENCHMARK, lag)
+    series = simulate(reviews, legs[POSITIVE], prices, scored, name, lag)
+    return BacktestReport(
+        name=name, series=series, kpis=kpis(series, bench, cfg.periods_per_year)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +900,7 @@ def load_universe_csv(path) -> UniverseTable:
         esg_rating: float
 
     rows = []
+    dates = _DateCells()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
@@ -764,7 +912,7 @@ def load_universe_csv(path) -> UniverseTable:
                     raise IndexError
                 rows.append(
                     _Row(
-                        date=np.datetime64(rec["date"], "D"),
+                        date=dates[rec["date"]],
                         stock_id=rec["stock_id"],
                         cap_weight=float(rec["cap_weight"]),
                         sector=rec["sector"],
@@ -784,6 +932,7 @@ def load_prices_csv(path) -> PriceTable:
     stock_ids: List[str] = []
     seen = set()
     dates_seen = set()
+    date_cells = _DateCells()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"date", "stock_id", "total_return_daily"}
@@ -793,8 +942,10 @@ def load_prices_csv(path) -> PriceTable:
             for rec in reader:
                 if None in rec.values():  # DictReader pads a short row with None
                     raise IndexError
-                date = np.datetime64(rec["date"], "D")
+                date = date_cells[rec["date"]]
                 sid = rec["stock_id"]
+                if (date, sid) in cells:
+                    raise _duplicate_row(path, reader.line_num, (date, sid))
                 cells[(date, sid)] = float(rec["total_return_daily"])
                 if sid not in seen:
                     seen.add(sid)

@@ -36,6 +36,10 @@ class MalformedRow(DataError):
     """A CSV record with too few cells or a cell that does not parse."""
 
 
+class DuplicateRow(DataError):
+    """A CSV record whose (date, stock_id) key an earlier record holds."""
+
+
 class BadSplitPoint(ValidationError):
     pass
 

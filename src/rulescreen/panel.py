@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BadSplitPoint,
+    DuplicateRow,
     EmptyPanel,
     MalformedRow,
     NonPositiveModalities,
@@ -377,10 +378,30 @@ def _bad_row(path, line_num: int, exc: Exception) -> MalformedRow:
     return MalformedRow(f"{path}, line {line_num}: {reason}")
 
 
+class _DateCells(dict):
+    """Date cell -> datetime64[D], each distinct cell parsed once. A cell that
+    numpy reads as NaT (empty, or "NaT") raises ValueError like one that does
+    not parse."""
+
+    def __missing__(self, cell: str) -> np.datetime64:
+        date = np.datetime64(cell, "D")
+        if np.isnat(date):
+            raise ValueError(f"missing date {cell!r}")
+        self[cell] = date
+        return date
+
+
+def _duplicate_row(path, line_num: int, key: tuple) -> DuplicateRow:
+    return DuplicateRow(
+        f"{path}, line {line_num}: repeated (date, stock_id) key ({key[0]}, {key[1]})"
+    )
+
+
 def _raise_bad_feature_row(path, specs: Sequence[FeatureSpec]) -> None:
     """Re-read features.csv record by record and raise MalformedRow for the
     first one that does not parse; only runs after a column conversion failed,
     so clean files are parsed once."""
+    dates = _DateCells()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -388,7 +409,7 @@ def _raise_bad_feature_row(path, specs: Sequence[FeatureSpec]) -> None:
             try:
                 if len(row) < 2 + len(specs):
                     raise IndexError
-                np.datetime64(row[0], "D")
+                dates[row[0]]
                 for k, spec in enumerate(specs):
                     if spec.kind == NUMERIC and row[2 + k] != "":
                         float(row[2 + k])
@@ -419,10 +440,9 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
         raise EmptyPanel(f"{path}: no data rows")
 
     n = len(rows)
+    date_cells = _DateCells()
     try:
-        dates = np.array(
-            [np.datetime64(r[0], "D") for r in rows], dtype="datetime64[D]"
-        )
+        dates = np.array([date_cells[r[0]] for r in rows], dtype="datetime64[D]")
         stock_ids = np.array([r[1] for r in rows], dtype=object)
         columns: List[np.ndarray] = []
         for k, spec in enumerate(specs):
@@ -445,8 +465,11 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
 
 
 def load_returns_csv(path) -> Dict[tuple, float]:
-    """Read returns.csv into a {(date, stock_id): y} map."""
+    """Read returns.csv into a {(date, stock_id): y} map. An empty return
+    cell means no label; a (date, stock_id) key may appear only once."""
     out: Dict[tuple, float] = {}
+    unlabeled = set()
+    dates = _DateCells()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -456,8 +479,13 @@ def load_returns_csv(path) -> Dict[tuple, float]:
             )
         try:
             for row in reader:
+                key = (dates[row[0]], row[1])
+                if key in out or key in unlabeled:
+                    raise _duplicate_row(path, reader.line_num, key)
                 if row[2] != "":
-                    out[(np.datetime64(row[0], "D"), row[1])] = float(row[2])
+                    out[key] = float(row[2])
+                else:
+                    unlabeled.add(key)
         except (IndexError, ValueError) as exc:
             raise _bad_row(path, reader.line_num, exc) from None
     return out

@@ -1,6 +1,8 @@
 """Screens, portfolio simulation, KPI math, and the walk-forward engine."""
 
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from rulescreen.backtest import (
     write_kpis_json,
     write_levels_csv,
 )
+from rulescreen import backtest
 from rulescreen.backtest import _rows_by_key
 from rulescreen.synth import PlantedRule, SynthSpec, generate
 from rulescreen.rules import Condition, Interval
@@ -337,6 +340,18 @@ def test_simulate_rejects_review_before_snapshot_window():
                  score_lag_days=4)
 
 
+def test_simulate_rejects_stock_without_prices():
+    dates, prices, _ = one_stock_world([0.0, 0.01, 0.01])
+    snaps = {d: UniverseSnapshot(
+        date=d, stock_ids=np.array(["A", "Z"], dtype=object),
+        cap_weight=np.array([0.5, 0.5]), sector=np.array(["X", "X"], dtype=object),
+        peer_group=np.array(["G", "G"], dtype=object),
+        esg_rating=np.array([1.0, 2.0])) for d in dates}
+    with pytest.raises(MissingPriceData, match="no prices for Z"):
+        simulate([dates[0]], lambda s: s.cap_weight, prices, UniverseTable(snaps),
+                 score_lag_days=0)
+
+
 def test_simulate_validates_weights():
     dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
     with pytest.raises(SpecMismatch):
@@ -591,6 +606,144 @@ def test_learning_y_report_is_named_for_its_year():
     data, universe, prices, cfg = small_study(seed=5)
     rep = learning_y(data.panel, data.specs, universe, prices, cfg, 2012)
     assert rep.name == "Learning 2012"
+
+
+# --- the schedule memo: frozen studies reuse the last study's learnings ----
+
+
+def frozen_bytes(rep):
+    return (rep.name, rep.series.dates.tobytes(), rep.series.values.tobytes(),
+            [(str(d), list(ids), w.tobytes()) for d, ids, w in rep.series.weights_history],
+            rep.kpis)
+
+
+@pytest.fixture
+def learn_calls(monkeypatch):
+    """Learning dates of every backtest.learn call, on a cleared memo."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
+    calls = []
+    original = backtest.learn
+
+    def counting(panel, params, learned_at=None, **kw):
+        calls.append(learned_at)
+        return original(panel, params, learned_at=learned_at, **kw)
+
+    monkeypatch.setattr(backtest, "learn", counting)
+    return calls
+
+
+def test_learning_y_after_study_equals_cold_run(learn_calls):
+    data, universe, prices, cfg = small_study(seed=6)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    res = run_study(*args)
+    years = [rec.year for rec in res.learnings]
+    warm = [frozen_bytes(learning_y(*args, year)) for year in years]
+    for year, got in zip(years, warm):
+        backtest._last_schedule = None
+        assert frozen_bytes(learning_y(*args, year)) == got
+
+
+def test_study_and_all_frozen_years_learn_each_year_once(learn_calls):
+    data, universe, prices, cfg = small_study(seed=7)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    res = run_study(*args)
+    for rec in res.learnings:
+        learning_y(*args, rec.year)
+    assert learn_calls == [rec.date for rec in res.learnings]
+
+    # frozen studies on a cleared memo extend it: still one learning per year
+    learn_calls.clear()
+    backtest._last_schedule = None
+    for rec in reversed(res.learnings):
+        learning_y(*args, rec.year)
+    assert sorted(learn_calls) == [rec.date for rec in res.learnings]
+
+
+def test_walk_forward_study_never_reads_the_memo(learn_calls):
+    data, universe, prices, cfg = small_study(seed=7)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    first = run_study(*args)
+    second = run_study(*args)
+    dates = [rec.date for rec in first.learnings]
+    assert learn_calls == dates + dates
+    assert second.scores == first.scores
+
+
+def test_panel_changed_in_place_misses_the_memo(learn_calls):
+    data, universe, prices, cfg = small_study(seed=8)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    res = run_study(*args)
+    year = res.learnings[0].year
+    labeled = np.flatnonzero(np.isfinite(data.panel.y))
+    data.panel.y[labeled[0]] += 0.5
+    learn_calls.clear()
+    got = frozen_bytes(learning_y(*args, year))
+    assert learn_calls == [res.learnings[0].date]
+    backtest._last_schedule = None
+    assert frozen_bytes(learning_y(*args, year)) == got
+
+
+def test_returned_scores_and_learnings_are_not_the_memo(learn_calls):
+    data, universe, prices, cfg = small_study(seed=9)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    res = run_study(*args)
+    years = [rec.year for rec in res.learnings]
+    want = [frozen_bytes(learning_y(*args, year)) for year in years]
+    for per_stock in res.scores.values():
+        for sid in per_stock:
+            per_stock[sid] = (0.0, -per_stock[sid][1])
+    res.learnings[0].ruleset.rules.clear()
+    res.learnings[0].epsilon = 1e9
+    assert [frozen_bytes(learning_y(*args, year)) for year in years] == want
+    frozen = run_study(*args, freeze_year=years[-1])
+    assert frozen.learnings[0].ruleset.rules
+    assert frozen.learnings[0].epsilon != 1e9
+    assert not learn_calls[len(years):]  # all of it came from the memo
+
+
+def test_studies_in_threads_match_cold_runs(monkeypatch):
+    """Threads interleaving studies on two markets replace the one-entry
+    memo under each other; every result still equals a cold run."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
+    markets = [small_study(seed=s)[:3] for s in (10, 11)]
+    cfg = small_study()[3]
+    want = {}
+    for i, (data, universe, prices) in enumerate(markets):
+        args = (data.panel, data.specs, universe, prices, cfg)
+        for rec in run_study(*args).learnings:
+            backtest._last_schedule = None
+            want[i, rec.year] = frozen_bytes(learning_y(*args, rec.year))
+    results, errors = [], []
+    years = sorted({year for _, year in want})
+    rounds = 3
+
+    def worker(i, walk_first):
+        data, universe, prices = markets[i]
+        args = (data.panel, data.specs, universe, prices, cfg)
+        try:
+            for _ in range(rounds):
+                if walk_first:
+                    run_study(*args)
+                for year in years:
+                    results.append((i, year, frozen_bytes(learning_y(*args, year))))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    jobs = [(i, walk_first) for i in (0, 1) for walk_first in (False, False, True)]
+    threads = [threading.Thread(target=worker, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == rounds * len(jobs) // 2 * len(want)
+    assert all(got == want[i, year] for i, year, got in results)
 
 
 def test_rows_by_key_matches_dict_grouping():

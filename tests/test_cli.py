@@ -400,7 +400,7 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path,
 
 
 @pytest.mark.parametrize("name", ["features", "returns", "universe", "prices"])
-@pytest.mark.parametrize("fault", ["short_row", "non_numeric", "bad_date"])
+@pytest.mark.parametrize("fault", ["short_row", "non_numeric", "bad_date", "empty_date"])
 def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -411,8 +411,10 @@ def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
         cells = cells[:-1]
     elif fault == "non_numeric":
         cells[2] = "n/a"  # the first numeric column of every input file
-    else:
+    elif fault == "bad_date":
         cells[0] = "2010-13-01"
+    else:
+        cells[0] = ""  # numpy would read it as NaT
     lines[2] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
     cfg = write_cfg(tmp_path, "".join(
@@ -421,4 +423,23 @@ def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     ))
     assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"MalformedRow: {path}, line 3:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("name", ["returns", "prices"])
+def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    date, stock_id = lines[2].split(",")[:2]
+    lines.insert(5, lines[2])
+    path.write_text("".join(lines))
+    cfg = write_cfg(tmp_path, "".join(
+        f"{k} = {data / (k + '.csv')}\n"
+        for k in ("features", "returns", "universe", "prices")
+    ))
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (f"DuplicateRow: {path}, line 6: repeated (date, stock_id) key "
+            f"({date}, {stock_id})") in caplog.text
     assert "Traceback" not in caplog.text

@@ -1,0 +1,143 @@
+"""Golden digests of the study engine on one small regime-shift market.
+
+The walk-forward study and the frozen-year study for every learning year are
+hashed output by output: each leg's level series and weight history, its KPIs,
+every score, every learning, and each frozen series with its KPIs. A refactor
+of `backtest` that keeps behaviour byte for byte keeps every digest. The pinned
+values were computed with numpy 2.4 on x86-64; a change of platform or numpy
+that moves a float's last bit moves them too.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from rulescreen.backtest import (
+    PriceTable,
+    UniverseTable,
+    WalkForwardConfig,
+    learning_y,
+    run_study,
+)
+from rulescreen.rules import Condition, Interval
+from rulescreen.synth import PlantedRule, SynthSpec, generate
+
+
+def C(*ivs):
+    return Condition(tuple(Interval(*iv) for iv in ivs))
+
+
+PRE_RULES = [
+    PlantedRule(C((1, 3, 4)), 0.08),
+    PlantedRule(C((2, 0, 1)), -0.08),
+    PlantedRule(C((0, 3, 4)), 0.10),
+    PlantedRule(C((4, 3, 4)), 0.08),
+]
+POST_RULES = PRE_RULES[:3] + [PlantedRule(C((4, 3, 4)), -0.08)]
+CFG = WalkForwardConfig(initial_train_years=3, learn_fraction=0.75, m=5,
+                        c_max=0.7, top_m=20, epsilon=0.01, workers=1)
+
+GOLDEN = {
+    "series/Benchmark": "cbc5cfe5a45f0606ba449cba4e3dca091a306a58a780e348269d6d45da0d069c",
+    "series/Positive ML": "978b35658f362160049d96de0ffce2b43470fc10afbc0a99ac77f4029d05c4af",
+    "series/Positive Sector-Matched": "8691aa683b9c2b21413b987e40d8131a06a29a23aa97aec3064806ed1a8e298e",
+    "series/Negative ML": "0fd3a26cb739c20c858370193e192c058b450a2cb8cc6e7f16083d16676bbda8",
+    "series/Best-in-class 30%": "cb7c3c066438c652246e7fc86a5699f4174c96189e5e1bf9278e5b2b6a5c2d2a",
+    "kpis/Benchmark": "70daea42672861b59f83aca76cb3a2079654ae86630b5bbe4dc643a033d14a04",
+    "kpis/Positive ML": "99ff7d2268fa5870b32a56f071f74caa4c81978704172dcbeb894b730ab1bdc2",
+    "kpis/Positive Sector-Matched": "d61d425249128e9e26a23d9851dd9b3c854f0c5c5f8eea6527e5e8c7a53b4899",
+    "kpis/Negative ML": "0c6c7630aad162501e29ab0ba6536bc77e24adb255cafbf2b4a8b7c8267a3938",
+    "kpis/Best-in-class 30%": "b77256ec23cd73bdd7623d3fb50189958500b5311b999414feffcca09cf9992a",
+    "scores": "bdbd12cb99831996107cc62996efe5a420c6b337fa765b913a7e0b81f990181b",
+    "learnings": "f1d5b93b9d5515bf51a350d5b92fed6e3cc5cd0b3b9639c15f62d64cc2aa5819",
+    "reviews": "3a97cbaf4a82c20754584dae70fb17bf0196324b06a487c4075d22af1ac0bd16",
+    "frozen2013/series/Benchmark": "cbc5cfe5a45f0606ba449cba4e3dca091a306a58a780e348269d6d45da0d069c",
+    "frozen2013/series/Positive ML": "be35c370d9d87544310de1a2d81fe752ce27d1d7e9b2084d7a4d46899b4315b0",
+    "frozen2013/series/Positive Sector-Matched": "37add313724058974f219faeb909b1348ed7b563efde8feb05729dbb9931a667",
+    "frozen2013/series/Negative ML": "a6557aba34234c05e3993f879f881250a1018e4afa2fe3a6acb56535df535486",
+    "frozen2013/series/Best-in-class 30%": "cb7c3c066438c652246e7fc86a5699f4174c96189e5e1bf9278e5b2b6a5c2d2a",
+    "frozen2013/kpis/Benchmark": "70daea42672861b59f83aca76cb3a2079654ae86630b5bbe4dc643a033d14a04",
+    "frozen2013/kpis/Positive ML": "18fea85c16ce44e0d30fa339febae3c3da2fdcbbb773bfb17455b8b114c90e79",
+    "frozen2013/kpis/Positive Sector-Matched": "26f95841454d77288c5efde40813757a23295c1135ee2e92172d240066ee3a71",
+    "frozen2013/kpis/Negative ML": "af6ad5f409338cb91b2404234d343504dac4997c2e582dd7b85868c28d6af63b",
+    "frozen2013/kpis/Best-in-class 30%": "b77256ec23cd73bdd7623d3fb50189958500b5311b999414feffcca09cf9992a",
+    "frozen2013/scores": "86f39c73afd1dfe22e39c73305480648859be71a8678c815482ad2cfa1f9a6e4",
+    "frozen2013/learnings": "ea161a98c90fbef5894c9bf69a6aef2ed1916acb5e24001bef8302aebb866e43",
+    "frozen2013/reviews": "3a97cbaf4a82c20754584dae70fb17bf0196324b06a487c4075d22af1ac0bd16",
+    "learning2012": "c1d142903bcbee0263b7fd7a9053476b9dcbc7bacbd3afec7f94643f77db4112",
+    "learning2013": "7bab32e4e1062a827a6229ea6e98b863836d8e262439560432d3acaebc114a62",
+    "learning2014": "b9f70dc1a3d2c25a25f33508ed6d95da64ecbcc8eb24d1838954f203f89309bd",
+    "learning2015": "f97428bcc4aa79d94c51c7d64d976291af8c323aebf0fbd11b43411811071d93",
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def series_bytes(series) -> bytes:
+    out = series.dates.astype("datetime64[D]").tobytes() + series.values.tobytes()
+    for date, ids, weights in series.weights_history:
+        out += str(date).encode() + "|".join(map(str, ids)).encode() + weights.tobytes()
+    return out
+
+
+def kpi_bytes(kpis) -> bytes:
+    blob = dict(kpis.as_dict(),
+                calendar={str(k): v for k, v in kpis.calendar_excess.items()})
+    return json.dumps(blob, sort_keys=True).encode()
+
+
+def score_bytes(scores) -> bytes:
+    return json.dumps(
+        [[str(day), sorted(per_stock.items())] for day, per_stock in sorted(scores.items())]
+    ).encode()
+
+
+def learning_bytes(rec) -> bytes:
+    head = json.dumps([str(rec.date), rec.year, rec.epsilon, rec.n_design, rec.n_replay])
+    return head.encode() + rec.ruleset.to_json().encode()
+
+
+@pytest.fixture(scope="module")
+def market():
+    spec = SynthSpec(
+        n_stocks=20, n_dates=6 * 252, d=5, m=5, planted=PRE_RULES,
+        regime_shift=("2012-01-03", POST_RULES), noise_sigma=0.02,
+        seed=3, horizon_days=63, sector_feature=0,
+    )
+    data = generate(spec)
+    universe = UniverseTable.from_rows(data.universe)
+    prices = PriceTable(data.price_dates, data.price_stock_ids, data.price_returns)
+    return data.panel, data.specs, universe, prices
+
+
+def result_digests(res, prefix=""):
+    digests = {
+        f"{prefix}series/{name}": sha(series_bytes(s)) for name, s in res.series.items()
+    }
+    digests.update(
+        {f"{prefix}kpis/{name}": sha(kpi_bytes(r.kpis)) for name, r in res.reports.items()}
+    )
+    digests[f"{prefix}scores"] = sha(score_bytes(res.scores))
+    digests[f"{prefix}learnings"] = sha(b"".join(learning_bytes(r) for r in res.learnings))
+    digests[f"{prefix}reviews"] = sha(res.reviews.astype("datetime64[D]").tobytes())
+    return digests
+
+
+def study_digests(market):
+    res = run_study(*market, CFG)
+    digests = result_digests(res)
+    digests.update(result_digests(run_study(*market, CFG, freeze_year=2013), "frozen2013/"))
+    for rec in res.learnings:
+        frozen = learning_y(*market, CFG, rec.year)
+        digests[f"learning{rec.year}"] = sha(
+            frozen.name.encode() + series_bytes(frozen.series) + kpi_bytes(frozen.kpis)
+        )
+    return digests
+
+
+def test_study_outputs_match_golden_digests(market):
+    assert study_digests(market) == GOLDEN
