@@ -43,13 +43,15 @@ from .panel import (
     Discretizer,
     FeatureSpec,
     RawPanel,
-    _bad_row,
-    _DateCells,
-    _duplicate_row,
     _fmt,
     apply_discretizer,
     fit_discretizer,
+    parse_columns,
+    read_csv_columns,
+    record_keys,
     split,
+    to_dates,
+    to_floats,
 )
 from .rulegen import LearnReport, learn
 from .rules import RuleSet, SearchParams
@@ -114,21 +116,25 @@ class UniverseTable:
             raise SpecMismatch(f"no universe snapshot dated {key}") from None
 
     @classmethod
-    def from_rows(cls, rows) -> "UniverseTable":
-        by_date: Dict[np.datetime64, list] = {}
-        for row in rows:
-            by_date.setdefault(np.datetime64(row.date, "D"), []).append(row)
-        snaps = {}
-        for date, group in by_date.items():
-            snaps[date] = UniverseSnapshot(
-                date=date,
-                stock_ids=np.array([r.stock_id for r in group], dtype=object),
-                cap_weight=np.array([r.cap_weight for r in group], dtype=np.float64),
-                sector=np.array([r.sector for r in group], dtype=object),
-                peer_group=np.array([r.peer_group for r in group], dtype=object),
-                esg_rating=np.array([r.esg_rating for r in group], dtype=np.float64),
+    def from_columns(
+        cls, dates, stock_ids, cap_weight, sector, peer_group, esg_rating
+    ) -> "UniverseTable":
+        """One snapshot per distinct date, its stocks in row order."""
+        return cls({
+            date: UniverseSnapshot(
+                date, stock_ids[ix], cap_weight[ix], sector[ix], peer_group[ix], esg_rating[ix]
             )
-        return cls(snaps)
+            for date, ix in _rows_by_key(dates).items()
+        })
+
+    @classmethod
+    def from_rows(cls, rows) -> "UniverseTable":
+        dtypes = {"date": "datetime64[D]", "stock_id": object, "cap_weight": np.float64,
+                  "sector": object, "peer_group": object, "esg_rating": np.float64}
+        return cls.from_columns(*(
+            np.array([getattr(r, name) for r in rows], dtype=dtype)
+            for name, dtype in dtypes.items()
+        ))
 
 
 @dataclass
@@ -145,8 +151,13 @@ class PriceTable:
                 f"return grid {self.returns.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.stock_ids)} stocks"
             )
-        if not np.all(np.isfinite(self.returns)):
-            raise MissingPriceData("return grid contains missing values")
+        missing = np.argwhere(~np.isfinite(self.returns))
+        if len(missing):
+            i, j = missing[0]
+            raise MissingPriceData(
+                f"missing return for {self.stock_ids[j]} on {self.dates[i]} "
+                f"({len(missing)} gaps total)"
+            )
         self.date_index = {d: i for i, d in enumerate(self.dates)}
         self.col = {sid: j for j, sid in enumerate(self.stock_ids)}
 
@@ -585,7 +596,9 @@ class _Engine:
         self.score_idx = score_idx
         self.labeled = np.isfinite(raw_panel.y)
         self.resolution = np.busday_offset(raw_panel.dates, cfg.horizon_days)
-        self.rows_by_date = _rows_by_key(raw_panel.dates)
+        # Row indices by date, ascending within a date, for a binary search.
+        self.by_date = np.argsort(raw_panel.dates, kind="stable")
+        self.sorted_dates = raw_panel.dates[self.by_date]
         self.n_total_labeled = int(self.labeled.sum())
 
     def learning(self, L: np.datetime64) -> _Learning:
@@ -658,8 +671,9 @@ class _Engine:
                     active=A_pend[todo],
                 )
             if t in self.score_idx:
-                row_ix = self.rows_by_date.get(day)
-                if row_ix is None or not len(row_ix):
+                lo, hi = np.searchsorted(self.sorted_dates, [day, day + 1])
+                row_ix = self.by_date[lo:hi]
+                if not len(row_ix):
                     raise SpecMismatch(f"no panel rows to score on {day}")
                 panel_day = apply_discretizer(raw_panel.take(row_ix), discretizer)
                 y_hat = predict_many(state, ruleset, panel_day.x)
@@ -890,85 +904,45 @@ def learning_y(
 
 
 def load_universe_csv(path) -> UniverseTable:
-    @dataclass
-    class _Row:
-        date: np.datetime64
-        stock_id: str
-        cap_weight: float
-        sector: str
-        peer_group: str
-        esg_rating: float
-
-    rows = []
-    dates = _DateCells()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise SpecMismatch(f"universe csv must have columns {sorted(need)}")
-        try:
-            for rec in reader:
-                if None in rec.values():  # DictReader pads a short row with None
-                    raise IndexError
-                rows.append(
-                    _Row(
-                        date=dates[rec["date"]],
-                        stock_id=rec["stock_id"],
-                        cap_weight=float(rec["cap_weight"]),
-                        sector=rec["sector"],
-                        peer_group=rec["peer_group"],
-                        esg_rating=float(rec["esg_rating"]),
-                    )
-                )
-        except (IndexError, ValueError) as exc:
-            raise _bad_row(path, reader.line_num, exc) from None
-    if not rows:
+    need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
+    header, columns, lines = read_csv_columns(
+        path, need.issubset, f"universe csv must have columns {sorted(need)}"
+    )
+    if not lines:
         raise SpecMismatch("universe csv is empty")
-    return UniverseTable.from_rows(rows)
+    cells = dict(zip(header, columns))
+    dates, cap_weight, esg_rating = parse_columns(
+        path,
+        lines,
+        (cells["date"], to_dates),
+        (cells["cap_weight"], to_floats),
+        (cells["esg_rating"], to_floats),
+    )
+    return UniverseTable.from_columns(
+        dates=dates,
+        stock_ids=np.array(cells["stock_id"], dtype=object),
+        cap_weight=cap_weight,
+        sector=np.array(cells["sector"], dtype=object),
+        peer_group=np.array(cells["peer_group"], dtype=object),
+        esg_rating=esg_rating,
+    )
 
 
 def load_prices_csv(path) -> PriceTable:
-    cells: Dict[Tuple[np.datetime64, str], float] = {}
-    stock_ids: List[str] = []
-    seen = set()
-    dates_seen = set()
-    date_cells = _DateCells()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"date", "stock_id", "total_return_daily"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise SpecMismatch(f"prices csv must have columns {sorted(need)}")
-        try:
-            for rec in reader:
-                if None in rec.values():  # DictReader pads a short row with None
-                    raise IndexError
-                date = date_cells[rec["date"]]
-                sid = rec["stock_id"]
-                if (date, sid) in cells:
-                    raise _duplicate_row(path, reader.line_num, (date, sid))
-                cells[(date, sid)] = float(rec["total_return_daily"])
-                if sid not in seen:
-                    seen.add(sid)
-                    stock_ids.append(sid)
-                dates_seen.add(date)
-        except (IndexError, ValueError) as exc:
-            raise _bad_row(path, reader.line_num, exc) from None
-    if not cells:
+    need = {"date", "stock_id", "total_return_daily"}
+    header, columns, lines = read_csv_columns(
+        path, need.issubset, f"prices csv must have columns {sorted(need)}"
+    )
+    if not lines:
         raise MissingPriceData("prices csv is empty")
-    dates = np.array(sorted(dates_seen), dtype="datetime64[D]")
-    grid = np.full((len(dates), len(stock_ids)), np.nan, dtype=np.float64)
-    date_pos = {d: i for i, d in enumerate(dates)}
-    col = {s: j for j, s in enumerate(stock_ids)}
-    for (d, s), v in cells.items():
-        grid[date_pos[d], col[s]] = v
-    missing = np.argwhere(~np.isfinite(grid))
-    if len(missing):
-        i, j = missing[0]
-        raise MissingPriceData(
-            f"missing return for {stock_ids[j]} on {dates[i]} "
-            f"({len(missing)} gaps total)"
-        )
-    return PriceTable(dates=dates, stock_ids=stock_ids, returns=grid)
+    cells = dict(zip(header, columns))
+    dates, values = parse_columns(
+        path, lines, (cells["date"], to_dates), (cells["total_return_daily"], to_floats)
+    )
+    grid_dates, row, stock_ids, col = record_keys(path, lines, dates, cells["stock_id"])
+    grid = np.full((len(grid_dates), len(stock_ids)), np.nan, dtype=np.float64)
+    grid[row, col] = values
+    return PriceTable(dates=grid_dates, stock_ids=stock_ids, returns=grid)
 
 
 def write_levels_csv(path, series_map: Dict[str, PortfolioSeries]) -> None:

@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -371,50 +371,98 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _bad_row(path, line_num: int, exc: Exception) -> MalformedRow:
-    """Typed error for one CSV record: a short row surfaces as an IndexError,
-    a cell that does not parse as a ValueError."""
-    reason = "too few cells" if isinstance(exc, IndexError) else str(exc)
-    return MalformedRow(f"{path}, line {line_num}: {reason}")
+def read_csv_columns(
+    path, header_ok: Callable[[List[str]], bool], header_error: str
+) -> Tuple[List[str], List[List[str]], List[int]]:
+    """The one reader of the input CSV files: read `path` once and return its
+    header, one list of cells per column and the line number of each record.
 
-
-class _DateCells(dict):
-    """Date cell -> datetime64[D], each distinct cell parsed once. A cell that
-    numpy reads as NaT (empty, or "NaT") raises ValueError like one that does
-    not parse."""
-
-    def __missing__(self, cell: str) -> np.datetime64:
-        date = np.datetime64(cell, "D")
-        if np.isnat(date):
-            raise ValueError(f"missing date {cell!r}")
-        self[cell] = date
-        return date
-
-
-def _duplicate_row(path, line_num: int, key: tuple) -> DuplicateRow:
-    return DuplicateRow(
-        f"{path}, line {line_num}: repeated (date, stock_id) key ({key[0]}, {key[1]})"
-    )
-
-
-def _raise_bad_feature_row(path, specs: Sequence[FeatureSpec]) -> None:
-    """Re-read features.csv record by record and raise MalformedRow for the
-    first one that does not parse; only runs after a column conversion failed,
-    so clean files are parsed once."""
-    dates = _DateCells()
+    A header that header_ok rejects raises SpecMismatch(header_error). Every
+    record must have exactly the header's cell count: a short, long or blank
+    record raises MalformedRow naming the file and line. Cells go straight
+    into their columns, so no list of row lists is held.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader, None)
+        if header is None or not header_ok(header):
+            raise SpecMismatch(header_error)
+        width = len(header)
+        columns, lines = [[] for _ in header], []
+        appends = [column.append for column in columns]
         for row in reader:
-            try:
-                if len(row) < 2 + len(specs):
-                    raise IndexError
-                dates[row[0]]
-                for k, spec in enumerate(specs):
-                    if spec.kind == NUMERIC and row[2 + k] != "":
-                        float(row[2 + k])
-            except (IndexError, ValueError) as exc:
-                raise _bad_row(path, reader.line_num, exc) from None
+            if len(row) != width:
+                raise MalformedRow(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, header has {width}"
+                )
+            for append, cell in zip(appends, row):
+                append(cell)
+            lines.append(reader.line_num)
+    return header, columns, lines
+
+
+def to_dates(cells) -> np.ndarray:
+    """datetime64[D] column. A cell that numpy reads as NaT (empty, or
+    "NaT") fails like one that does not parse."""
+    dates = np.array(cells, dtype="datetime64[D]")
+    nat = np.isnat(dates)
+    if nat.any():
+        raise ValueError(f"missing date {cells[int(nat.argmax())]!r}")
+    return dates
+
+
+def to_floats(cells) -> np.ndarray:
+    return np.array(cells, dtype=np.float64)
+
+
+def to_floats_or_nan(cells) -> np.ndarray:
+    """float64 column in which an empty cell reads as NaN."""
+    return np.array([c or "nan" for c in cells], dtype=np.float64)
+
+
+def to_labels(cells) -> np.ndarray:
+    """Object column of labels in which an empty cell reads as None."""
+    col = np.array(cells, dtype=object)
+    col[col == ""] = None
+    return col
+
+
+def parse_columns(path, lines, *columns) -> List[np.ndarray]:
+    """Convert each (cells, converter) pair a whole column at a time. A cell
+    that does not parse raises MalformedRow naming the first record, in file
+    order, that holds one."""
+    try:
+        return [convert(cells) for cells, convert in columns]
+    except ValueError:
+        for i, line in enumerate(lines):
+            for cells, convert in columns:
+                try:
+                    convert(cells[i:i + 1])
+                except ValueError as exc:
+                    raise MalformedRow(f"{path}, line {line}: {exc}") from None
+        raise
+
+
+def record_keys(path, lines, dates: np.ndarray, stock_ids):
+    """Grid coordinates of each record's (date, stock_id) key: the distinct
+    dates in ascending order, each record's date row, the distinct stock ids
+    in order of first appearance and each record's stock column. Raises
+    DuplicateRow for the first record whose key an earlier record has."""
+    grid_dates, row = np.unique(dates, return_inverse=True)
+    ids, first, col = np.unique(
+        np.array(stock_ids, dtype=str), return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    col = np.argsort(by_first)[col]
+    key = row * len(ids) + col
+    first_of_key = np.unique(key, return_index=True)[1]
+    if len(first_of_key) < len(key):
+        i = int(np.setdiff1d(np.arange(len(key)), first_of_key)[0])
+        raise DuplicateRow(
+            f"{path}, line {lines[i]}: repeated (date, stock_id) key "
+            f"({dates[i]}, {stock_ids[i]})"
+        )
+    return grid_dates, row, ids[by_first].tolist(), col
 
 
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
@@ -423,72 +471,48 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
     Returns (RawPanel without y, specs). Columns default to numeric unless
     specs say otherwise.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["date", "stock_id"]:
-            raise SpecMismatch(f"{path}: expected header date,stock_id,...")
-        feature_ids = header[2:]
-        rows = list(reader)
+    header, columns, lines = read_csv_columns(
+        path,
+        lambda header: header[:2] == ["date", "stock_id"],
+        f"{path}: expected header date,stock_id,...",
+    )
+    feature_ids = header[2:]
     if specs is None:
         specs = [FeatureSpec(feature_id=f) for f in feature_ids]
     else:
         specs = list(specs)
         if [s.feature_id for s in specs] != feature_ids:
             raise SpecMismatch(f"{path}: header does not match provided specs")
-    if not rows:
+    if not lines:
         raise EmptyPanel(f"{path}: no data rows")
 
-    n = len(rows)
-    date_cells = _DateCells()
-    try:
-        dates = np.array([date_cells[r[0]] for r in rows], dtype="datetime64[D]")
-        stock_ids = np.array([r[1] for r in rows], dtype=object)
-        columns: List[np.ndarray] = []
-        for k, spec in enumerate(specs):
-            cells = [r[2 + k] for r in rows]
-            if spec.kind == CATEGORICAL:
-                columns.append(
-                    np.array([c if c != "" else None for c in cells], dtype=object)
-                )
-            else:
-                col = np.full(n, np.nan, dtype=np.float64)
-                for i, c in enumerate(cells):
-                    if c != "":
-                        col[i] = float(c)
-                columns.append(col)
-    except (IndexError, ValueError):
-        _raise_bad_feature_row(path, specs)
-        raise
-    y = np.full(n, np.nan, dtype=np.float64)
-    return RawPanel(dates=dates, stock_ids=stock_ids, columns=columns, y=y), specs
+    convert = {NUMERIC: to_floats_or_nan, CATEGORICAL: to_labels}
+    dates, *feature_columns = parse_columns(
+        path,
+        lines,
+        (columns[0], to_dates),
+        *[(cells, convert[spec.kind]) for spec, cells in zip(specs, columns[2:])],
+    )
+    stock_ids = np.array(columns[1], dtype=object)
+    y = np.full(len(lines), np.nan, dtype=np.float64)
+    return RawPanel(dates=dates, stock_ids=stock_ids, columns=feature_columns, y=y), specs
 
 
 def load_returns_csv(path) -> Dict[tuple, float]:
     """Read returns.csv into a {(date, stock_id): y} map. An empty return
     cell means no label; a (date, stock_id) key may appear only once."""
-    out: Dict[tuple, float] = {}
-    unlabeled = set()
-    dates = _DateCells()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "stock_id", "fwd_excess_return_3m"]:
-            raise SpecMismatch(
-                f"{path}: expected header date,stock_id,fwd_excess_return_3m"
-            )
-        try:
-            for row in reader:
-                key = (dates[row[0]], row[1])
-                if key in out or key in unlabeled:
-                    raise _duplicate_row(path, reader.line_num, key)
-                if row[2] != "":
-                    out[key] = float(row[2])
-                else:
-                    unlabeled.add(key)
-        except (IndexError, ValueError) as exc:
-            raise _bad_row(path, reader.line_num, exc) from None
-    return out
+    _, (date_cells, stock_ids, y_cells), lines = read_csv_columns(
+        path,
+        lambda header: header == ["date", "stock_id", "fwd_excess_return_3m"],
+        f"{path}: expected header date,stock_id,fwd_excess_return_3m",
+    )
+    dates, y = parse_columns(path, lines, (date_cells, to_dates), (y_cells, to_floats_or_nan))
+    record_keys(path, lines, dates, stock_ids)
+    return {
+        (date, sid): value
+        for date, sid, value, cell in zip(dates, stock_ids, y.tolist(), y_cells)
+        if cell != ""
+    }
 
 
 def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:

@@ -768,12 +768,14 @@ def test_universe_csv_round_trip(tmp_path):
     path = tmp_path / "universe.csv"
     write_universe_csv(path, data.universe)
     loaded = load_universe_csv(path)
-    d0 = sorted(universe.snapshots)[0]
-    a, b = universe.at(d0), loaded.at(d0)
-    assert np.array_equal(a.stock_ids, b.stock_ids)
-    assert a.cap_weight == pytest.approx(b.cap_weight)
-    assert np.array_equal(a.sector, b.sector)
-    assert a.esg_rating == pytest.approx(b.esg_rating)
+    assert np.array_equal(loaded.dates, universe.dates)
+    for d in universe.dates:
+        a, b = universe.at(d), loaded.at(d)
+        assert np.array_equal(a.stock_ids, b.stock_ids)
+        assert a.cap_weight.tobytes() == b.cap_weight.tobytes()
+        assert np.array_equal(a.sector, b.sector)
+        assert np.array_equal(a.peer_group, b.peer_group)
+        assert a.esg_rating.tobytes() == b.esg_rating.tobytes()
 
 
 def test_universe_csv_header_checked(tmp_path):
@@ -791,7 +793,8 @@ def test_prices_csv_round_trip_and_gap_detection(tmp_path):
                      data.price_returns)
     loaded = load_prices_csv(path)
     assert np.array_equal(loaded.dates, prices.dates)
-    assert loaded.returns == pytest.approx(prices.returns)
+    assert loaded.stock_ids == list(prices.stock_ids)
+    assert loaded.returns.tobytes() == prices.returns.tobytes()
 
     # drop one row -> incomplete grid
     lines = path.read_text().splitlines()

@@ -400,7 +400,8 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path,
 
 
 @pytest.mark.parametrize("name", ["features", "returns", "universe", "prices"])
-@pytest.mark.parametrize("fault", ["short_row", "non_numeric", "bad_date", "empty_date"])
+@pytest.mark.parametrize("fault", ["short_row", "non_numeric", "bad_date", "empty_date",
+                                   "blank_line", "long_row"])
 def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -409,6 +410,10 @@ def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     cells = lines[2].rstrip("\n").split(",")
     if fault == "short_row":
         cells = cells[:-1]
+    elif fault == "blank_line":
+        cells = []
+    elif fault == "long_row":
+        cells.append(cells[-1])
     elif fault == "non_numeric":
         cells[2] = "n/a"  # the first numeric column of every input file
     elif fault == "bad_date":

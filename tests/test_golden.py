@@ -1,9 +1,12 @@
-"""Golden digests of the study engine on one small regime-shift market.
+"""Golden digests of the study engine and of the CLI's output files.
 
 The walk-forward study and the frozen-year study for every learning year are
-hashed output by output: each leg's level series and weight history, its KPIs,
-every score, every learning, and each frozen series with its KPIs. A refactor
-of `backtest` that keeps behaviour byte for byte keeps every digest. The pinned
+hashed output by output on one small regime-shift market: each leg's level
+series and weight history, its KPIs, every score, every learning, and each
+frozen series with its KPIs. A refactor of `backtest` that keeps behaviour
+byte for byte keeps every digest. The CLI digests cover every file `learn`,
+`score`, `backtest` and `report` write on the acceptance suite's
+worker-determinism market, so they also pin the CSV loaders. The pinned
 values were computed with numpy 2.4 on x86-64; a change of platform or numpy
 that moves a float's last bit moves them too.
 """
@@ -21,8 +24,10 @@ from rulescreen.backtest import (
     learning_y,
     run_study,
 )
+from rulescreen.cli import run
 from rulescreen.rules import Condition, Interval
-from rulescreen.synth import PlantedRule, SynthSpec, generate
+from rulescreen.synth import PlantedRule, SynthSpec, business_day_grid, generate
+from test_acceptance import CFG10, SPEC10
 
 
 def C(*ivs):
@@ -141,3 +146,58 @@ def study_digests(market):
 
 def test_study_outputs_match_golden_digests(market):
     assert study_digests(market) == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# CLI outputs. manifest.json is left out: it records absolute paths and
+# library versions.
+
+CLI_GOLDEN = {
+    "bt/calendar.csv": "eb787281a5e0f7970be760076d3525b324362947687734168a473257ca01867d",
+    "bt/kpis.json": "ddf5584bceedf4aebb70c00e95d43d0ca7e3d77026ffdda4dce8c33a208db550",
+    "bt/learning-y.csv": "014659b68998289d4e297ee29288fdea9dda5d790f9a46e8f432c6b0b9843300",
+    "bt/levels.csv": "c981bbf8ee50b364704079292e91c0358664f3adc9cab00faabb3631ac8fe9bd",
+    "learn/discretizer.json": "37e6b8847575df3354fd3ecc3569b2497b7bf76d595b8eb484580eb59589cf1b",
+    "learn/learn-report.csv": "0c6747927020c4bfd3c0fccccc05eeffa68a7022d703344630305d8636789b1f",
+    "learn/rules.json": "d9a94e3e654a6e6d0d2a6cc38aa9b07784a5afbcbf997fdefeb6e3b4b4295e9e",
+    "learn/state.json": "0ee63501825f8d5359da8f4961def600cd50512453934708bbe89371142ba16b",
+    "report/report.md": "af7f84c905fa4fd59a9e99395b3356748aa27d2862ee798f17a95b3b5a6e1002",
+    "score/scores.csv": "2bcf020c2b69b412ce377c125f4f8011403ef46691868a6d29b2a4e3806443e9",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_golden")
+    data = root / "data"
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps(SPEC10))
+    assert run(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    cfg_path = root / "run.cfg"
+    cfg_path.write_text("\n".join(
+        [CFG10] + [f"{k} = {data / (k + '.csv')}"
+                   for k in ("features", "returns", "universe", "prices")]
+    ) + "\n")
+    asof = str(business_day_grid("2010-01-04", SPEC10["n_dates"])[-1])
+    assert run(["learn", "--panel", str(data / "features.csv"),
+                "--returns", str(data / "returns.csv"), "--config", str(cfg_path),
+                "--out", str(root / "learn" / "rules.json")]) == 0
+    assert run(["score", "--rules", str(root / "learn" / "rules.json"),
+                "--state", str(root / "learn" / "state.json"),
+                "--discretizer", str(root / "learn" / "discretizer.json"),
+                "--panel", str(data / "features.csv"), "--asof", asof,
+                "--out", str(root / "score" / "scores.csv")]) == 0
+    assert run(["backtest", "--config", str(cfg_path), "--out", str(root / "bt")]) == 0
+    (root / "report").mkdir()
+    assert run(["report", "--dir", str(root / "bt"),
+                "--out", str(root / "report" / "report.md")]) == 0
+    return {
+        f"{stage}/{path.name}": sha(path.read_bytes())
+        for stage in ("learn", "score", "bt", "report")
+        for path in sorted((root / stage).iterdir())
+        if path.name != "manifest.json"
+    }
+
+
+def test_cli_outputs_match_golden_digests(cli_outputs):
+    assert cli_outputs == CLI_GOLDEN

@@ -5,6 +5,7 @@ import pytest
 
 from rulescreen.errors import BadSplitPoint, EmptyPanel, NonPositiveModalities
 from rulescreen.panel import (
+    CATEGORICAL,
     MISSING_CODE,
     Discretizer,
     FeatureSpec,
@@ -191,22 +192,25 @@ def test_same_bytes_same_codes():
 
 def test_features_csv_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    specs = [FeatureSpec("f0"), FeatureSpec("f1")]
+    specs = [FeatureSpec("f0"), FeatureSpec("f1"), FeatureSpec("sector", CATEGORICAL)]
     obs = [
         RawObservation(np.datetime64("2020-01-01") + i % 3, f"S{i % 4}",
-                       [rng.normal(), None if i == 5 else rng.normal()])
+                       [rng.normal(), None if i == 5 else rng.normal(),
+                        None if i == 7 else f"sec{i % 3}"])
         for i in range(12)
     ]
     from rulescreen.panel import raw_panel_from_observations
     panel = raw_panel_from_observations(obs, specs)
     path = tmp_path / "features.csv"
     write_features_csv(path, panel, specs)
-    loaded, loaded_specs = load_features_csv(path)
-    assert [s.feature_id for s in loaded_specs] == ["f0", "f1"]
+    loaded, loaded_specs = load_features_csv(path, specs=specs)
+    assert loaded_specs == specs
     assert np.array_equal(loaded.dates, panel.dates)
     assert np.array_equal(loaded.stock_ids, panel.stock_ids)
-    for a, b in zip(loaded.columns, panel.columns):
-        assert np.allclose(a, b, equal_nan=True)
+    for a, b in zip(loaded.columns[:2], panel.columns[:2]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert loaded.columns[2].tolist() == panel.columns[2].tolist()
+    assert loaded.columns[2][7] is None
 
 
 def test_returns_csv_round_trip_and_attach(tmp_path):
