@@ -10,7 +10,6 @@ had when deciding).
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import json
 import logging
@@ -43,15 +42,17 @@ from .panel import (
     Discretizer,
     FeatureSpec,
     RawPanel,
-    _fmt,
     apply_discretizer,
     fit_discretizer,
+    float_cells,
     parse_columns,
     read_csv_columns,
     record_keys,
     split,
+    str_cells,
     to_dates,
     to_floats,
+    write_csv_columns,
 )
 from .rulegen import LearnReport, learn
 from .rules import RuleSet, SearchParams
@@ -951,11 +952,12 @@ def write_levels_csv(path, series_map: Dict[str, PortfolioSeries]) -> None:
     for name in names[1:]:
         if np.any(series_map[name].dates != first.dates):
             raise GridMismatch("level series must share one date grid")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + names)
-        for i, d in enumerate(first.dates):
-            writer.writerow([str(d)] + [_fmt(series_map[n].values[i]) for n in names])
+    write_csv_columns(
+        path,
+        ["date"] + names,
+        (first.dates, str_cells),
+        *[(series_map[name].values, float_cells) for name in names],
+    )
 
 
 def write_kpis_json(path, reports: Dict[str, BacktestReport]) -> None:
@@ -968,14 +970,15 @@ def write_kpis_json(path, reports: Dict[str, BacktestReport]) -> None:
 def write_calendar_csv(path, reports: Dict[str, BacktestReport]) -> None:
     names = list(reports)
     years = sorted({y for rep in reports.values() for y in rep.kpis.calendar_excess})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year"] + names)
-        for year in years:
-            writer.writerow(
-                [year]
-                + [_fmt(reports[n].kpis.calendar_excess.get(year, 0.0)) for n in names]
-            )
+    write_csv_columns(
+        path,
+        ["year"] + names,
+        (years, str_cells),
+        *[
+            ([reports[name].kpis.calendar_excess.get(year, 0.0) for year in years], float_cells)
+            for name in names
+        ],
+    )
 
 
 def write_learning_y_csv(
@@ -990,12 +993,12 @@ def write_learning_y_csv(
     for s in cols:
         if np.any(s.dates != benchmark.dates):
             raise GridMismatch("learning-y series must share the benchmark grid")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + [s.name for s in cols])
-        for i, d in enumerate(benchmark.dates):
-            rel = [
-                _fmt(100.0 * s.values[i] / benchmark.values[i] / (s.values[0] / benchmark.values[0]))
-                for s in cols
-            ]
-            writer.writerow([str(d)] + rel)
+    write_csv_columns(
+        path,
+        ["date"] + [s.name for s in cols],
+        (benchmark.dates, str_cells),
+        *[
+            (100.0 * s.values / benchmark.values / (s.values[0] / benchmark.values[0]), float_cells)
+            for s in cols
+        ],
+    )

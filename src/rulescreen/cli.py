@@ -55,18 +55,20 @@ from .errors import (
 )
 from .panel import (
     Discretizer,
-    _fmt,
     apply_discretizer,
     attach_returns,
     fit_discretizer,
+    float_cells,
     load_features_csv,
     load_returns_csv,
     split,
+    str_cells,
+    write_csv_columns,
     write_features_csv,
     write_returns_csv,
 )
 from .rulegen import learn as learn_rules
-from .rules import Condition, Interval, RuleSet, SearchParams
+from .rules import Condition, Interval, RuleSet
 from .synth import (
     PlantedRule,
     SynthSpec,
@@ -128,7 +130,7 @@ class RunConfig:
 
 # Each key's value type, as RunConfig declares it; Optional[float] keys also
 # take "auto" (None).
-_KEY_TYPES = get_type_hints(RunConfig)
+_KEY_TYPES = get_type_hints(RunConfig, globals())
 
 
 def _convert(key: str, raw: str):
@@ -164,7 +166,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    cfg_to_search_params(cfg)  # raises on bad rule-search knobs
+    _cfg_to_walk(cfg).search_params()  # raises on bad rule-search knobs
     if cfg.worker_count < 1:
         raise ConfigError(f"worker_count must be >= 1, got {cfg.worker_count}")
     if cfg.horizon_days < 1:
@@ -181,18 +183,6 @@ def _validate_config(cfg: RunConfig) -> None:
                 f"learning_years must be 'all', 'none' or comma-separated "
                 f"years, got {cfg.learning_years!r}"
             ) from None
-
-
-def cfg_to_search_params(cfg: RunConfig) -> SearchParams:
-    return SearchParams(
-        m=cfg.m,
-        alpha=cfg.alpha,
-        c_min=cfg.c_min,
-        c_max=cfg.c_max,
-        cp_max=cfg.cp_max,
-        M=cfg.M,
-        z_kind=cfg.z_kind,
-    )
 
 
 def default_config_text() -> str:
@@ -267,16 +257,20 @@ def _fit_state(parts, ruleset, cfg: RunConfig):
 
 
 def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "stock_id", "y_hat", "score"])
-        for i in range(len(stock_ids)):
-            writer.writerow(
-                [str(dates[i]), str(stock_ids[i]), _fmt(y_hat[i]), int(score[i])]
-            )
+    write_csv_columns(
+        path,
+        ["date", "stock_id", "y_hat", "score"],
+        (dates, str_cells),
+        (stock_ids, str_cells),
+        (y_hat, float_cells),
+        (np.asarray(score, dtype=np.int64), str_cells),
+    )
 
 
 def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
+    """The run's study config, and through its search_params() the one
+    mapping of the rule-search keys. It leaves workers at 1: only the
+    subcommands that search read RULESCREEN_WORKERS (effective_workers)."""
     return WalkForwardConfig(
         initial_train_years=cfg.initial_train_years,
         horizon_days=cfg.horizon_days,
@@ -295,7 +289,6 @@ def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
         bic_x=cfg.best_in_class_x,
         score_lag_days=cfg.score_lag_days,
         periods_per_year=cfg.periods_per_year,
-        workers=effective_workers(cfg),
     )
 
 
@@ -387,7 +380,7 @@ def cmd_learn(args) -> int:
     parts = split(codes, n_design)
     ruleset, report = learn_rules(
         parts.learn,
-        cfg_to_search_params(cfg),
+        _cfg_to_walk(cfg).search_params(),
         learned_at=codes.dates[-1],
         workers=effective_workers(cfg),
     )
@@ -465,7 +458,7 @@ def cmd_backtest(args) -> int:
             {d: s for d, s in universe.snapshots.items() if lo <= d <= hi}
         )
 
-    wcfg = _cfg_to_walk(cfg)
+    wcfg = replace(_cfg_to_walk(cfg), workers=effective_workers(cfg))
     result = run_study(panel, specs, universe, prices, wcfg)
 
     if cfg.learning_years == "none":

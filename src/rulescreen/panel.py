@@ -365,12 +365,6 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    # repr gives the shortest round-trip decimal form, keeping writers
-    # byte-deterministic across runs.
-    return repr(float(value))
-
-
 def read_csv_columns(
     path, header_ok: Callable[[List[str]], bool], header_error: str
 ) -> Tuple[List[str], List[List[str]], List[int]]:
@@ -427,20 +421,39 @@ def to_labels(cells) -> np.ndarray:
     return col
 
 
+def _first_bad_cell(cells, convert) -> int:
+    """Index of the first cell of a column that `convert` rejects. A run of
+    cells converts only if each of its cells does, so halving the run that
+    holds the first bad cell finds it in about one column's worth of work."""
+    lo, hi = 0, len(cells)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            convert(cells[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def parse_columns(path, lines, *columns) -> List[np.ndarray]:
     """Convert each (cells, converter) pair a whole column at a time. A cell
     that does not parse raises MalformedRow naming the first record, in file
-    order, that holds one."""
-    try:
-        return [convert(cells) for cells, convert in columns]
-    except ValueError:
-        for i, line in enumerate(lines):
-            for cells, convert in columns:
-                try:
-                    convert(cells[i:i + 1])
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}, line {line}: {exc}") from None
-        raise
+    order, that holds one; only the columns that failed are searched."""
+    parsed, failed = [], []
+    for cells, convert in columns:
+        try:
+            parsed.append(convert(cells))
+        except ValueError:
+            failed.append((_first_bad_cell(cells, convert), cells, convert))
+    if failed:
+        i, cells, convert = min(failed, key=lambda bad: bad[0])
+        try:
+            convert(cells[i:i + 1])
+        except ValueError as exc:
+            raise MalformedRow(f"{path}, line {lines[i]}: {exc}") from None
+    return parsed
 
 
 def record_keys(path, lines, dates: np.ndarray, stock_ids):
@@ -526,27 +539,58 @@ def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
     )
 
 
-def write_features_csv(path, panel: RawPanel, specs: Sequence[FeatureSpec]) -> None:
+# Records per writerows call of write_csv_columns. Formatting whole columns at once
+# would hold every cell string of a file in memory at the same time.
+WRITE_BLOCK_ROWS = 4096
+
+
+def float_cells(values) -> List[str]:
+    """Each value as its shortest round-trip decimal (repr)."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def finite_float_cells(values) -> List[str]:
+    """float_cells with a non-finite value as an empty cell (see to_floats_or_nan)."""
+    return [c if ok else "" for c, ok in zip(float_cells(values), np.isfinite(values).tolist())]
+
+
+def str_cells(values) -> List[str]:
+    """Each value as str, with None as an empty cell (see to_labels)."""
+    return ["" if v is None else str(v) for v in values]
+
+
+def write_csv_columns(path, header: Sequence[str], *columns) -> None:
+    """The one writer of the CSV outputs, the counterpart of read_csv_columns
+    and parse_columns: write `header`, then one record per position of the
+    (values, to_cells) columns, formatted and written a block of
+    WRITE_BLOCK_ROWS records at a time."""
+    n = len(columns[0][0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "stock_id"] + [s.feature_id for s in specs])
-        for i in range(panel.n):
-            cells = [str(panel.dates[i]), str(panel.stock_ids[i])]
-            for k, spec in enumerate(specs):
-                v = panel.columns[k][i]
-                if spec.kind == CATEGORICAL:
-                    cells.append("" if v is None else str(v))
-                else:
-                    cells.append("" if not np.isfinite(v) else _fmt(v))
-            writer.writerow(cells)
+        writer.writerow(header)
+        for start in range(0, n, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            writer.writerows(zip(*[to_cells(values[block]) for values, to_cells in columns]))
+
+
+def write_features_csv(path, panel: RawPanel, specs: Sequence[FeatureSpec]) -> None:
+    to_cells = {NUMERIC: finite_float_cells, CATEGORICAL: str_cells}
+    write_csv_columns(
+        path,
+        ["date", "stock_id"] + [s.feature_id for s in specs],
+        (panel.dates, str_cells),
+        (panel.stock_ids, str_cells),
+        *[(col, to_cells[spec.kind]) for spec, col in zip(specs, panel.columns)],
+    )
 
 
 def write_returns_csv(path, panel: RawPanel) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "stock_id", "fwd_excess_return_3m"])
-        for i in range(panel.n):
-            if np.isfinite(panel.y[i]):
-                writer.writerow(
-                    [str(panel.dates[i]), str(panel.stock_ids[i]), _fmt(panel.y[i])]
-                )
+    """Only the labeled records: an unobserved outcome has no line."""
+    labeled = np.isfinite(panel.y)
+    write_csv_columns(
+        path,
+        ["date", "stock_id", "fwd_excess_return_3m"],
+        (panel.dates[labeled], str_cells),
+        (panel.stock_ids[labeled], str_cells),
+        (panel.y[labeled], float_cells),
+    )

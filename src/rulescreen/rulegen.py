@@ -8,17 +8,16 @@ vector (rows with unobserved y still need a prediction later).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyLearningSet
-from .panel import DiscretizedPanel
+from .panel import DiscretizedPanel, str_cells, write_csv_columns
 from .rules import (
     Condition,
     Interval,
@@ -62,32 +61,19 @@ class LearnReport:
         return row
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "complexity",
-                    "candidates",
-                    "suitable",
-                    "selected",
-                    "selected_positive",
-                    "selected_negative",
-                ]
-            )
-            for row in sorted(self.levels, key=lambda r: r.complexity):
-                writer.writerow(
-                    [
-                        row.complexity,
-                        row.candidates,
-                        row.suitable,
-                        row.selected,
-                        row.selected_positive,
-                        row.selected_negative,
-                    ]
-                )
-            writer.writerow(
-                ["default_rule", "", "", int(self.default_rule_appended), "", ""]
-            )
+        """One record per level, by complexity, then a default_rule record
+        whose selected cell says whether the default rule was appended."""
+        header = [f.name for f in fields(LevelStats)]
+        rows = sorted(self.levels, key=lambda r: r.complexity)
+        last = {"complexity": "default_rule", "selected": int(self.default_rule_appended)}
+        write_csv_columns(
+            path,
+            header,
+            *[
+                ([getattr(r, name) for r in rows] + [last.get(name)], str_cells)
+                for name in header
+            ],
+        )
 
 
 def _chunks(items: Sequence, n_chunks: int) -> List[Sequence]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backtest import month_ends
 from .errors import InconsistentSpec
-from .panel import FeatureSpec, RawPanel, _fmt
+from .panel import FeatureSpec, RawPanel, float_cells, str_cells, write_csv_columns
 from .rules import Condition
 
 DEFAULT_START = "2010-01-04"
@@ -256,32 +256,24 @@ def generate(spec: SynthSpec) -> SynthData:
 
 
 def write_universe_csv(path, universe: List[UniverseRow]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"]
-        )
-        for row in universe:
-            writer.writerow(
-                [
-                    str(row.date),
-                    row.stock_id,
-                    _fmt(row.cap_weight),
-                    row.sector,
-                    row.peer_group,
-                    _fmt(row.esg_rating),
-                ]
-            )
+    write_csv_columns(
+        path,
+        ["date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"],
+        ([row.date for row in universe], str_cells),
+        ([row.stock_id for row in universe], str_cells),
+        ([row.cap_weight for row in universe], float_cells),
+        ([row.sector for row in universe], str_cells),
+        ([row.peer_group for row in universe], str_cells),
+        ([row.esg_rating for row in universe], float_cells),
+    )
 
 
 def write_prices_csv(path, dates, stock_ids, returns) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "stock_id", "total_return_daily"])
-        for i, d in enumerate(dates):
-            for j, sid in enumerate(stock_ids):
-                writer.writerow([str(d), sid, _fmt(returns[i, j])])
+    """One record per (date, stock) cell of the returns grid, date-major."""
+    write_csv_columns(
+        path,
+        ["date", "stock_id", "total_return_daily"],
+        (np.repeat(dates, len(stock_ids)), str_cells),
+        (np.tile(np.array(stock_ids, dtype=object), len(dates)), str_cells),
+        (np.asarray(returns).ravel(), float_cells),
+    )

@@ -216,6 +216,18 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_print_config_runs_under_cprofile():
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "rulescreen.cli", "--print-config"],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert default_config_text() in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -311,6 +323,18 @@ def test_synth_writes_all_inputs(pipeline):
     names = {p.name for p in pipeline["data"].iterdir()}
     assert names == {"features.csv", "returns.csv", "universe.csv",
                      "prices.csv", "manifest.json"}
+
+
+def test_bad_worker_env_fails_only_learn_and_backtest(pipeline, tmp_path, monkeypatch):
+    monkeypatch.setenv("RULESCREEN_WORKERS", "zero")
+    features = str(pipeline["data"] / "features.csv")
+    returns = str(pipeline["data"] / "returns.csv")
+    cfg = str(pipeline["cfg"])
+    assert run(["discretize", "--features", features, "--returns", returns, "--config", cfg,
+                "--out", str(tmp_path / "disc" / "discretizer.json")]) == 0
+    assert run(["learn", "--panel", features, "--returns", returns, "--config", cfg,
+                "--out", str(tmp_path / "learn" / "rules.json")]) == 1
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "bt")]) == 1
 
 
 def test_learn_writes_sibling_artifacts(pipeline):

@@ -4,11 +4,13 @@ The walk-forward study and the frozen-year study for every learning year are
 hashed output by output on one small regime-shift market: each leg's level
 series and weight history, its KPIs, every score, every learning, and each
 frozen series with its KPIs. A refactor of `backtest` that keeps behaviour
-byte for byte keeps every digest. The CLI digests cover every file `learn`,
-`score`, `backtest` and `report` write on the acceptance suite's
-worker-determinism market, so they also pin the CSV loaders. The pinned
-values were computed with numpy 2.4 on x86-64; a change of platform or numpy
-that moves a float's last bit moves them too.
+byte for byte keeps every digest. The CLI digests cover the four CSV files
+`synth` writes and every file `learn`, `score`, `backtest` and `report`
+write on the acceptance suite's worker-determinism market, so they pin the
+CSV writer and the CSV loaders. That market's `features.csv` and
+`prices.csv` have 12,096 records each, more than one block of the writer.
+The pinned values were computed with numpy 2.4 on x86-64; a change of
+platform or numpy that moves a float's last bit moves them too.
 """
 
 import hashlib
@@ -153,6 +155,10 @@ def test_study_outputs_match_golden_digests(market):
 # library versions.
 
 CLI_GOLDEN = {
+    "data/features.csv": "67cd20c41229399885d552c4dbbc3a146fe877a9f4be065fbac922968c318c36",
+    "data/prices.csv": "9b2022aff21db2d24941f3a0c57ddc46645d7eae8be1220e28242675b6de7a4d",
+    "data/returns.csv": "57e1392ae285e38bad4f494d70d1e3ba5d40c85cd4b48f3cc30cea326b6d9b0b",
+    "data/universe.csv": "30aacdfbfca000fc9f0269c6e6b85b700dc777719ea2592a9de29ad3b44789be",
     "bt/calendar.csv": "eb787281a5e0f7970be760076d3525b324362947687734168a473257ca01867d",
     "bt/kpis.json": "ddf5584bceedf4aebb70c00e95d43d0ca7e3d77026ffdda4dce8c33a208db550",
     "bt/learning-y.csv": "014659b68998289d4e297ee29288fdea9dda5d790f9a46e8f432c6b0b9843300",
@@ -193,7 +199,7 @@ def cli_outputs(tmp_path_factory):
                 "--out", str(root / "report" / "report.md")]) == 0
     return {
         f"{stage}/{path.name}": sha(path.read_bytes())
-        for stage in ("learn", "score", "bt", "report")
+        for stage in ("data", "learn", "score", "bt", "report")
         for path in sorted((root / stage).iterdir())
         if path.name != "manifest.json"
     }

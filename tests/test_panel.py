@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rulescreen.errors import BadSplitPoint, EmptyPanel, NonPositiveModalities
+from rulescreen.errors import BadSplitPoint, EmptyPanel, MalformedRow, NonPositiveModalities
 from rulescreen.panel import (
     CATEGORICAL,
     MISSING_CODE,
@@ -211,6 +211,44 @@ def test_features_csv_round_trip(tmp_path):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert loaded.columns[2].tolist() == panel.columns[2].tolist()
     assert loaded.columns[2][7] is None
+
+
+def test_features_csv_exact_text(tmp_path):
+    specs = [FeatureSpec("f0"), FeatureSpec("sector", CATEGORICAL), FeatureSpec("f1")]
+    panel = RawPanel(
+        dates=np.array(["2020-01-01", "2020-01-02", "2020-01-03"], dtype="datetime64[D]"),
+        stock_ids=np.array(["A", "B", "C"], dtype=object),
+        columns=[
+            np.array([0.1 + 0.2, np.nan, -0.0]),
+            np.array(["tech", None, "a,b"], dtype=object),
+            np.array([1e-300, np.inf, 3.0]),
+        ],
+        y=np.full(3, np.nan),
+    )
+    path = tmp_path / "features.csv"
+    write_features_csv(path, panel, specs)
+    assert path.read_bytes() == (
+        b"date,stock_id,f0,sector,f1\n"
+        b"2020-01-01,A,0.30000000000000004,tech,1e-300\n"
+        b"2020-01-02,B,,,\n"
+        b'2020-01-03,C,-0.0,"a,b",3.0\n'
+    )
+    loaded, _ = load_features_csv(path, specs=specs)
+    assert loaded.columns[1].tolist() == ["tech", None, "a,b"]
+    assert np.isnan(loaded.columns[0][1]) and np.isnan(loaded.columns[2][1])
+
+
+def test_bad_cell_search_names_first_line_across_columns(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text(
+        "date,stock_id,f0,f1\n"
+        "2020-01-01,A,1.0,1.0\n"
+        "2020-01-02,A,1.0,oops\n"
+        "2020-01-03,A,bad,1.0\n"
+        "2020-01-04,A,1.0,worse\n"
+    )
+    with pytest.raises(MalformedRow, match=f"{path}, line 3: .*oops"):
+        load_features_csv(path)
 
 
 def test_returns_csv_round_trip_and_attach(tmp_path):
