@@ -27,6 +27,11 @@ LOSS_KINDS: Dict[str, Callable[[float, float], float]] = {
 }
 
 
+# An active block whose mass falls below the smallest normal float64 has
+# underflowed: rescaling it would divide by a subnormal and overflow to inf.
+TINY = np.finfo(np.float64).tiny
+
+
 def default_eta(n_rules: int, expected_steps: int) -> float:
     """Learning rate minimizing the exponential-weighting regret bound."""
     if n_rules < 2 or expected_steps < 1:
@@ -159,7 +164,8 @@ def update(
     Active rules are charged their own (clipped) loss; inactive rules keep
     exactly their current weight, so a rule that never activates retains its
     initial relative weight bit for bit. A row that activates nothing leaves
-    the weights unchanged; so does one whose active mass underflows to zero.
+    the weights unchanged; so does one whose active mass underflows (falls
+    below the smallest normal float, TINY).
     Every row advances the step count.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -189,7 +195,7 @@ def update(
             block = w[on] * f[on]
             block_sum = block.sum()
             target = 1.0 - w[~on].sum()  # mass the active block must keep
-            if block_sum > 0.0:
+            if block_sum >= TINY:
                 w[on] = block * (target / block_sum)
     return replace(state, weights=w, step=state.step + len(y))
 

@@ -476,6 +476,9 @@ class WalkForwardConfig:
 
 @dataclass
 class LearningRecord:
+    """One learning: the discretizer and rules fitted at `date`, and the
+    aggregation state after replaying the post-design labels."""
+
     date: np.datetime64
     year: int
     ruleset: RuleSet
@@ -483,6 +486,8 @@ class LearningRecord:
     report: LearnReport
     n_design: int
     n_replay: int
+    discretizer: Discretizer
+    state: AggregationState
 
 
 Scores = Dict[np.datetime64, Dict[str, Tuple[float, int]]]  # score date -> stock
@@ -505,22 +510,52 @@ def _rows_by_key(keys: np.ndarray) -> Dict[object, np.ndarray]:
 
 
 def replay_state(
-    ruleset: RuleSet,
-    replay: DiscretizedPanel,
-    eta: float,
-    loss_kind: str,
-    loss_clip: float,
-    epsilon: Optional[float],
+    ruleset: RuleSet, replay: DiscretizedPanel, cfg: WalkForwardConfig
 ) -> AggregationState:
     """Uniform weights over the ruleset, updated by every replay row in order
-    (one block update). With epsilon None, the dead zone is the standard
-    deviation of the replayed rows' predictions under the final weights."""
-    state = init_state(ruleset.R, eta, loss_kind=loss_kind, loss_clip=loss_clip)
+    (one block update). This is the one place eta is chosen: cfg.eta, or else
+    the fixed-horizon exponential-weights rate sqrt(8 ln R / T) with T the
+    number of replay rows, which is known at the learning date. With
+    cfg.epsilon None, the dead zone is the standard deviation of the replayed
+    rows' predictions under the final weights."""
+    eta = cfg.eta if cfg.eta is not None else default_eta(ruleset.R, max(1, replay.n))
+    state = init_state(ruleset.R, eta, loss_kind=cfg.loss_kind, loss_clip=cfg.loss_clip)
     A = ruleset.activation_matrix(replay.x)
     state = update(state, ruleset, replay.x, replay.y, active=A)
+    epsilon = cfg.epsilon
     if epsilon is None:
         epsilon = float(np.std(predict_many(state, ruleset, replay.x, activation=A)))
     return replace(state, epsilon=epsilon)
+
+
+def learning_step(
+    raw: RawPanel,
+    specs: Sequence[FeatureSpec],
+    cfg: WalkForwardConfig,
+    learned_at: np.datetime64,
+) -> LearningRecord:
+    """Fit the discretizer and rules on the first learn_fraction of the
+    labeled rows (in (date, stock_id) order) and replay the rest through the
+    weight update. The caller checks that raw has at least 2 rows."""
+    discretizer = fit_discretizer(raw, specs, cfg.m)
+    codes = apply_discretizer(raw, discretizer)
+    N = codes.n
+    parts = split(codes, max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N)))))
+    ruleset, report = learn(
+        parts.learn, cfg.search_params(), learned_at=learned_at, workers=cfg.workers
+    )
+    state = replay_state(ruleset, parts.aggregate, cfg)
+    return LearningRecord(
+        date=learned_at,
+        year=_year(learned_at),
+        ruleset=ruleset,
+        epsilon=state.epsilon,
+        report=report,
+        n_design=parts.learn.n,
+        n_replay=parts.aggregate.n,
+        discretizer=discretizer,
+        state=state,
+    )
 
 
 def _year(date: np.datetime64) -> int:
@@ -545,23 +580,13 @@ def _learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datet
 
 
 @dataclass(frozen=True)
-class _Learning:
-    """One learning of the schedule: its record, the discretizer it fitted
-    and the aggregation state after replaying the post-design labels."""
-
-    record: LearningRecord
-    discretizer: Discretizer
-    state: AggregationState
-
-
-@dataclass(frozen=True)
 class _Schedule:
     """The learnings and walk-forward segment scores of one study, each a
     prefix of its learning dates L_0 < L_1 < ... Segment k scores the days
     in (L_k, L_k+1], the last one the days in (L_k, end of data]."""
 
     key: str
-    learnings: Tuple[_Learning, ...]
+    learnings: Tuple[LearningRecord, ...]
     segments: Tuple[Scores, ...]
 
 
@@ -600,54 +625,27 @@ class _Engine:
         # Row indices by date, ascending within a date, for a binary search.
         self.by_date = np.argsort(raw_panel.dates, kind="stable")
         self.sorted_dates = raw_panel.dates[self.by_date]
-        self.n_total_labeled = int(self.labeled.sum())
 
-    def learning(self, L: np.datetime64) -> _Learning:
+    def learning(self, L: np.datetime64) -> LearningRecord:
         """Refit the discretizer and rules at the close of L on every
         observation whose outcome has resolved, then reset the weights to
         uniform and replay the post-design labels."""
-        cfg = self.cfg
         in_learning = self.labeled & (self.resolution <= L)
         if not in_learning.any():
             raise InsufficientHistory(f"no resolved labels at learning {L}")
         raw_learn = self.raw_panel.take(np.flatnonzero(in_learning))
-        discretizer = fit_discretizer(raw_learn, self.specs, cfg.m)
-        panel_L = apply_discretizer(raw_learn, discretizer)
-        N = panel_L.n
-        if N < 2:
-            raise InsufficientHistory(f"learning set at {L} has {N} rows")
-        n_design = max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N))))
-        parts = split(panel_L, n_design)
-        ruleset, report = learn(
-            parts.learn, cfg.search_params(), learned_at=L, workers=cfg.workers
-        )
-        R = ruleset.R
-        eta = cfg.eta if cfg.eta is not None else default_eta(
-            R, max(1, self.n_total_labeled - n_design)
-        )
-        replay = parts.aggregate
-        state = replay_state(
-            ruleset, replay, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
-        )
-        record = LearningRecord(
-            date=L,
-            year=_year(L),
-            ruleset=ruleset,
-            epsilon=state.epsilon,
-            report=report,
-            n_design=parts.learn.n,
-            n_replay=replay.n,
-        )
-        return _Learning(record, discretizer, state)
+        if raw_learn.n < 2:
+            raise InsufficientHistory(f"learning set at {L} has {raw_learn.n} rows")
+        return learning_step(raw_learn, self.specs, self.cfg, L)
 
     def segment(
-        self, step: _Learning, L: np.datetime64, next_L: Optional[np.datetime64]
+        self, step: LearningRecord, L: np.datetime64, next_L: Optional[np.datetime64]
     ) -> Scores:
         """Out of sample from the close of L to the close of next_L (or the
         end of data) under one learning: weights update daily as labels
         resolve, and every score day in the segment is scored."""
         raw_panel, prices, cfg = self.raw_panel, self.prices, self.cfg
-        ruleset, discretizer, state = step.record.ruleset, step.discretizer, step.state
+        ruleset, discretizer, state = step.ruleset, step.discretizer, step.state
         pending = self.labeled & (self.resolution > L)
         if next_L is not None:
             pending &= self.resolution <= next_L
@@ -693,7 +691,7 @@ def _scored_study(
     prices: PriceTable,
     cfg: WalkForwardConfig,
     freeze_year: Optional[int],
-) -> Tuple[List[_Learning], Scores, np.ndarray, UniverseTable]:
+) -> Tuple[List[LearningRecord], Scores, np.ndarray, UniverseTable]:
     """Learnings, scores, review dates and scored universe of one study.
 
     A walk-forward study (freeze_year None) computes every learning and
@@ -818,12 +816,21 @@ def run_study(
     """Shared engine behind walk_forward and learning_y.
 
     Learnings happen at the last trading day of each calendar year, starting
-    once `initial_train_years` are available. Each learning refits the
+    once `initial_train_years` are available. Each learning is one
+    learning_step, the one `rulescreen learn` runs: it refits the
     discretizer and rules on every observation whose outcome has resolved,
-    resets aggregation weights to uniform and replays the post-design labels,
-    then updates daily out of sample as labels resolve. With freeze_year set,
-    re-learning stops after that year's learning; weight updates continue.
-    Every strategy leg is simulated.
+    resets aggregation weights to uniform and replays the post-design labels
+    (eta as replay_state picks it), then updates daily out of sample as
+    labels resolve. With freeze_year set, re-learning stops after that
+    year's learning; weight updates continue. Every strategy leg is
+    simulated.
+
+    Nothing dated after t moves a score, learning or level dated up to t:
+    the inputs cut at t, less the labels that resolve after t, give the same
+    values up to t. When the data end mid-year, the last learning falls on
+    the last trading day. It scores no day, so its frozen study is the
+    walk-forward Positive ML leg; its rules, weights and dead zone are the
+    ones `learn` fits on the same files.
 
     The learnings and out-of-sample scores of the last study are kept in a
     one-entry memo keyed by a sha256 of the panel, specs, trading-day grid
@@ -851,7 +858,7 @@ def run_study(
     return StudyResult(
         reports=reports,
         series=series,
-        learnings=[copy.deepcopy(step.record) for step in learnings],
+        learnings=copy.deepcopy(learnings),
         scores=scores,
         reviews=reviews,
     )

@@ -10,11 +10,9 @@ run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,7 +24,6 @@ import numpy as np
 from . import __version__
 from .aggregate import (
     AggregationState,
-    default_eta,
     predict_many,
     score_many,
     update,  # noqa: F401  (the name perfbench/tracing.py wraps as cli.update)
@@ -35,10 +32,10 @@ from .backtest import (
     BENCHMARK,
     POSITIVE,
     WalkForwardConfig,
+    learning_step,
     learning_y,
     load_prices_csv,
     load_universe_csv,
-    replay_state,
     run_study,
     write_calendar_csv,
     write_kpis_json,
@@ -61,13 +58,15 @@ from .panel import (
     float_cells,
     load_features_csv,
     load_returns_csv,
-    split,
+    parse_columns,
+    read_csv_columns,
     str_cells,
+    to_floats,
     write_csv_columns,
     write_features_csv,
     write_returns_csv,
 )
-from .rulegen import learn as learn_rules
+from .rulegen import learn as learn_rules  # noqa: F401  (the name perfbench/tracing.py wraps)
 from .rules import Condition, Interval, RuleSet
 from .synth import (
     PlantedRule,
@@ -244,18 +243,6 @@ def _load_labeled_panel(features_path: str, returns_path: str):
     return panel, specs
 
 
-def _fit_state(parts, ruleset, cfg: RunConfig):
-    """Replay the post-design observations through the weight update and fix
-    the score dead zone: one learning step of the study engine, with eta
-    sized to the replay set."""
-    eta = cfg.eta if cfg.eta is not None else default_eta(
-        ruleset.R, max(1, parts.aggregate.n)
-    )
-    return replay_state(
-        ruleset, parts.aggregate, eta, cfg.loss_kind, cfg.loss_clip, cfg.epsilon
-    )
-
-
 def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
     write_csv_columns(
         path,
@@ -372,33 +359,24 @@ def cmd_learn(args) -> int:
     if not keep.any():
         raise EmptyPanel("returns attach to no feature rows")
     labeled = panel.take(keep)
-    disc = fit_discretizer(labeled, specs, cfg.m)
-    codes = apply_discretizer(labeled, disc)
-    if codes.n < 2:
-        raise EmptyPanel(f"need at least 2 labeled rows, got {codes.n}")
-    n_design = max(1, min(codes.n - 1, int(math.floor(cfg.learn_fraction * codes.n))))
-    parts = split(codes, n_design)
-    ruleset, report = learn_rules(
-        parts.learn,
-        _cfg_to_walk(cfg).search_params(),
-        learned_at=codes.dates[-1],
-        workers=effective_workers(cfg),
-    )
-    state = _fit_state(parts, ruleset, cfg)
+    if labeled.n < 2:
+        raise EmptyPanel(f"need at least 2 labeled rows, got {labeled.n}")
+    wcfg = replace(_cfg_to_walk(cfg), workers=effective_workers(cfg))
+    rec = learning_step(labeled, specs, wcfg, labeled.dates.max())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(ruleset.to_json() + "\n")
-    report.to_csv(out.parent / "learn-report.csv")
-    (out.parent / "discretizer.json").write_text(disc.to_json() + "\n")
-    (out.parent / "state.json").write_text(state.to_json() + "\n")
+    out.write_text(rec.ruleset.to_json() + "\n")
+    rec.report.to_csv(out.parent / "learn-report.csv")
+    (out.parent / "discretizer.json").write_text(rec.discretizer.to_json() + "\n")
+    (out.parent / "state.json").write_text(rec.state.to_json() + "\n")
     inputs = [args.panel, args.returns] + ([args.config] if args.config else [])
     write_manifest(out.parent, "learn", cfg.as_dict(), inputs)
     logger.info(
         "learn: %d rules (%d design rows, %d replay rows)",
-        ruleset.R,
-        parts.learn.n,
-        parts.aggregate.n,
+        rec.ruleset.R,
+        rec.n_design,
+        rec.n_replay,
     )
     return 0
 
@@ -511,14 +489,15 @@ def cmd_report(args) -> int:
     cal_path = directory / "calendar.csv"
     if cal_path.exists():
         lines += ["", "## Calendar-year excess vs benchmark", ""]
-        with open(cal_path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row and row[0] == "year":
-                    lines.append("| " + " | ".join(row) + " |")
-                    lines.append("|" + "---|" * len(row))
-                else:
-                    cells = [row[0]] + [f"{float(v):.2%}" for v in row[1:]]
-                    lines.append("| " + " | ".join(cells) + " |")
+        header, columns, records = read_csv_columns(
+            cal_path, lambda h: h[:1] == ["year"], "calendar csv must start with a year column"
+        )
+        excess = parse_columns(cal_path, records, *[(cells, to_floats) for cells in columns[1:]])
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "---|" * len(header))
+        for i, year in enumerate(columns[0]):
+            cells = [year] + [f"{col[i]:.2%}" for col in excess]
+            lines.append("| " + " | ".join(cells) + " |")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulescreen.errors import NoActiveRule, NonFiniteLoss, SpecMismatch
@@ -198,7 +198,7 @@ def reference_update(weights, preds, y, active, eta, clip):
     block = w[active] * np.exp(-eta * losses)
     block_sum = block.sum()
     target = 1.0 - w[~active].sum()
-    if block_sum > 0.0:
+    if block_sum >= np.finfo(np.float64).tiny:
         w[active] = block * (target / block_sum)
     return w
 
@@ -217,12 +217,13 @@ def update_blocks(draw):
 
 
 @given(update_blocks())
+@example(([0.26953125], np.array([0.0, 0.0]), np.array([[True], [True]]), 1e4, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_block_update_equals_row_by_row(case):
     """A block update gives exactly (==) the weights of k single-row calls
     and of the per-row reference loop, through all-inactive rows, clipped
     losses (|p - y| up to 4 against clips of 1 and 0.05) and blocks whose
-    active mass underflows (eta = 1e4)."""
+    active mass underflows (eta = 1e4), to zero or to a subnormal."""
     preds, ys, active, eta, clip = case
     rs = ruleset_of(preds)
     st0 = init_state(len(preds), eta, loss_clip=clip)

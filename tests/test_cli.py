@@ -208,7 +208,7 @@ def test_cli_imports_without_scipy():
     src = str(Path(rulescreen.__file__).resolve().parents[1])
     check = "import rulescreen.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run(
-        [sys.executable, "-c", check],
+        [sys.executable, "-B", "-c", check],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -219,7 +219,7 @@ def test_cli_imports_without_scipy():
 def test_print_config_runs_under_cprofile():
     src = str(Path(rulescreen.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "cProfile", "-m", "rulescreen.cli", "--print-config"],
+        [sys.executable, "-B", "-m", "cProfile", "-m", "rulescreen.cli", "--print-config"],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -472,3 +472,46 @@ def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
     assert (f"DuplicateRow: {path}, line 6: repeated (date, stock_id) key "
             f"({date}, {stock_id})") in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):
+    shutil.copy(pipeline["bt"] / "kpis.json", tmp_path / "kpis.json")
+    path = tmp_path / "calendar.csv"
+    path.write_text("year,Benchmark\n2010,0.0\n2011,abc\n")
+    assert run(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "r.md")]) == 2
+    assert f"MalformedRow: {path}, line 3:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# no look-ahead
+
+
+def test_backtest_to_end_date_equals_backtest_on_inputs_cut_there(pipeline, tmp_path):
+    """`backtest` with end_date = t, `backtest` on the four inputs cut at t
+    with the labels that resolve after t dropped, and `backtest` on the
+    whole inputs write the same levels.csv rows up to t. The cut falls
+    mid-year, so both cut runs end on a learning."""
+    t = "2013-06-28"
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("features", "returns", "universe", "prices"):
+        lines = (pipeline["data"] / f"{name}.csv").read_text().splitlines(keepends=True)
+        kept = [line for line in lines[1:] if line[:10] <= t]
+        if name == "returns":
+            resolved = np.busday_offset([line[:10] for line in kept], 63) <= np.datetime64(t)
+            kept = [line for line, ok in zip(kept, resolved) if ok]
+        (data / f"{name}.csv").write_text("".join(lines[:1] + kept))
+
+    def levels(cfg_lines, out):
+        cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + cfg_lines) + "\n")
+        assert run(["backtest", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "levels.csv").read_text().splitlines()
+
+    inputs = [f"{k} = {{}}/{k}.csv" for k in ("features", "returns", "universe", "prices")]
+    to_t = levels([line.format(pipeline["data"]) for line in inputs] + [f"end_date = {t}"],
+                  "to_t")
+    on_cut = levels([line.format(data) for line in inputs], "on_cut")
+    whole = (pipeline["bt"] / "levels.csv").read_text().splitlines()
+    assert to_t[-1].startswith(t)
+    assert to_t == on_cut == whole[:len(to_t)]

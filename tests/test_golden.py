@@ -57,7 +57,7 @@ GOLDEN = {
     "kpis/Positive Sector-Matched": "d61d425249128e9e26a23d9851dd9b3c854f0c5c5f8eea6527e5e8c7a53b4899",
     "kpis/Negative ML": "0c6c7630aad162501e29ab0ba6536bc77e24adb255cafbf2b4a8b7c8267a3938",
     "kpis/Best-in-class 30%": "b77256ec23cd73bdd7623d3fb50189958500b5311b999414feffcca09cf9992a",
-    "scores": "bdbd12cb99831996107cc62996efe5a420c6b337fa765b913a7e0b81f990181b",
+    "scores": "4a36e2b0ddc69a61dd0124887e067e0f58db1a6847c0881d6b21ad269cb5db71",
     "learnings": "f1d5b93b9d5515bf51a350d5b92fed6e3cc5cd0b3b9639c15f62d64cc2aa5819",
     "reviews": "3a97cbaf4a82c20754584dae70fb17bf0196324b06a487c4075d22af1ac0bd16",
     "frozen2013/series/Benchmark": "cbc5cfe5a45f0606ba449cba4e3dca091a306a58a780e348269d6d45da0d069c",
@@ -70,7 +70,7 @@ GOLDEN = {
     "frozen2013/kpis/Positive Sector-Matched": "26f95841454d77288c5efde40813757a23295c1135ee2e92172d240066ee3a71",
     "frozen2013/kpis/Negative ML": "af6ad5f409338cb91b2404234d343504dac4997c2e582dd7b85868c28d6af63b",
     "frozen2013/kpis/Best-in-class 30%": "b77256ec23cd73bdd7623d3fb50189958500b5311b999414feffcca09cf9992a",
-    "frozen2013/scores": "86f39c73afd1dfe22e39c73305480648859be71a8678c815482ad2cfa1f9a6e4",
+    "frozen2013/scores": "05fc8316f5a9f4fa8d4446614cab2a98ef8c478fe6ab1e2edc206074a000907d",
     "frozen2013/learnings": "ea161a98c90fbef5894c9bf69a6aef2ed1916acb5e24001bef8302aebb866e43",
     "frozen2013/reviews": "3a97cbaf4a82c20754584dae70fb17bf0196324b06a487c4075d22af1ac0bd16",
     "learning2012": "c1d142903bcbee0263b7fd7a9053476b9dcbc7bacbd3afec7f94643f77db4112",
