@@ -60,7 +60,7 @@ cfg = WalkForwardConfig(
     workers=1,
 )
 
-logging.basicConfig(level=logging.ERROR)  # the study logs each re-learning
+logging.basicConfig(level=logging.ERROR)  # legs log each review they hold the benchmark
 
 data = generate(spec)
 universe = UniverseTable.from_rows(data.universe)

@@ -12,19 +12,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NoActiveRule, NonFiniteLoss, SpecMismatch
 from .rules import RuleSet, activates
 
-# Losses take scalars or broadcastable arrays. float_power calls C pow on
-# every element, as `** 2` does on a scalar; `** 2` on an array squares by
-# multiplication, which can differ in the last bit.
-LOSS_KINDS: Dict[str, Callable[[float, float], float]] = {
-    "squared": lambda p, y: np.float_power(p - y, 2.0),
-}
+def squared_loss(p, y):
+    """Squared loss of scalars or broadcastable arrays. float_power calls C
+    pow on every element, as `** 2` does on a scalar; `** 2` on an array
+    squares by multiplication, which can differ in the last bit."""
+    return np.float_power(p - y, 2.0)
 
 
 # An active block whose mass falls below the smallest normal float64 has
@@ -51,7 +50,7 @@ class AggregationState:
     step: int = 0
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
+        if self.loss_kind != "squared":
             raise SpecMismatch(f"unknown loss_kind {self.loss_kind!r}")
 
     @property
@@ -186,7 +185,7 @@ def update(
     rows = np.flatnonzero(active.any(axis=1))
     if len(rows):
         preds = np.array([r.prediction for r in ruleset.rules])
-        losses = LOSS_KINDS[state.loss_kind](preds, y[rows, None])
+        losses = squared_loss(preds, y[rows, None])
         if not np.all(np.isfinite(losses[active[rows]])):
             raise NonFiniteLoss("non-finite loss on an active rule")
         factors = np.exp(-state.eta * np.minimum(losses, state.loss_clip))

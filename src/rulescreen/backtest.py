@@ -16,7 +16,7 @@ import logging
 import math
 import pickle
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -579,15 +579,23 @@ def _learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datet
     return out
 
 
+class _Entry(NamedTuple):
+    """Learning k of a study, the scores of walk-forward segment k (the days
+    in (L_k, L_k+1], the last one the days in (L_k, end of data]) and the
+    aggregation state at the end of that segment."""
+
+    learning: LearningRecord
+    scores: Scores
+    end_state: AggregationState
+
+
 @dataclass(frozen=True)
 class _Schedule:
-    """The learnings and walk-forward segment scores of one study, each a
-    prefix of its learning dates L_0 < L_1 < ... Segment k scores the days
-    in (L_k, L_k+1], the last one the days in (L_k, end of data]."""
+    """The entries of one study for a prefix of its learning dates
+    L_0 < L_1 < ..., in learning order."""
 
     key: str
-    learnings: Tuple[LearningRecord, ...]
-    segments: Tuple[Scores, ...]
+    entries: Tuple[_Entry, ...]
 
 
 # The schedule of the last study, replaced whole (never changed in place).
@@ -639,13 +647,19 @@ class _Engine:
         return learning_step(raw_learn, self.specs, self.cfg, L)
 
     def segment(
-        self, step: LearningRecord, L: np.datetime64, next_L: Optional[np.datetime64]
-    ) -> Scores:
+        self,
+        step: LearningRecord,
+        state: AggregationState,
+        L: np.datetime64,
+        next_L: Optional[np.datetime64],
+    ) -> Tuple[Scores, AggregationState]:
         """Out of sample from the close of L to the close of next_L (or the
-        end of data) under one learning: weights update daily as labels
-        resolve, and every score day in the segment is scored."""
+        end of data) under one learning's discretizer and rules, starting
+        from `state`: the labels that resolve in the segment update the
+        weights on the day they resolve, and every score day in it is
+        scored. Returns the scores and the state at the segment's end."""
         raw_panel, prices, cfg = self.raw_panel, self.prices, self.cfg
-        ruleset, discretizer, state = step.ruleset, step.discretizer, step.state
+        ruleset, discretizer = step.ruleset, step.discretizer
         pending = self.labeled & (self.resolution > L)
         if next_L is not None:
             pending &= self.resolution <= next_L
@@ -681,7 +695,7 @@ class _Engine:
                     str(sid): (float(y_hat[j]), int(ternary[j]))
                     for j, sid in enumerate(panel_day.stock_ids)
                 }
-        return scores
+        return scores, state
 
 
 def _scored_study(
@@ -694,11 +708,13 @@ def _scored_study(
 ) -> Tuple[List[LearningRecord], Scores, np.ndarray, UniverseTable]:
     """Learnings, scores, review dates and scored universe of one study.
 
-    A walk-forward study (freeze_year None) computes every learning and
-    segment and replaces the schedule memo with them. A frozen study takes
-    the learnings up to freeze_year and the walk-forward segments before it
-    from the memo when its fingerprint matches, computes what is missing,
-    and scores the segment from the freeze_year learning to the end of data.
+    A walk-forward study (freeze_year None) computes every schedule entry
+    and replaces the memo with them. A frozen study takes the entries up to
+    the freeze_year learning from the memo when its fingerprint matches and
+    appends the missing ones with the same walk-forward bounds. Unless that
+    learning is the last, it then scores one tail, from the next learning
+    date to the end of data, starting from the state the freeze_year
+    segment ended in.
     """
     global _last_schedule
     grid = prices.dates
@@ -730,28 +746,27 @@ def _scored_study(
     key = _fingerprint(raw_panel, specs, grid, cfg)
     memo = _last_schedule
     if freeze_year is not None and memo is not None and memo.key == key:
-        learnings, segments = list(memo.learnings), list(memo.segments)
+        entries = list(memo.entries)
     else:
-        learnings, segments = [], []
-    n_read = (len(learnings), len(segments))
+        entries = []
+    n_read = len(entries)
+    for k in range(n_read, n_learn):
+        L = learn_dates[k]
+        next_L = learn_dates[k + 1] if k + 1 < len(learn_dates) else None
+        learning = engine.learning(L)
+        entries.append(_Entry(learning, *engine.segment(learning, learning.state, L, next_L)))
+    if len(entries) != n_read:
+        _last_schedule = _Schedule(key, tuple(entries))
 
     scores: Scores = {}
-    for k in range(n_learn):
-        L = learn_dates[k]
-        if k == len(learnings):
-            learnings.append(engine.learning(L))
-        # Only a frozen study's last segment, which runs on past the next
-        # learning date, differs from the walk-forward segment.
-        if k + 1 < n_learn or n_learn == len(learn_dates):
-            if k == len(segments):
-                next_L = learn_dates[k + 1] if k + 1 < len(learn_dates) else None
-                segments.append(engine.segment(learnings[k], L, next_L))
-            segment = segments[k]
-        else:
-            segment = engine.segment(learnings[k], L, None)
-        scores.update((day, dict(per_stock)) for day, per_stock in segment.items())
-    if (len(learnings), len(segments)) != n_read:
-        _last_schedule = _Schedule(key, tuple(learnings), tuple(segments))
+    for entry in entries[:n_learn]:
+        scores.update((day, dict(per_stock)) for day, per_stock in entry.scores.items())
+    if n_learn < len(learn_dates):
+        # The frozen tail: learning n_learn - 1 kept from the next learning
+        # date on, its weights continuing from where its segment ended.
+        last = entries[n_learn - 1]
+        tail, _ = engine.segment(last.learning, last.end_state, learn_dates[n_learn], None)
+        scores.update(tail)
 
     # ---- attach scores to snapshots
     scored: Dict[np.datetime64, UniverseSnapshot] = {}
@@ -764,7 +779,7 @@ def _scored_study(
             dtype=np.int64,
         )
         scored[sd] = snap.with_scores(arr)
-    return learnings[:n_learn], scores, review_arr, UniverseTable(scored)
+    return [e.learning for e in entries[:n_learn]], scores, review_arr, UniverseTable(scored)
 
 
 def _leg_weights(cfg: WalkForwardConfig) -> Dict[str, Callable[[UniverseSnapshot], np.ndarray]]:
@@ -832,14 +847,22 @@ def run_study(
     walk-forward Positive ML leg; its rules, weights and dead zone are the
     ones `learn` fits on the same files.
 
-    The learnings and out-of-sample scores of the last study are kept in a
-    one-entry memo keyed by a sha256 of the panel, specs, trading-day grid
-    and config (not of the universe or prices, which they do not depend on).
-    A walk-forward study never reads the memo: it learns every year and
-    replaces the entry. A frozen study reuses the entry's learnings up to
-    freeze_year and its segments before, and computes only the rest, so its
-    result is bit-identical to a cold run. The returned learnings and score
-    dicts are copies the memo does not share.
+    A study is a schedule with one entry per learning date L_k: the
+    learning, the scores of walk-forward segment k (the days in
+    (L_k, L_k+1], the last segment running to the end of data) and the
+    aggregation state at the segment's end. A frozen study is the
+    walk-forward schedule up to the freeze_year learning plus one tail that
+    keeps that learning from L_k+1 to the end of data, its weights going on
+    from the stored end state; the labels resolving in (L_k, L_k+1] are the
+    same rows in the same order either way, so no day is scored twice.
+
+    The schedule of the last study is kept in a one-entry memo keyed by a
+    sha256 of the panel, specs, trading-day grid and config (not of the
+    universe or prices, which it does not depend on). A walk-forward study
+    never reads the memo: it computes every entry and replaces the memo. A
+    frozen study reuses the memo's entries up to freeze_year and computes
+    only the rest, so its result is bit-identical to a cold run. The
+    returned learnings and score dicts are copies the memo does not share.
     """
     learnings, scores, reviews, scored = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year
@@ -890,9 +913,10 @@ def learning_y(
     rules stop adapting.
 
     This is run_study's frozen study: after a walk-forward study on the same
-    inputs it learns nothing and scores only the days after the year-Y
-    learning (see run_study's memo). It simulates only the Positive ML leg
-    and the benchmark its KPIs are measured against.
+    inputs it learns nothing and scores only the days after the learning
+    date that follows year Y, none when Y is the last learning year (see
+    run_study's schedule). It simulates only the Positive ML leg and the
+    benchmark its KPIs are measured against.
     """
     _, _, reviews, scored = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year=Y

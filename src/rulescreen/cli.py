@@ -48,6 +48,7 @@ from .errors import (
     EmptyPanel,
     InconsistentSpec,
     MissingPriceData,
+    SpecMismatch,
     ValidationError,
 )
 from .panel import (
@@ -164,16 +165,41 @@ def parse_config(path: Optional[str]) -> RunConfig:
     return cfg
 
 
+# The range of each config key that SearchParams does not check. The
+# comparisons are written so that nan fails them.
+_RANGES = {
+    "eta": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
+    "epsilon": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
+    "loss_kind": (lambda v: v == "squared", "squared"),
+    "loss_clip": (lambda v: v > 0.0, "> 0"),
+    "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
+    "horizon_days": (lambda v: v >= 1, ">= 1"),
+    "initial_train_years": (lambda v: v >= 1, ">= 1"),
+    "best_in_class_x": (lambda v: 0.0 <= v < 1.0, "in [0,1)"),
+    "score_lag_days": (lambda v: v >= 0, ">= 0"),
+    "periods_per_year": (lambda v: v > 0.0, "> 0"),
+    "worker_count": (lambda v: v >= 1, ">= 1"),
+}
+
+
 def _validate_config(cfg: RunConfig) -> None:
-    _cfg_to_walk(cfg).search_params()  # raises on bad rule-search knobs
-    if cfg.worker_count < 1:
-        raise ConfigError(f"worker_count must be >= 1, got {cfg.worker_count}")
-    if cfg.horizon_days < 1:
-        raise ConfigError(f"horizon_days must be >= 1, got {cfg.horizon_days}")
-    if not 0.0 < cfg.learn_fraction < 1.0:
-        raise ConfigError(
-            f"learn_fraction must lie in (0,1), got {cfg.learn_fraction}"
-        )
+    """The one range check of a config file's values, run before any input
+    is read."""
+    try:
+        _cfg_to_walk(cfg).search_params()
+    except SpecMismatch as exc:
+        raise ConfigError(str(exc)) from None
+    for key, (ok, wanted) in _RANGES.items():
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    for key in ("start_date", "end_date"):
+        value = getattr(cfg, key)
+        try:
+            if value:
+                np.datetime64(value, "D")
+        except ValueError:
+            raise ConfigError(f"{key} must be an ISO date or empty, got {value!r}") from None
     if cfg.learning_years not in ("all", "none"):
         try:
             [int(part) for part in cfg.learning_years.split(",")]
@@ -362,7 +388,7 @@ def cmd_learn(args) -> int:
     if labeled.n < 2:
         raise EmptyPanel(f"need at least 2 labeled rows, got {labeled.n}")
     wcfg = replace(_cfg_to_walk(cfg), workers=effective_workers(cfg))
-    rec = learning_step(labeled, specs, wcfg, labeled.dates.max())
+    rec = learning_step(labeled, specs, wcfg, panel.dates.max())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,8 +23,6 @@ from .errors import (
     NonPositiveModalities,
     SpecMismatch,
 )
-
-logger = logging.getLogger(__name__)
 
 # Code assigned to missing feature values. Intervals only cover codes >= 0,
 # so a missing value can never activate a condition on that feature.
@@ -352,12 +349,6 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
         raise BadSplitPoint(f"split point {n} outside (0, {N})")
     learn = panel.take(slice(0, n))
     aggregate = panel.take(slice(n, N))
-    if aggregate.n <= learn.n:
-        logger.warning(
-            "aggregation set (%d rows) is not larger than learning set (%d rows)",
-            aggregate.n,
-            learn.n,
-        )
     return TrainSplit(learn=learn, aggregate=aggregate)
 
 

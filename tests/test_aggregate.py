@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rulescreen.errors import NoActiveRule, NonFiniteLoss, SpecMismatch
 from rulescreen.aggregate import (
-    LOSS_KINDS,
     AggregationState,
     default_eta,
     init_state,
@@ -17,6 +16,7 @@ from rulescreen.aggregate import (
     predict_many,
     score,
     score_many,
+    squared_loss,
     update,
 )
 from rulescreen.rules import Condition, Interval, Rule, RuleSet
@@ -263,7 +263,7 @@ def test_squared_loss_block_equals_scalar_losses():
     rng = np.random.default_rng(5)
     preds = rng.normal(0.0, 0.1, 50)
     ys = rng.normal(0.0, 0.1, 400)
-    block = LOSS_KINDS["squared"](preds, ys[:, None])
+    block = squared_loss(preds, ys[:, None])
     scalar = [[(p - float(y)) ** 2 for p in preds] for y in ys]
     assert block.tolist() == scalar
 

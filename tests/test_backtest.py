@@ -584,6 +584,18 @@ def test_null_panel_falls_back_to_benchmark(caplog):
     assert any("holding benchmark" in r.message for r in caplog.records)
 
 
+def test_study_logs_nothing_from_panel(caplog):
+    """A learn_fraction above 0.5 is a config choice, not a fault: the
+    design/replay split of every learning is in its LearningRecord, and
+    the panel logs nothing about it."""
+    data, universe, prices, cfg = small_study(seed=3)
+    assert cfg.learn_fraction == 0.75
+    with caplog.at_level(logging.DEBUG, logger="rulescreen.panel"):
+        res = run_study(data.panel, data.specs, universe, prices, cfg)
+    assert all(rec.n_design > rec.n_replay for rec in res.learnings)
+    assert [r for r in caplog.records if r.name == "rulescreen.panel"] == []
+
+
 def test_learning_y_first_year_matches_walk_forward_bitwise():
     data, universe, prices, cfg = small_study(seed=3)
     walk = run_study(data.panel, data.specs, universe, prices, cfg)
@@ -699,6 +711,32 @@ def test_returned_scores_and_learnings_are_not_the_memo(learn_calls):
     assert frozen.learnings[0].ruleset.rules
     assert frozen.learnings[0].epsilon != 1e9
     assert not learn_calls[len(years):]  # all of it came from the memo
+
+
+def test_frozen_study_after_walk_forward_scores_only_its_tail(monkeypatch):
+    """After a walk-forward study, the year-Y frozen study scores no day on
+    or before the next learning date L_Y+1, and no day at all for the last
+    learning year: the walk-forward segments already scored those days."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
+    data, universe, prices, cfg = small_study(seed=6)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    learnings = run_study(*args).learnings
+    scored = []
+    original = backtest._Engine.segment
+
+    def recording(self, *a, **kw):
+        scores, end_state = original(self, *a, **kw)
+        scored.extend(scores)
+        return scores, end_state
+
+    monkeypatch.setattr(backtest._Engine, "segment", recording)
+    for k, rec in enumerate(learnings):
+        scored.clear()
+        learning_y(*args, rec.year)
+        if k + 1 == len(learnings):
+            assert scored == []
+        else:
+            assert all(day > learnings[k + 1].date for day in scored)
 
 
 def test_studies_in_threads_match_cold_runs(monkeypatch):

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import rulescreen
+from rulescreen.backtest import load_prices_csv, load_universe_csv, run_study
 from rulescreen.cli import (
     RunConfig,
+    _cfg_to_walk,
     default_config_text,
     effective_workers,
     parse_config,
@@ -22,6 +24,7 @@ from rulescreen.cli import (
     run,
 )
 from rulescreen.errors import ConfigError, InconsistentSpec
+from rulescreen.panel import attach_returns, load_features_csv, load_returns_csv
 from rulescreen.synth import business_day_grid
 
 
@@ -83,6 +86,24 @@ def test_parse_config_bad_value(tmp_path):
     "learn_fraction = 1.0",
     "learn_fraction = 0.0",
     "learning_years = twenty12",
+    "c_max = 2",
+    "m = 1",
+    "alpha = 1.5",
+    "cp_max = 0",
+    "M = 0",
+    "z_kind = student",
+    "eta = -1",
+    "eta = nan",
+    "epsilon = -1",
+    "loss_kind = absolute",
+    "loss_clip = -1",
+    "loss_clip = 0",
+    "score_lag_days = -3",
+    "initial_train_years = 0",
+    "best_in_class_x = 1.5",
+    "best_in_class_x = -0.1",
+    "periods_per_year = 0",
+    "end_date = 2013-13-01",
 ])
 def test_parse_config_rejects_out_of_range(tmp_path, line):
     with pytest.raises(ConfigError):
@@ -487,21 +508,27 @@ def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):
 # no look-ahead
 
 
-def test_backtest_to_end_date_equals_backtest_on_inputs_cut_there(pipeline, tmp_path):
-    """`backtest` with end_date = t, `backtest` on the four inputs cut at t
-    with the labels that resolve after t dropped, and `backtest` on the
-    whole inputs write the same levels.csv rows up to t. The cut falls
-    mid-year, so both cut runs end on a learning."""
-    t = "2013-06-28"
-    data = tmp_path / "data"
-    data.mkdir()
+def cut_inputs(pipeline, directory, t):
+    """The pipeline's four input files with every record dated after t
+    dropped, and the labels that resolve after t, written to directory."""
+    directory.mkdir()
     for name in ("features", "returns", "universe", "prices"):
         lines = (pipeline["data"] / f"{name}.csv").read_text().splitlines(keepends=True)
         kept = [line for line in lines[1:] if line[:10] <= t]
         if name == "returns":
             resolved = np.busday_offset([line[:10] for line in kept], 63) <= np.datetime64(t)
             kept = [line for line, ok in zip(kept, resolved) if ok]
-        (data / f"{name}.csv").write_text("".join(lines[:1] + kept))
+        (directory / f"{name}.csv").write_text("".join(lines[:1] + kept))
+    return directory
+
+
+def test_backtest_to_end_date_equals_backtest_on_inputs_cut_there(pipeline, tmp_path):
+    """`backtest` with end_date = t, `backtest` on the four inputs cut at t
+    with the labels that resolve after t dropped, and `backtest` on the
+    whole inputs write the same levels.csv rows up to t. The cut falls
+    mid-year, so both cut runs end on a learning."""
+    t = "2013-06-28"
+    data = cut_inputs(pipeline, tmp_path / "data", t)
 
     def levels(cfg_lines, out):
         cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + cfg_lines) + "\n")
@@ -515,3 +542,41 @@ def test_backtest_to_end_date_equals_backtest_on_inputs_cut_there(pipeline, tmp_
     whole = (pipeline["bt"] / "levels.csv").read_text().splitlines()
     assert to_t[-1].startswith(t)
     assert to_t == on_cut == whole[:len(to_t)]
+
+
+def test_learn_on_cut_inputs_writes_the_studys_last_learning(pipeline, tmp_path):
+    """`learn` on the inputs cut at a mid-year t writes the rules.json of
+    the study's last learning on the same cut, `learned_at` included: both
+    stamp the rules with t, the last date of the features panel."""
+    t = "2013-06-28"
+    data = cut_inputs(pipeline, tmp_path / "data", t)
+    cfg_path = write_cfg(tmp_path, CFG_TEXT)
+    assert run([
+        "learn",
+        "--panel", str(data / "features.csv"),
+        "--returns", str(data / "returns.csv"),
+        "--config", cfg_path,
+        "--out", str(tmp_path / "learn" / "rules.json"),
+    ]) == 0
+    panel, specs = load_features_csv(data / "features.csv")
+    panel = attach_returns(panel, load_returns_csv(data / "returns.csv"))
+    study = run_study(
+        panel, specs, load_universe_csv(data / "universe.csv"),
+        load_prices_csv(data / "prices.csv"), _cfg_to_walk(parse_config(cfg_path)),
+    )
+    assert str(study.learnings[-1].date) == t
+    assert ((tmp_path / "learn" / "rules.json").read_text()
+            == study.learnings[-1].ruleset.to_json() + "\n")
+
+
+def test_backtest_negative_score_lag_exits_one(pipeline, tmp_path, caplog):
+    """An out-of-range config value exits 1 before any input is read, not
+    with a traceback from inside the study."""
+    lines = [CFG_TEXT, "score_lag_days = -3"]
+    for key in ("features", "returns", "universe", "prices"):
+        lines.append(f"{key} = {pipeline['data'] / (key + '.csv')}")
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "ConfigError: score_lag_days must be >= 0, got -3" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "o").exists()

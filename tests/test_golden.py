@@ -165,7 +165,7 @@ CLI_GOLDEN = {
     "bt/levels.csv": "c981bbf8ee50b364704079292e91c0358664f3adc9cab00faabb3631ac8fe9bd",
     "learn/discretizer.json": "37e6b8847575df3354fd3ecc3569b2497b7bf76d595b8eb484580eb59589cf1b",
     "learn/learn-report.csv": "0c6747927020c4bfd3c0fccccc05eeffa68a7022d703344630305d8636789b1f",
-    "learn/rules.json": "d9a94e3e654a6e6d0d2a6cc38aa9b07784a5afbcbf997fdefeb6e3b4b4295e9e",
+    "learn/rules.json": "bc64ff36fc5428350d4c36a80b4662f4d06757c6a284cce53021dd313ae81910",
     "learn/state.json": "0ee63501825f8d5359da8f4961def600cd50512453934708bbe89371142ba16b",
     "report/report.md": "af7f84c905fa4fd59a9e99395b3356748aa27d2862ee798f17a95b3b5a6e1002",
     "score/scores.csv": "2bcf020c2b69b412ce377c125f4f8011403ef46691868a6d29b2a4e3806443e9",
