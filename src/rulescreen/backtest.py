@@ -41,17 +41,17 @@ from .panel import (
     DiscretizedPanel,
     Discretizer,
     FeatureSpec,
+    InputCsv,
     RawPanel,
     apply_discretizer,
     fit_discretizer,
     float_cells,
-    parse_columns,
-    read_csv_columns,
     record_keys,
     split,
     str_cells,
     to_dates,
     to_floats,
+    to_strings,
     write_csv_columns,
 )
 from .rulegen import LearnReport, learn
@@ -937,44 +937,49 @@ def learning_y(
 
 def load_universe_csv(path) -> UniverseTable:
     need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
-    header, columns, lines = read_csv_columns(
-        path, need.issubset, f"universe csv must have columns {sorted(need)}"
-    )
-    if not lines:
-        raise SpecMismatch("universe csv is empty")
-    cells = dict(zip(header, columns))
-    dates, cap_weight, esg_rating = parse_columns(
-        path,
-        lines,
-        (cells["date"], to_dates),
-        (cells["cap_weight"], to_floats),
-        (cells["esg_rating"], to_floats),
-    )
-    return UniverseTable.from_columns(
-        dates=dates,
-        stock_ids=np.array(cells["stock_id"], dtype=object),
-        cap_weight=cap_weight,
-        sector=np.array(cells["sector"], dtype=object),
-        peer_group=np.array(cells["peer_group"], dtype=object),
-        esg_rating=esg_rating,
-    )
+    source = InputCsv(path, need.issubset, f"universe csv must have columns {sorted(need)}")
+
+    def nonempty(arrays, lines):
+        if not lines:
+            raise SpecMismatch("universe csv is empty")
+        return arrays
+
+    at = source.index
+    return UniverseTable.from_columns(*source.parsed(
+        "universe",
+        [
+            (at["date"], to_dates),
+            (at["stock_id"], to_strings),
+            (at["cap_weight"], to_floats),
+            (at["sector"], to_strings),
+            (at["peer_group"], to_strings),
+            (at["esg_rating"], to_floats),
+        ],
+        nonempty,
+    ))
 
 
 def load_prices_csv(path) -> PriceTable:
     need = {"date", "stock_id", "total_return_daily"}
-    header, columns, lines = read_csv_columns(
-        path, need.issubset, f"prices csv must have columns {sorted(need)}"
+    source = InputCsv(path, need.issubset, f"prices csv must have columns {sorted(need)}")
+
+    def gridded(arrays, lines):
+        if not lines:
+            raise MissingPriceData("prices csv is empty")
+        dates, stock_ids, values = arrays
+        grid_dates, row, ids, col = record_keys(path, lines, dates, stock_ids)
+        grid = np.full((len(grid_dates), len(ids)), np.nan, dtype=np.float64)
+        grid[row, col] = values
+        table = PriceTable(dates=grid_dates, stock_ids=ids, returns=grid)
+        return [table.dates, np.array(table.stock_ids, dtype=str), table.returns]
+
+    at = source.index
+    dates, stock_ids, grid = source.parsed(
+        "prices",
+        [(at["date"], to_dates), (at["stock_id"], to_strings), (at["total_return_daily"], to_floats)],
+        gridded,
     )
-    if not lines:
-        raise MissingPriceData("prices csv is empty")
-    cells = dict(zip(header, columns))
-    dates, values = parse_columns(
-        path, lines, (cells["date"], to_dates), (cells["total_return_daily"], to_floats)
-    )
-    grid_dates, row, stock_ids, col = record_keys(path, lines, dates, cells["stock_id"])
-    grid = np.full((len(grid_dates), len(stock_ids)), np.nan, dtype=np.float64)
-    grid[row, col] = values
-    return PriceTable(dates=grid_dates, stock_ids=stock_ids, returns=grid)
+    return PriceTable(dates=dates, stock_ids=stock_ids.tolist(), returns=grid)
 
 
 def write_levels_csv(path, series_map: Dict[str, PortfolioSeries]) -> None:

@@ -10,7 +10,6 @@ run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -53,6 +52,7 @@ from .errors import (
 )
 from .panel import (
     Discretizer,
+    InputCsv,
     apply_discretizer,
     attach_returns,
     fit_discretizer,
@@ -60,7 +60,7 @@ from .panel import (
     load_features_csv,
     load_returns_csv,
     parse_columns,
-    read_csv_columns,
+    sha256_of,
     str_cells,
     to_floats,
     write_csv_columns,
@@ -234,19 +234,15 @@ def effective_workers(cfg: RunConfig) -> int:
 # manifests
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def write_manifest(directory, subcommand: str, config: Dict[str, object], inputs) -> None:
+    digests = {}
+    for p in inputs:
+        with open(p, "rb") as fh:
+            digests[str(p)] = sha256_of(fh)
     manifest = {
         "subcommand": subcommand,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "versions": {
             "rulescreen": __version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
@@ -515,9 +511,11 @@ def cmd_report(args) -> int:
     cal_path = directory / "calendar.csv"
     if cal_path.exists():
         lines += ["", "## Calendar-year excess vs benchmark", ""]
-        header, columns, records = read_csv_columns(
+        calendar = InputCsv(
             cal_path, lambda h: h[:1] == ["year"], "calendar csv must start with a year column"
         )
+        header = calendar.header
+        columns, records = calendar.records()
         excess = parse_columns(cal_path, records, *[(cells, to_floats) for cells in columns[1:]])
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))

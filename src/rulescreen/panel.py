@@ -8,9 +8,15 @@ unchanged out of sample; categorical features keep their own code set.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -356,34 +362,144 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def read_csv_columns(
-    path, header_ok: Callable[[List[str]], bool], header_error: str
-) -> Tuple[List[str], List[List[str]], List[int]]:
-    """The one reader of the input CSV files: read `path` once and return its
-    header, one list of cells per column and the line number of each record.
+# Parsed inputs are cached beside each input file, in this directory, as one
+# <input file name>.npz per input name. A cache file is used only when its key
+# (CACHE_FORMAT, the loader, its column converters and the sha256 of the
+# input's bytes) matches; any other cache file is rewritten. The CSV is always
+# the source of truth, and deleting the directory is always safe.
+CACHE_DIR = ".rulescreen-cache"
+CACHE_FORMAT = 1
 
-    A header that header_ok rejects raises SpecMismatch(header_error). Every
-    record must have exactly the header's cell count: a short, long or blank
-    record raises MalformedRow naming the file and line. Cells go straight
-    into their columns, so no list of row lists is held.
+
+def sha256_of(fh) -> str:
+    """The one hash of an input file: the sha256 hex digest of the binary
+    stream fh, read 1 MiB at a time. It keys the parse cache and fills
+    manifest.json's inputs."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def cache_path(path) -> Path:
+    """Where the parse cache of the input file `path` lives."""
+    path = Path(path)
+    return path.parent / CACHE_DIR / f"{path.name}.npz"
+
+
+def _read_cache(path: Path, key: str) -> Optional[List[np.ndarray]]:
+    """The arrays cached under `key`, or None when the file is missing,
+    unreadable or holds another key. An object column is stored as a
+    unicode array plus a mask of its None cells."""
+    try:
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile) or str(npz.get("key")) != key:
+                return None
+            arrays = []
+            for i in range(int(npz["count"])):
+                values = npz[f"arr_{i}"]
+                if f"none_{i}" in npz.files:
+                    values = values.astype(object)
+                    values[npz[f"none_{i}"]] = None
+                arrays.append(values)
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    return arrays
+
+
+def _write_cache(path: Path, key: str, arrays: Sequence[np.ndarray]) -> None:
+    """Store `arrays` under `key` through a temporary file replaced into
+    place. A cache that cannot be written is skipped, and no temporary file
+    is left behind."""
+    blobs = {"key": np.array(key), "count": np.array(len(arrays))}
+    for i, values in enumerate(arrays):
+        if values.dtype == object:
+            none = np.equal(values, None)
+            blobs[f"none_{i}"] = none
+            values = np.where(none, "", values).astype(str)
+        blobs[f"arr_{i}"] = values
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **blobs)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+Converter = Callable[[List[str]], np.ndarray]
+
+
+class InputCsv:
+    """The one reader of the CSV files the program reads. A file is read
+    once: its bytes, their sha256 and its header.
+
+    A header that header_ok rejects raises SpecMismatch(header_error).
+    `parsed` gives the arrays a loader makes of the file, from the cache
+    beside it when the key matches; `records` gives its cells.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header_ok(header):
+
+    def __init__(self, path, header_ok: Callable[[List[str]], bool], header_error: str):
+        self.path = path
+        data = Path(path).read_bytes()
+        self.sha256 = sha256_of(io.BytesIO(data))
+        # A unicode array drops trailing NULs, so such a file is not cached.
+        self.cacheable = b"\0" not in data
+        self._reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+        self.header = next(self._reader, None)
+        if self.header is None or not header_ok(self.header):
             raise SpecMismatch(header_error)
-        width = len(header)
-        columns, lines = [[] for _ in header], []
+        # The column of each name; a repeated name means its last column.
+        self.index = {name: i for i, name in enumerate(self.header)}
+
+    def records(self) -> Tuple[List[List[str]], List[int]]:
+        """One list of cells per header column and the line number of each
+        record. Every record must have exactly the header's cell count: a
+        short, long or blank record raises MalformedRow naming the file and
+        line. Cells go straight into their columns, so no list of row lists
+        is held, and the file's bytes are let go once read."""
+        reader, self._reader = self._reader, None
+        width = len(self.header)
+        columns, lines = [[] for _ in self.header], []
         appends = [column.append for column in columns]
         for row in reader:
             if len(row) != width:
                 raise MalformedRow(
-                    f"{path}, line {reader.line_num}: {len(row)} cells, header has {width}"
+                    f"{self.path}, line {reader.line_num}: {len(row)} cells, header has {width}"
                 )
             for append, cell in zip(appends, row):
                 append(cell)
             lines.append(reader.line_num)
-    return header, columns, lines
+        return columns, lines
+
+    def parsed(
+        self,
+        loader: str,
+        columns: Sequence[Tuple[int, Converter]],
+        finish: Callable[[List[np.ndarray], List[int]], List[np.ndarray]],
+    ) -> List[np.ndarray]:
+        """The arrays `loader` makes of this file: each (column, converter)
+        pair converted by parse_columns, then passed with the record line
+        numbers to `finish`, which checks the records and returns the arrays
+        to keep. They are cached only once `finish` has returned."""
+        key = " ".join(
+            [f"rulescreen-cache-{CACHE_FORMAT}", loader]
+            + [convert.__name__ for _, convert in columns]
+            + [self.sha256]
+        )
+        cache = cache_path(self.path)
+        arrays = _read_cache(cache, key) if self.cacheable else None
+        if arrays is None:
+            cells, lines = self.records()
+            converted = parse_columns(self.path, lines, *[(cells[i], f) for i, f in columns])
+            del cells  # the cells are the largest part of a parse
+            arrays = finish(converted, lines)
+            if self.cacheable:
+                _write_cache(cache, key, arrays)
+        return arrays
 
 
 def to_dates(cells) -> np.ndarray:
@@ -410,6 +526,16 @@ def to_labels(cells) -> np.ndarray:
     col = np.array(cells, dtype=object)
     col[col == ""] = None
     return col
+
+
+def to_strings(cells) -> np.ndarray:
+    """Object column of the cells as they are (ids: an empty cell stays "")."""
+    return np.array(cells, dtype=object)
+
+
+def to_filled(cells) -> np.ndarray:
+    """bool column: whether each cell is non-empty."""
+    return np.array(cells, dtype=object) != ""
 
 
 def _first_bad_cell(cells, convert) -> int:
@@ -475,56 +601,80 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
     Returns (RawPanel without y, specs). Columns default to numeric unless
     specs say otherwise.
     """
-    header, columns, lines = read_csv_columns(
+    source = InputCsv(
         path,
         lambda header: header[:2] == ["date", "stock_id"],
         f"{path}: expected header date,stock_id,...",
     )
-    feature_ids = header[2:]
+    feature_ids = source.header[2:]
     if specs is None:
         specs = [FeatureSpec(feature_id=f) for f in feature_ids]
     else:
         specs = list(specs)
         if [s.feature_id for s in specs] != feature_ids:
             raise SpecMismatch(f"{path}: header does not match provided specs")
-    if not lines:
-        raise EmptyPanel(f"{path}: no data rows")
+
+    def nonempty(arrays, lines):
+        if not lines:
+            raise EmptyPanel(f"{path}: no data rows")
+        return arrays
 
     convert = {NUMERIC: to_floats_or_nan, CATEGORICAL: to_labels}
-    dates, *feature_columns = parse_columns(
-        path,
-        lines,
-        (columns[0], to_dates),
-        *[(cells, convert[spec.kind]) for spec, cells in zip(specs, columns[2:])],
+    dates, stock_ids, *feature_columns = source.parsed(
+        "features",
+        list(enumerate([to_dates, to_strings] + [convert[spec.kind] for spec in specs])),
+        nonempty,
     )
-    stock_ids = np.array(columns[1], dtype=object)
-    y = np.full(len(lines), np.nan, dtype=np.float64)
+    y = np.full(len(dates), np.nan, dtype=np.float64)
     return RawPanel(dates=dates, stock_ids=stock_ids, columns=feature_columns, y=y), specs
 
 
 def load_returns_csv(path) -> Dict[tuple, float]:
     """Read returns.csv into a {(date, stock_id): y} map. An empty return
     cell means no label; a (date, stock_id) key may appear only once."""
-    _, (date_cells, stock_ids, y_cells), lines = read_csv_columns(
+    source = InputCsv(
         path,
         lambda header: header == ["date", "stock_id", "fwd_excess_return_3m"],
         f"{path}: expected header date,stock_id,fwd_excess_return_3m",
     )
-    dates, y = parse_columns(path, lines, (date_cells, to_dates), (y_cells, to_floats_or_nan))
-    record_keys(path, lines, dates, stock_ids)
-    return {
-        (date, sid): value
-        for date, sid, value, cell in zip(dates, stock_ids, y.tolist(), y_cells)
-        if cell != ""
-    }
+
+    def labeled(arrays, lines):
+        dates, stock_ids, y, filled = arrays
+        record_keys(path, lines, dates, stock_ids)
+        return [dates[filled], stock_ids[filled], y[filled]]
+
+    dates, stock_ids, y = source.parsed(
+        "returns",
+        [(0, to_dates), (1, to_strings), (2, to_floats_or_nan), (2, to_filled)],
+        labeled,
+    )
+    return dict(zip(zip(dates, stock_ids.tolist()), y.tolist()))
 
 
 def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
+    """The panel with y from returns: each row takes the label of its
+    (date, stock_id) key, NaN where returns has none. A join on key codes,
+    as in record_keys, in which only the rows on a labeled date are
+    compared by stock id."""
     y = np.full(panel.n, np.nan, dtype=np.float64)
-    for i in range(panel.n):
-        key = (panel.dates[i], panel.stock_ids[i])
-        if key in returns:
-            y[i] = returns[key]
+    if returns:
+        label_dates = np.array([date for date, _ in returns], dtype="datetime64[D]")
+        rows = np.flatnonzero(np.isin(panel.dates, label_dates))
+        ids = [sid for _, sid in returns] + panel.stock_ids[rows].tolist()
+        _, date_code = np.unique(
+            np.concatenate([label_dates, panel.dates[rows]]), return_inverse=True
+        )
+        # A unicode array drops trailing NULs; the length keeps such ids apart.
+        _, id_code = np.unique(np.array(ids, dtype=str), return_inverse=True)
+        length = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        key = (date_code * (id_code.max() + 1) + id_code) * (length.max() + 1) + length
+        n_labels = len(returns)
+        order = np.argsort(key[:n_labels])
+        label_key = key[:n_labels][order]
+        at = np.minimum(np.searchsorted(label_key, key[n_labels:]), n_labels - 1)
+        hit = label_key[at] == key[n_labels:]
+        values = np.fromiter(returns.values(), dtype=np.float64, count=n_labels)
+        y[rows[hit]] = values[order[at[hit]]]
     return RawPanel(
         dates=panel.dates, stock_ids=panel.stock_ids, columns=panel.columns, y=y
     )
@@ -551,7 +701,7 @@ def str_cells(values) -> List[str]:
 
 
 def write_csv_columns(path, header: Sequence[str], *columns) -> None:
-    """The one writer of the CSV outputs, the counterpart of read_csv_columns
+    """The one writer of the CSV outputs, the counterpart of InputCsv.records
     and parse_columns: write `header`, then one record per position of the
     (values, to_cells) columns, formatted and written a block of
     WRITE_BLOCK_ROWS records at a time."""

@@ -24,7 +24,7 @@ from rulescreen.cli import (
     run,
 )
 from rulescreen.errors import ConfigError, InconsistentSpec
-from rulescreen.panel import attach_returns, load_features_csv, load_returns_csv
+from rulescreen.panel import CACHE_DIR, attach_returns, load_features_csv, load_returns_csv
 from rulescreen.synth import business_day_grid
 
 
@@ -282,6 +282,9 @@ worker_count = 1
 """
 
 
+SYNTH_FILES = {"features.csv", "returns.csv", "universe.csv", "prices.csv", "manifest.json"}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run every subcommand once into a shared directory tree."""
@@ -290,6 +293,8 @@ def pipeline(tmp_path_factory):
     spec_path = root / "spec.json"
     spec_path.write_text(json.dumps(SPEC_BLOB))
     assert run(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    # synth writes its five files and no parse cache
+    assert {p.name for p in data.iterdir()} == SYNTH_FILES
 
     cfg_path = root / "run.cfg"
     lines = [CFG_TEXT]
@@ -341,9 +346,8 @@ def pipeline(tmp_path_factory):
 
 
 def test_synth_writes_all_inputs(pipeline):
-    names = {p.name for p in pipeline["data"].iterdir()}
-    assert names == {"features.csv", "returns.csv", "universe.csv",
-                     "prices.csv", "manifest.json"}
+    names = {p.name for p in pipeline["data"].iterdir() if p.name != CACHE_DIR}
+    assert names == SYNTH_FILES
 
 
 def test_bad_worker_env_fails_only_learn_and_backtest(pipeline, tmp_path, monkeypatch):
@@ -493,6 +497,42 @@ def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
     assert (f"DuplicateRow: {path}, line 6: repeated (date, stock_id) key "
             f"({date}, {stock_id})") in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("name,fault", [
+    ("features", "bad cell"), ("returns", "bad cell"), ("universe", "bad cell"),
+    ("prices", "bad cell"), ("returns", "repeated key"), ("prices", "repeated key"),
+])
+def test_bad_input_writes_no_cache(pipeline, tmp_path, caplog, name, fault, warm):
+    """A malformed or duplicate-key file exits 2 with file and line, cold or
+    with the cache its previous clean content left, and caches nothing."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    cache = data / CACHE_DIR / f"{name}.csv.npz"
+    if not warm:
+        shutil.rmtree(data / CACHE_DIR)
+    clean_cache = cache.read_bytes() if warm else None
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if fault == "bad cell":
+        cells = lines[2].split(",")
+        cells[2] = "n/a"
+        lines[2] = ",".join(cells)
+        error = f"MalformedRow: {path}, line 3:"
+    else:
+        lines.insert(5, lines[2])
+        error = f"DuplicateRow: {path}, line 6:"
+    path.write_text("".join(lines))
+    cfg = write_cfg(tmp_path, "".join(
+        f"{k} = {data / (k + '.csv')}\n"
+        for k in ("features", "returns", "universe", "prices")
+    ))
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert error in caplog.text
+    assert "Traceback" not in caplog.text
+    assert (cache.read_bytes() if cache.exists() else None) == clean_cache
+    assert not list(data.glob(f"{CACHE_DIR}/*.tmp"))
 
 
 def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):

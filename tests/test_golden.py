@@ -27,6 +27,7 @@ from rulescreen.backtest import (
     run_study,
 )
 from rulescreen.cli import run
+from rulescreen.panel import CACHE_DIR
 from rulescreen.rules import Condition, Interval
 from rulescreen.synth import PlantedRule, SynthSpec, business_day_grid, generate
 from test_acceptance import CFG10, SPEC10
@@ -172,19 +173,8 @@ CLI_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def cli_outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli_golden")
-    data = root / "data"
-    spec_path = root / "spec.json"
-    spec_path.write_text(json.dumps(SPEC10))
-    assert run(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
-    cfg_path = root / "run.cfg"
-    cfg_path.write_text("\n".join(
-        [CFG10] + [f"{k} = {data / (k + '.csv')}"
-                   for k in ("features", "returns", "universe", "prices")]
-    ) + "\n")
-    asof = str(business_day_grid("2010-01-04", SPEC10["n_dates"])[-1])
+def run_stages(root, data, cfg_path, asof) -> None:
+    """learn, score, backtest and report on the inputs in data, into root."""
     assert run(["learn", "--panel", str(data / "features.csv"),
                 "--returns", str(data / "returns.csv"), "--config", str(cfg_path),
                 "--out", str(root / "learn" / "rules.json")]) == 0
@@ -197,13 +187,58 @@ def cli_outputs(tmp_path_factory):
     (root / "report").mkdir()
     assert run(["report", "--dir", str(root / "bt"),
                 "--out", str(root / "report" / "report.md")]) == 0
+
+
+def stage_digests(root, data):
     return {
         f"{stage}/{path.name}": sha(path.read_bytes())
-        for stage in ("data", "learn", "score", "bt", "report")
-        for path in sorted((root / stage).iterdir())
-        if path.name != "manifest.json"
+        for stage, directory in [("data", data)] + [
+            (stage, root / stage) for stage in ("learn", "score", "bt", "report")
+        ]
+        for path in sorted(directory.iterdir())
+        if path.name not in ("manifest.json", CACHE_DIR)
     }
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """synth, then every later stage with a cold parse cache."""
+    root = tmp_path_factory.mktemp("cli_golden")
+    data = root / "data"
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps(SPEC10))
+    assert run(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    assert not (data / CACHE_DIR).exists()
+    cfg_path = root / "run.cfg"
+    cfg_path.write_text("\n".join(
+        [CFG10] + [f"{k} = {data / (k + '.csv')}"
+                   for k in ("features", "returns", "universe", "prices")]
+    ) + "\n")
+    asof = str(business_day_grid("2010-01-04", SPEC10["n_dates"])[-1])
+    run_stages(root, data, cfg_path, asof)
+    return root, data, cfg_path, asof
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(cli_run):
+    root, data, _, _ = cli_run
+    return stage_digests(root, data)
 
 
 def test_cli_outputs_match_golden_digests(cli_outputs):
     assert cli_outputs == CLI_GOLDEN
+
+
+def test_cli_outputs_match_golden_digests_from_a_warm_cache(cli_run, cli_outputs):
+    root, data, cfg_path, asof = cli_run
+    def cache_files():
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in (data / CACHE_DIR).iterdir()}
+
+    cold = cache_files()
+    assert sorted(cold) == [f"{name}.csv.npz"
+                            for name in ("features", "prices", "returns", "universe")]
+    warm = root / "warm"
+    run_stages(warm, data, cfg_path, asof)
+    assert cache_files() == cold  # every read hit: no cache file was rewritten
+    assert stage_digests(warm, data) == CLI_GOLDEN

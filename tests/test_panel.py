@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulescreen.errors import BadSplitPoint, EmptyPanel, MalformedRow, NonPositiveModalities
 from rulescreen.panel import (
@@ -269,3 +271,41 @@ def test_returns_csv_round_trip_and_attach(tmp_path):
                         np.full(panel.n, np.nan))
     joined = attach_returns(stripped, table)
     assert joined.y[0] == 0.05 and np.isnan(joined.y[1]) and joined.y[2] == -0.02
+
+
+def attach_returns_by_loop(panel, returns):
+    """The reference join: one dict lookup per panel row."""
+    y = np.full(panel.n, np.nan, dtype=np.float64)
+    for i in range(panel.n):
+        key = (panel.dates[i], panel.stock_ids[i])
+        if key in returns:
+            y[i] = returns[key]
+    return y
+
+
+KEYS = st.tuples(st.integers(0, 5), st.sampled_from(["A", "B", "A\0", "Ω", "", "a,b", 'q"']))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(KEYS, max_size=30),
+    labels=st.dictionaries(
+        KEYS,
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0)),
+        max_size=30,
+    ),
+)
+def test_attach_returns_matches_the_loop(rows, labels):
+    """Rows without a label, labels without a row, repeated rows and ids that
+    differ only in a trailing NUL all join as the per-row loop does."""
+    day = np.datetime64("2020-01-01")
+    panel = RawPanel(
+        dates=np.array([day + d for d, _ in rows], dtype="datetime64[D]"),
+        stock_ids=np.array([sid for _, sid in rows], dtype=object),
+        columns=[],
+        y=np.zeros(len(rows)),
+    )
+    returns = {(day + d, sid): value for (d, sid), value in labels.items()}
+    got = attach_returns(panel, returns)
+    assert got.y.dtype == np.float64
+    assert got.y.tobytes() == attach_returns_by_loop(panel, returns).tobytes()
