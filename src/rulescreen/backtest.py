@@ -971,7 +971,7 @@ def load_prices_csv(path) -> PriceTable:
         grid = np.full((len(grid_dates), len(ids)), np.nan, dtype=np.float64)
         grid[row, col] = values
         table = PriceTable(dates=grid_dates, stock_ids=ids, returns=grid)
-        return [table.dates, np.array(table.stock_ids, dtype=str), table.returns]
+        return [table.dates, np.array(table.stock_ids, dtype=object), table.returns]
 
     at = source.index
     dates, stock_ids, grid = source.parsed(

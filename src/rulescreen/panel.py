@@ -573,18 +573,25 @@ def parse_columns(path, lines, *columns) -> List[np.ndarray]:
     return parsed
 
 
+def id_codes(ids: Sequence[str]) -> np.ndarray:
+    """An integer code for each string of `ids`, equal exactly where the
+    strings are. A unicode array drops trailing NULs, so each string's
+    length is part of its code: "S1" and "S1\\0" get different codes."""
+    _, code = np.unique(np.array(ids, dtype=str), return_inverse=True)
+    length = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    return code * (length.max(initial=0) + 1) + length
+
+
 def record_keys(path, lines, dates: np.ndarray, stock_ids):
     """Grid coordinates of each record's (date, stock_id) key: the distinct
     dates in ascending order, each record's date row, the distinct stock ids
     in order of first appearance and each record's stock column. Raises
     DuplicateRow for the first record whose key an earlier record has."""
     grid_dates, row = np.unique(dates, return_inverse=True)
-    ids, first, col = np.unique(
-        np.array(stock_ids, dtype=str), return_index=True, return_inverse=True
-    )
+    _, first, col = np.unique(id_codes(stock_ids), return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     col = np.argsort(by_first)[col]
-    key = row * len(ids) + col
+    key = row * len(first) + col
     first_of_key = np.unique(key, return_index=True)[1]
     if len(first_of_key) < len(key):
         i = int(np.setdiff1d(np.arange(len(key)), first_of_key)[0])
@@ -592,7 +599,8 @@ def record_keys(path, lines, dates: np.ndarray, stock_ids):
             f"{path}, line {lines[i]}: repeated (date, stock_id) key "
             f"({dates[i]}, {stock_ids[i]})"
         )
-    return grid_dates, row, ids[by_first].tolist(), col
+    ids = np.asarray(stock_ids, dtype=object)[first[by_first]]
+    return grid_dates, row, ids.tolist(), col
 
 
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
@@ -664,10 +672,8 @@ def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
         _, date_code = np.unique(
             np.concatenate([label_dates, panel.dates[rows]]), return_inverse=True
         )
-        # A unicode array drops trailing NULs; the length keeps such ids apart.
-        _, id_code = np.unique(np.array(ids, dtype=str), return_inverse=True)
-        length = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-        key = (date_code * (id_code.max() + 1) + id_code) * (length.max() + 1) + length
+        id_code = id_codes(ids)
+        key = date_code * (id_code.max() + 1) + id_code
         n_labels = len(returns)
         order = np.argsort(key[:n_labels])
         label_key = key[:n_labels][order]

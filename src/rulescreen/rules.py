@@ -9,7 +9,9 @@ set) and its activation count.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -116,7 +118,12 @@ def conditional_mean(condition: Condition, panel: DiscretizedPanel) -> float:
     row order, so a per-row loop over the same panel reproduces the value
     bit for bit.
     """
-    selected = panel.y[activation_mask(condition, panel.x)]
+    return observed_mean(panel.y[activation_mask(condition, panel.x)])
+
+
+def observed_mean(selected: np.ndarray) -> float:
+    """Mean of the finite values of `selected`, summed in their order; 0.0
+    when there are none. The arithmetic of every rule prediction."""
     selected = selected[np.isfinite(selected)]
     if selected.size == 0:
         return 0.0
@@ -137,20 +144,22 @@ def sample_std(panel: DiscretizedPanel) -> float:
     return float(np.std(y, ddof=1))
 
 
-_STANDARD_NORMAL = NormalDist()
+@functools.lru_cache(maxsize=64)
+def gaussian_quantile(alpha: float) -> float:
+    """q(1 - alpha/2) of the standard normal, computed once per alpha.
+
+    alpha == 0 (or one too small to move 1 - alpha/2 off 1.0) asks for the
+    quantile at 1, which is infinite; inv_cdf raises there, so q is inf.
+    """
+    p = 1.0 - alpha / 2.0
+    return np.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def gaussian_threshold(n_activations: int, alpha: float, sigma: float) -> float:
-    """Two-sided gaussian mean test threshold: q(1 - alpha/2) * sigma / sqrt(n).
-
-    alpha == 0 (or one too small to move 1 - alpha/2 off 1.0) asks for the
-    quantile at 1, which is infinite; inv_cdf raises there, so q is set to inf.
-    """
+    """Two-sided gaussian mean test threshold: q(1 - alpha/2) * sigma / sqrt(n)."""
     if n_activations < 1:
         raise NoActivations("threshold undefined with zero activations")
-    p = 1.0 - alpha / 2.0
-    q = np.inf if p == 1.0 else _STANDARD_NORMAL.inv_cdf(p)
-    return q * sigma / np.sqrt(n_activations)
+    return gaussian_quantile(alpha) * sigma / np.sqrt(n_activations)
 
 
 Z_KINDS: Dict[str, Callable[[int, float, float], float]] = {
@@ -308,7 +317,7 @@ def intersect(
 
 def selection_criterion(rule: Rule, global_mean: float) -> float:
     """Significance-scaled effect size used to rank rules."""
-    return abs(rule.prediction - global_mean) * np.sqrt(rule.activations)
+    return abs(rule.prediction - global_mean) * math.sqrt(rule.activations)
 
 
 def rule_sort_key(rule: Rule, global_mean: float, n_codes: Sequence[int]) -> tuple:

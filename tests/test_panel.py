@@ -309,3 +309,28 @@ def test_attach_returns_matches_the_loop(rows, labels):
     got = attach_returns(panel, returns)
     assert got.y.dtype == np.float64
     assert got.y.tobytes() == attach_returns_by_loop(panel, returns).tobytes()
+
+
+def test_ids_that_differ_in_a_trailing_nul_stay_apart(tmp_path):
+    """A unicode array drops trailing NULs; "S1" and "S1\\0" are still two
+    stocks in returns.csv and prices.csv."""
+    from rulescreen.backtest import load_prices_csv
+
+    returns = tmp_path / "returns.csv"
+    returns.write_text(
+        "date,stock_id,fwd_excess_return_3m\n2020-01-01,S1,0.1\n2020-01-01,S1\0,0.2\n",
+        encoding="utf-8",
+    )
+    day = np.datetime64("2020-01-01")
+    assert load_returns_csv(returns) == {(day, "S1"): 0.1, (day, "S1\0"): 0.2}
+
+    prices = tmp_path / "prices.csv"
+    prices.write_text(
+        "date,stock_id,total_return_daily\n"
+        "2020-01-01,S1,0.01\n2020-01-01,S1\0,0.02\n"
+        "2020-01-02,S1\0,0.04\n2020-01-02,S1,0.03\n",
+        encoding="utf-8",
+    )
+    table = load_prices_csv(prices)
+    assert table.stock_ids == ["S1", "S1\0"]
+    assert table.returns.tolist() == [[0.01, 0.02], [0.03, 0.04]]

@@ -1,6 +1,7 @@
 """Conditions, activation, suitability, and rule serialization."""
 
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rulescreen.rules import (
     activation_mask,
     conditional_mean,
     coverage_ratio,
+    gaussian_quantile,
     gaussian_threshold,
     intersect,
     is_suitable,
@@ -166,6 +168,24 @@ def test_threshold_zero_at_alpha_one():
 def test_threshold_quantile_matches_scipy(alpha):
     want = float(norm.ppf(1.0 - alpha / 2.0))
     assert gaussian_threshold(1, alpha, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 10**6),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    sigma=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_threshold_with_cached_quantile_is_the_per_call_formula(n, alpha, sigma):
+    """The quantile is computed once per alpha; the threshold keeps the
+    arithmetic of computing it on every call, bit for bit."""
+    p = 1.0 - alpha / 2.0
+    q = np.inf if p == 1.0 else NormalDist().inv_cdf(p)
+    want = q * sigma / np.sqrt(n)
+    for _ in range(2):
+        got = gaussian_threshold(n, alpha, sigma)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+    assert gaussian_quantile.cache_info().hits >= 1
 
 
 def test_threshold_infinite_at_alpha_zero():
