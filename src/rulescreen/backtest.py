@@ -72,7 +72,7 @@ BEST_IN_CLASS = "Best-in-class 30%"
 # market data containers
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniverseSnapshot:
     """Investable universe on one date: caps, sectors, peer groups, ratings
     and (once the scorer has run) ternary ML scores per stock."""
@@ -312,67 +312,127 @@ def sector_match(weights: np.ndarray, snapshot: UniverseSnapshot) -> np.ndarray:
 # simulation
 
 
-def simulate(
+class ReviewPlan(NamedTuple):
+    """The reviews of a simulation, resolved once so that every strategy leg
+    on them shares the work: the distinct review dates in order, the
+    price-grid row of each, the snapshot dated score_lag_days rows earlier
+    (read-only, so no leg's weights_fn can change what another leg sees) and
+    the return-grid column of each of its stocks."""
+
+    reviews: List[np.datetime64]
+    rows: List[int]
+    snapshots: List[UniverseSnapshot]
+    columns: List[np.ndarray]
+
+
+def _read_only(a):
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def review_plan(
     review_schedule: Sequence[np.datetime64],
-    weights_fn: Callable[[UniverseSnapshot], np.ndarray],
     prices: PriceTable,
     universe: UniverseTable,
-    name: str = "portfolio",
     score_lag_days: int = 4,
-) -> PortfolioSeries:
-    """Run one strategy: at each review close, rebalance to the weights that
-    weights_fn assigns to the snapshot dated score_lag_days earlier; hold
-    between reviews. Level series starts at 100 on the first review."""
-    reviews = sorted(np.datetime64(r, "D") for r in review_schedule)
+    scores: Optional[Scores] = None,
+) -> ReviewPlan:
+    """Resolve a review schedule against the prices and the universe. With
+    `scores`, each snapshot carries the ternary score of each of its stocks
+    on its date (0 for a stock or a date that has none)."""
+    reviews = list(np.unique(np.array(review_schedule, dtype="datetime64[D]")))
     if not reviews:
         raise SpecMismatch("empty review schedule")
-    review_idx = []
+    rows = []
     for r in reviews:
         i = prices.index_of(r)
         if i - score_lag_days < 0:
             raise MissingPriceData(
                 f"review {r} has no data {score_lag_days} trading days earlier"
             )
-        review_idx.append(i)
-
-    def target_holdings(i: int, level: float) -> Tuple[np.ndarray, np.datetime64, np.ndarray, np.ndarray]:
+        rows.append(i)
+    snapshots, columns = [], []
+    for i in rows:
         snap_date = prices.dates[i - score_lag_days]
         snap = universe.at(snap_date)
+        arrays = {f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "date"}
+        if scores is not None:
+            per_stock = scores.get(snap_date, {})
+            arrays["score"] = np.array(
+                [per_stock.get(str(sid), (0.0, 0))[1] for sid in snap.stock_ids],
+                dtype=np.int64,
+            )
+        snapshots.append(replace(snap, **{
+            name: None if a is None else _read_only(a) for name, a in arrays.items()
+        }))
+        columns.append(prices.columns_of(snap.stock_ids))
+    return ReviewPlan(reviews, rows, snapshots, columns)
+
+
+def simulate(
+    review_schedule: Sequence[np.datetime64],
+    weights_fn: Callable[[UniverseSnapshot], np.ndarray],
+    prices: PriceTable,
+    universe: Optional[UniverseTable],
+    name: str = "portfolio",
+    score_lag_days: int = 4,
+) -> PortfolioSeries:
+    """Run one strategy: at each review close, rebalance to the weights that
+    weights_fn assigns to the snapshot dated score_lag_days earlier; hold
+    between reviews. Level series starts at 100 on the first review.
+
+    review_schedule may be a ReviewPlan that review_plan resolved on these
+    prices; universe and score_lag_days are then not read, so several legs
+    on the same reviews resolve them once. weights_fn gets a read-only
+    snapshot."""
+    plan = (
+        review_schedule
+        if isinstance(review_schedule, ReviewPlan)
+        else review_plan(review_schedule, prices, universe, score_lag_days)
+    )
+    i0 = plan.rows[0]
+    # Row k starts as 1 + r on day i0 + k; a rebalance writes the holdings
+    # into its review's row and a hold grows them in place through the rows.
+    grid = 1.0 + prices.returns[i0:]
+    values = np.empty(len(grid), dtype=np.float64)
+    values[0] = 100.0
+    history = []
+
+    def rebalance(k: int, level: float) -> np.ndarray:
+        """Holdings worth `level` in review k's row, at the weights of its
+        snapshot; returns the row."""
+        snap = plan.snapshots[k]
         w = np.asarray(weights_fn(snap), dtype=np.float64)
         if w.shape != (snap.n,):
             raise SpecMismatch("weights_fn returned a vector of the wrong length")
         if np.any(w < -WEIGHT_TOL) or abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise SpecMismatch("weights must be non-negative and sum to 1")
-        h = np.zeros(len(prices.stock_ids), dtype=np.float64)
-        h[prices.columns_of(snap.stock_ids)] = level * w
-        return h, snap_date, snap.stock_ids, w
+        h = grid[plan.rows[k] - i0]
+        h[:] = 0.0
+        h[plan.columns[k]] = level * w
+        history.append((plan.reviews[k], snap.stock_ids, w))
+        return h
 
-    i0 = review_idx[0]
-    holdings, _, ids0, w0 = target_holdings(i0, 100.0)
-    history = [(reviews[0], ids0, w0)]
-    values = np.empty(prices.n - i0, dtype=np.float64)
-    values[0] = 100.0
-    review_at = {i: r for i, r in zip(review_idx[1:], reviews[1:]) if i > i0}
+    def hold(t: int, stop: int) -> np.ndarray:
+        """Buy and hold the holdings in row t from the close of day t to the
+        close of day stop: h * (1 + r[t+1]) * (1 + r[t+2]) ... multiplied in
+        day order, in place, each day's level its row sum. Returns the
+        holdings at stop."""
+        block = grid[t - i0 : stop + 1 - i0]
+        np.multiply.accumulate(block, axis=0, out=block)
+        values[t + 1 - i0 : stop + 1 - i0] = block[1:].sum(axis=1)
+        return block[-1]
 
-    def hold(h: np.ndarray, t: int, stop: int) -> np.ndarray:
-        """Buy and hold h from the close of day t to the close of day stop:
-        h * (1 + r[t+1]) * (1 + r[t+2]) ... multiplied in day order, each
-        day's level its row sum. Returns the holdings at stop."""
-        grown = np.multiply.accumulate(
-            np.vstack([h, 1.0 + prices.returns[t + 1 : stop + 1]]), axis=0
-        )[1:]
-        values[t + 1 - i0 : stop + 1 - i0] = grown.sum(axis=1)
-        return grown[-1]
-
+    rebalance(0, 100.0)
     t = i0
-    for stop in sorted(review_at):
-        grown = hold(holdings, t, stop)
-        holdings, _, ids, w = target_holdings(stop, float(grown.sum()))
-        history.append((review_at[stop], ids, w))
-        values[stop - i0] = holdings.sum()
+    for k in range(1, len(plan.rows)):
+        stop = plan.rows[k]
+        grown = hold(t, stop)
+        values[stop - i0] = rebalance(k, float(grown.sum())).sum()
         t = stop
     if t + 1 < prices.n:
-        hold(holdings, t, prices.n - 1)
+        hold(t, prices.n - 1)
     return PortfolioSeries(
         name=name,
         dates=prices.dates[i0:],
@@ -625,9 +685,9 @@ class _Engine:
     """The panel arrays that one study's learnings and out-of-sample
     segments share."""
 
-    def __init__(self, raw_panel, specs, prices, cfg, score_idx):
+    def __init__(self, raw_panel, specs, prices, cfg, score_rows):
         self.raw_panel, self.specs, self.prices, self.cfg = raw_panel, specs, prices, cfg
-        self.score_idx = score_idx
+        self.score_rows = np.sort(np.asarray(score_rows, dtype=np.intp))
         self.labeled = np.isfinite(raw_panel.y)
         self.resolution = np.busday_offset(raw_panel.dates, cfg.horizon_days)
         # Row indices by date, ascending within a date, for a binary search.
@@ -657,7 +717,13 @@ class _Engine:
         end of data) under one learning's discretizer and rules, starting
         from `state`: the labels that resolve in the segment update the
         weights on the day they resolve, and every score day in it is
-        scored. Returns the scores and the state at the segment's end."""
+        scored with the weights of its close. Returns the scores and the
+        state at the segment's end.
+
+        The discretizer and rules are fixed within a segment, so its pending
+        labels are discretized and activated once, and so are the panel rows
+        of all its score days; only the prediction under the day's weights
+        runs per score day, on that day's rows of the one matrix."""
         raw_panel, prices, cfg = self.raw_panel, self.prices, self.cfg
         ruleset, discretizer = step.ruleset, step.discretizer
         pending = self.labeled & (self.resolution > L)
@@ -672,9 +738,28 @@ class _Engine:
                 np.busday_offset(panel_pend.dates, cfg.horizon_days)
             )
 
-        scores: Scores = {}
         t_start = prices.index_of(L) + 1
         t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
+        score_t = self.score_rows[(self.score_rows >= t_start) & (self.score_rows < t_stop)]
+        # Score day t -> its rows of panel_score (sorted by date, then stock).
+        rows_at: Dict[int, slice] = {}
+        if len(score_t):
+            days = prices.dates[score_t]
+            lo = np.searchsorted(self.sorted_dates, days)
+            hi = np.searchsorted(self.sorted_dates, days + 1)
+            empty = np.flatnonzero(hi == lo)
+            if len(empty):
+                raise SpecMismatch(f"no panel rows to score on {days[empty[0]]}")
+            row_ix = np.concatenate([self.by_date[a:b] for a, b in zip(lo, hi)])
+            panel_score = apply_discretizer(raw_panel.take(row_ix), discretizer)
+            A_score = ruleset.activation_matrix(panel_score.x)
+            ids = [str(sid) for sid in panel_score.stock_ids]
+            ends = np.cumsum(hi - lo).tolist()
+            rows_at = {
+                t: slice(a, b) for t, a, b in zip(score_t.tolist(), [0] + ends[:-1], ends)
+            }
+
+        scores: Scores = {}
         for t in range(t_start, t_stop):
             day = prices.dates[t]
             todo = pend_by_day.get(day)
@@ -683,18 +768,13 @@ class _Engine:
                     state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
                     active=A_pend[todo],
                 )
-            if t in self.score_idx:
-                lo, hi = np.searchsorted(self.sorted_dates, [day, day + 1])
-                row_ix = self.by_date[lo:hi]
-                if not len(row_ix):
-                    raise SpecMismatch(f"no panel rows to score on {day}")
-                panel_day = apply_discretizer(raw_panel.take(row_ix), discretizer)
-                y_hat = predict_many(state, ruleset, panel_day.x)
+            rows = rows_at.get(t)
+            if rows is not None:
+                y_hat = predict_many(
+                    state, ruleset, panel_score.x[rows], activation=A_score[rows]
+                )
                 ternary = score_many(y_hat, state.epsilon)
-                scores[day] = {
-                    str(sid): (float(y_hat[j]), int(ternary[j]))
-                    for j, sid in enumerate(panel_day.stock_ids)
-                }
+                scores[day] = dict(zip(ids[rows], zip(y_hat.tolist(), ternary.tolist())))
         return scores, state
 
 
@@ -705,8 +785,8 @@ def _scored_study(
     prices: PriceTable,
     cfg: WalkForwardConfig,
     freeze_year: Optional[int],
-) -> Tuple[List[LearningRecord], Scores, np.ndarray, UniverseTable]:
-    """Learnings, scores, review dates and scored universe of one study.
+) -> Tuple[List[LearningRecord], Scores, np.ndarray, ReviewPlan]:
+    """Learnings, scores, review dates and scored review plan of one study.
 
     A walk-forward study (freeze_year None) computes every schedule entry
     and replaces the memo with them. A frozen study takes the entries up to
@@ -740,9 +820,8 @@ def _scored_study(
     if not reviews:
         raise InsufficientHistory("no out-of-sample review after the first learning")
     review_arr = np.array(reviews, dtype="datetime64[D]")
-    score_idx = {prices.index_of(r) - lag: r for r in reviews}
 
-    engine = _Engine(raw_panel, specs, prices, cfg, score_idx)
+    engine = _Engine(raw_panel, specs, prices, cfg, [prices.index_of(r) - lag for r in reviews])
     key = _fingerprint(raw_panel, specs, grid, cfg)
     memo = _last_schedule
     if freeze_year is not None and memo is not None and memo.key == key:
@@ -768,18 +847,8 @@ def _scored_study(
         tail, _ = engine.segment(last.learning, last.end_state, learn_dates[n_learn], None)
         scores.update(tail)
 
-    # ---- attach scores to snapshots
-    scored: Dict[np.datetime64, UniverseSnapshot] = {}
-    for r in reviews:
-        sd = grid[prices.index_of(r) - lag]
-        snap = universe.at(sd)
-        per_stock = scores.get(sd, {})
-        arr = np.array(
-            [per_stock.get(str(sid), (0.0, 0))[1] for sid in snap.stock_ids],
-            dtype=np.int64,
-        )
-        scored[sd] = snap.with_scores(arr)
-    return [e.learning for e in entries[:n_learn]], scores, review_arr, UniverseTable(scored)
+    plan = review_plan(reviews, prices, universe, lag, scores)
+    return [e.learning for e in entries[:n_learn]], scores, review_arr, plan
 
 
 def _leg_weights(cfg: WalkForwardConfig) -> Dict[str, Callable[[UniverseSnapshot], np.ndarray]]:
@@ -840,6 +909,13 @@ def run_study(
     year's learning; weight updates continue. Every strategy leg is
     simulated.
 
+    Each segment between learnings discretizes and activates its score
+    days' panel rows once (see _Engine.segment); only the predictions
+    follow the daily weights. Each review is resolved once per study into
+    one ReviewPlan (price-grid row, scored read-only snapshot, return-grid
+    columns) that every leg shares; each leg's weights_fn and weight checks
+    still run at every review.
+
     Nothing dated after t moves a score, learning or level dated up to t:
     the inputs cut at t, less the labels that resolve after t, give the same
     values up to t. When the data end mid-year, the last learning falls on
@@ -864,11 +940,11 @@ def run_study(
     only the rest, so its result is bit-identical to a cold run. The
     returned learnings and score dicts are copies the memo does not share.
     """
-    learnings, scores, reviews, scored = _scored_study(
+    learnings, scores, reviews, plan = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year
     )
     series = {
-        name: simulate(reviews, fn, prices, scored, name, cfg.score_lag_days)
+        name: simulate(plan, fn, prices, None, name)
         for name, fn in _leg_weights(cfg).items()
     }
     bench = series[BENCHMARK]
@@ -916,16 +992,15 @@ def learning_y(
     inputs it learns nothing and scores only the days after the learning
     date that follows year Y, none when Y is the last learning year (see
     run_study's schedule). It simulates only the Positive ML leg and the
-    benchmark its KPIs are measured against.
+    benchmark its KPIs are measured against, on one shared review plan.
     """
-    _, _, reviews, scored = _scored_study(
+    _, _, _, plan = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year=Y
     )
     legs = _leg_weights(cfg)
     name = f"Learning {Y}"
-    lag = cfg.score_lag_days
-    bench = simulate(reviews, legs[BENCHMARK], prices, scored, BENCHMARK, lag)
-    series = simulate(reviews, legs[POSITIVE], prices, scored, name, lag)
+    bench = simulate(plan, legs[BENCHMARK], prices, None, BENCHMARK)
+    series = simulate(plan, legs[POSITIVE], prices, None, name)
     return BacktestReport(
         name=name, series=series, kpis=kpis(series, bench, cfg.periods_per_year)
     )

@@ -3,6 +3,7 @@
 import logging
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -44,9 +45,12 @@ from rulescreen.backtest import (
     write_levels_csv,
 )
 from rulescreen import backtest
+from rulescreen.aggregate import predict_many, score_many, update
 from rulescreen.backtest import _rows_by_key
+from rulescreen.panel import apply_discretizer
 from rulescreen.synth import PlantedRule, SynthSpec, generate
-from rulescreen.rules import Condition, Interval
+from rulescreen.rules import Condition, Interval, RuleSet
+from test_acceptance import REGIME_CFG, regime_spec
 
 D = np.datetime64
 
@@ -782,6 +786,209 @@ def test_studies_in_threads_match_cold_runs(monkeypatch):
     assert not errors
     assert len(results) == rounds * len(jobs) // 2 * len(want)
     assert all(got == want[i, year] for i, year, got in results)
+
+
+# --- segment scoring: one discretization and activation per segment -------
+
+
+def reference_segment(engine, step, state, L, next_L):
+    """_Engine.segment as a per-day loop: on each day of (L, next_L], the
+    labels resolving that day are discretized and update the weights, then a
+    score day's own panel rows are discretized and predicted on their own."""
+    raw, prices, ruleset = engine.raw_panel, engine.prices, step.ruleset
+    pending = engine.labeled & (engine.resolution > L)
+    if next_L is not None:
+        pending &= engine.resolution <= next_L
+    score_rows = set(engine.score_rows.tolist())
+    t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
+    scores = {}
+    for t in range(prices.index_of(L) + 1, t_stop):
+        day = prices.dates[t]
+        due = np.flatnonzero(pending & (engine.resolution == day))
+        if len(due):
+            labels = apply_discretizer(raw.take(due), step.discretizer)
+            state = update(state, ruleset, labels.x, labels.y)
+        if t in score_rows:
+            rows = np.flatnonzero(raw.dates == day)
+            if not len(rows):
+                raise SpecMismatch(f"no panel rows to score on {day}")
+            panel = apply_discretizer(raw.take(rows), step.discretizer)
+            y_hat = predict_many(state, ruleset, panel.x)
+            ternary = score_many(y_hat, state.epsilon)
+            scores[day] = {str(sid): (float(y_hat[j]), int(ternary[j]))
+                           for j, sid in enumerate(panel.stock_ids)}
+    return scores, state
+
+
+def score_bits(scores):
+    """Every (day, stock, y_hat bits, ternary) of a score dict, in order."""
+    return [(str(day), sid, y.hex(), s)
+            for day, per_stock in sorted(scores.items())
+            for sid, (y, s) in per_stock.items()]
+
+
+def regime_market(seed):
+    data = generate(regime_spec(seed))
+    return (data, UniverseTable.from_rows(data.universe),
+            PriceTable(data.price_dates, data.price_stock_ids, data.price_returns),
+            REGIME_CFG)
+
+
+def thinned_market():
+    """A small market without the panel rows of one to four stocks on every
+    other score day: those days have fewer rows than universe stocks."""
+    data, universe, prices, cfg = small_study(seed=4)
+    days = sorted(run_study(data.panel, data.specs, universe, prices, cfg).scores)
+    stocks = np.unique(data.panel.stock_ids)
+    drop = np.zeros(data.panel.n, dtype=bool)
+    for k, day in enumerate(days[::2]):
+        drop |= (data.panel.dates == day) & np.isin(data.panel.stock_ids, stocks[: k % 4 + 1])
+    data.panel = data.panel.take(np.flatnonzero(~drop))
+    return data, universe, prices, cfg
+
+
+@pytest.mark.parametrize("market", ["regime0", "regime1", "thinned"])
+def test_segment_scores_equal_per_day_reference(monkeypatch, market):
+    """Walk-forward scores and every frozen study's tail equal the per-day
+    reference bit for bit, in y_hat and ternary, and so do the levels."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
+    data, universe, prices, cfg = (
+        thinned_market() if market == "thinned" else regime_market(int(market[-1]))
+    )
+    args = (data.panel, data.specs, universe, prices, cfg)
+
+    def studies():
+        backtest._last_schedule = None
+        walk = run_study(*args)
+        frozen = [run_study(*args, freeze_year=rec.year) for rec in walk.learnings]
+        return [walk] + frozen
+
+    got = studies()
+    monkeypatch.setattr(backtest._Engine, "segment", reference_segment)
+    want = studies()
+    assert len(got) == len(want) > 2
+    for g, w in zip(got, want):
+        assert score_bits(g.scores) == score_bits(w.scores)
+        for name in w.series:
+            assert g.series[name].values.tobytes() == w.series[name].values.tobytes()
+    if market == "thinned":
+        first = got[0]
+        sizes = [len(per_stock) for per_stock in first.scores.values()]
+        assert min(sizes) < max(sizes) == universe.at(min(first.scores)).n
+
+
+def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
+    """Within a segment the score days' rows go through apply_discretizer
+    once and RuleSet.activation_matrix once, however many score days the
+    segment has; the only other call of each is for its pending labels."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
+    data, universe, prices, cfg = small_study(seed=6)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    calls, segments = [], []
+    apply_original = backtest.apply_discretizer
+    matrix_original = RuleSet.activation_matrix
+    segment_original = backtest._Engine.segment
+
+    def counting_apply(raw, discretizer):
+        calls.append(("apply", np.unique(raw.dates).tolist(), raw.n))
+        return apply_original(raw, discretizer)
+
+    def counting_matrix(self, x_matrix):
+        calls.append(("matrix", None, len(x_matrix)))
+        return matrix_original(self, x_matrix)
+
+    def recording(self, *a, **kw):
+        calls.clear()
+        scores, end_state = segment_original(self, *a, **kw)
+        segments.append((scores, list(calls)))
+        return scores, end_state
+
+    monkeypatch.setattr(backtest, "apply_discretizer", counting_apply)
+    monkeypatch.setattr(RuleSet, "activation_matrix", counting_matrix)
+    monkeypatch.setattr(backtest._Engine, "segment", recording)
+    for rec in run_study(*args).learnings:
+        learning_y(*args, rec.year)
+
+    assert max(len(scores) for scores, _ in segments) > 1
+    for scores, seg_calls in segments:
+        applies = [c for c in seg_calls if c[0] == "apply"]
+        matrices = [c for c in seg_calls if c[0] == "matrix"]
+        assert [c[2] for c in matrices] == [c[2] for c in applies]
+        days = np.array(sorted(scores), dtype="datetime64[D]").tolist()
+        n_rows = sum(len(per_stock) for per_stock in scores.values())
+        of_scores = [c for c in applies if c[1] == days and c[2] == n_rows]
+        assert len(of_scores) == (1 if scores else 0)
+        assert len(applies) - len(of_scores) <= 1  # the pending labels
+
+
+def test_score_day_without_panel_rows_is_a_typed_error():
+    """A score day with no feature rows raises SpecMismatch naming the first
+    such day, though a later day of the same segment has none either."""
+    data, universe, prices, cfg = small_study(seed=4)
+    days = sorted(run_study(data.panel, data.specs, universe, prices, cfg).scores)
+    keep = ~np.isin(data.panel.dates, np.array([days[3], days[1]]))
+    with pytest.raises(SpecMismatch, match=f"^no panel rows to score on {days[1]}$"):
+        run_study(data.panel.take(np.flatnonzero(keep)), data.specs, universe, prices, cfg)
+
+
+# --- the review plan: legs share resolved reviews ------------------------
+
+
+def history_bytes(series):
+    return [(str(d), list(ids), w.tobytes()) for d, ids, w in series.weights_history]
+
+
+def test_study_legs_equal_independent_simulations():
+    """Each leg of a study equals simulate on the study's reviews with a
+    universe scored from the study's scores, bit for bit."""
+    data, universe, prices, cfg = small_study(seed=1)
+    res = run_study(data.panel, data.specs, universe, prices, cfg)
+    lag = cfg.score_lag_days
+    scored = {}
+    for r in res.reviews:
+        day = prices.dates[prices.index_of(r) - lag]
+        per_stock = res.scores.get(day, {})
+        snap = universe.at(day)
+        scored[day] = snap.with_scores(
+            [per_stock.get(sid, (0.0, 0))[1] for sid in snap.stock_ids])
+    scored = UniverseTable(scored)
+    for name, fn in backtest._leg_weights(cfg).items():
+        want = simulate(res.reviews, fn, prices, scored, name, lag)
+        got = res.series[name]
+        assert got.values.tobytes() == want.values.tobytes()
+        assert history_bytes(got) == history_bytes(want)
+
+
+def test_no_leg_changes_the_snapshot_another_leg_sees(monkeypatch):
+    """A weights_fn that writes into its snapshot's arrays or rebinds its
+    fields is refused at every review, and the legs after it match a study
+    without it."""
+    data, universe, prices, cfg = small_study(seed=1)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    want = run_study(*args)
+    legs = backtest._leg_weights(cfg)
+    refused = []
+    names = ["stock_ids", "cap_weight", "sector", "peer_group", "esg_rating", "score"]
+
+    def vandal(snap):
+        for name in names:
+            values = getattr(snap, name)
+            try:
+                values[0] = values[-1]
+            except ValueError:
+                refused.append(name)
+            try:
+                setattr(snap, name, values[::-1])
+            except FrozenInstanceError:
+                refused.append(name)
+        return legs[BENCHMARK](snap)
+
+    monkeypatch.setattr(backtest, "_leg_weights", lambda cfg: {"Vandal": vandal, **legs})
+    got = run_study(*args)
+    assert len(refused) == 2 * len(names) * len(got.reviews)
+    for name in legs:
+        assert got.series[name].values.tobytes() == want.series[name].values.tobytes()
+        assert history_bytes(got.series[name]) == history_bytes(want.series[name])
 
 
 def test_rows_by_key_matches_dict_grouping():

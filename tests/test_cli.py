@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rulescreen
-from rulescreen.backtest import load_prices_csv, load_universe_csv, run_study
+from rulescreen.backtest import load_prices_csv, load_universe_csv, month_ends, run_study
 from rulescreen.cli import (
     RunConfig,
     _cfg_to_walk,
@@ -541,6 +541,29 @@ def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):
     path.write_text("year,Benchmark\n2010,0.0\n2011,abc\n")
     assert run(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "r.md")]) == 2
     assert f"MalformedRow: {path}, line 3:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, caplog):
+    """Features with no row on a score day exit 2 with the typed error that
+    names the day, not with a traceback."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    grid = load_prices_csv(data / "prices.csv").dates
+    # three training years from 2010: the first learning is 2012's last day
+    first_learning = grid[grid < np.datetime64("2013-01-01")][-1]
+    lag = RunConfig().score_lag_days
+    review = next(r for r in month_ends(grid)
+                  if grid[np.searchsorted(grid, r) - lag] >= first_learning)
+    day = str(grid[np.searchsorted(grid, review) - lag])
+    path = data / "features.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(day)))
+    cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + [
+        f"{k} = {data / (k + '.csv')}" for k in ("features", "returns", "universe", "prices")
+    ]) + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"SpecMismatch: no panel rows to score on {day}" in caplog.text
     assert "Traceback" not in caplog.text
 
 
