@@ -10,7 +10,6 @@ had when deciding).
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import logging
 import math
@@ -651,10 +650,10 @@ class _Entry(NamedTuple):
 
 @dataclass(frozen=True)
 class _Schedule:
-    """The entries of one study for a prefix of its learning dates
-    L_0 < L_1 < ..., in learning order."""
+    """The engine of one study and its entries for a prefix of its learning
+    dates L_0 < L_1 < ..., in learning order."""
 
-    key: str
+    engine: "_Engine"
     entries: Tuple[_Entry, ...]
 
 
@@ -662,37 +661,70 @@ class _Schedule:
 _last_schedule: Optional[_Schedule] = None
 
 
-def _fingerprint(
-    raw_panel: RawPanel,
-    specs: Sequence[FeatureSpec],
-    grid: np.ndarray,
-    cfg: WalkForwardConfig,
-) -> str:
-    """sha256 of everything a study's learnings and scores depend on: the
-    panel's rows, the feature specs, the trading-day grid and every config
-    field. Numeric arrays are hashed from their buffers, object arrays
-    pickled."""
-    h = hashlib.sha256()
-    for arr in (raw_panel.dates, raw_panel.stock_ids, *raw_panel.columns, raw_panel.y, grid):
-        arr = np.ascontiguousarray(arr)
-        h.update(f"{arr.dtype.str}{arr.shape};".encode())
-        h.update(pickle.dumps(arr) if arr.dtype == object else arr.view(np.uint8))
-    h.update(pickle.dumps((list(specs), [(f.name, getattr(cfg, f.name)) for f in fields(cfg)])))
-    return h.hexdigest()
+def _study_arrays(raw_panel: RawPanel, grid: np.ndarray) -> List[np.ndarray]:
+    return [raw_panel.dates, raw_panel.stock_ids, *raw_panel.columns, raw_panel.y, grid]
+
+
+def _settings(specs: Sequence[FeatureSpec], cfg: WalkForwardConfig) -> bytes:
+    return pickle.dumps((list(specs), [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]))
 
 
 class _Engine:
-    """The panel arrays that one study's learnings and out-of-sample
-    segments share."""
+    """One study's own copies of everything its learnings and out-of-sample
+    segments read: the panel's arrays, the feature specs, the config and the
+    trading-day grid. Numeric arrays are copied; an object array's copy
+    shares its (immutable) elements, and is pickled once so that
+    same_inputs can tell a changed element type or value."""
 
-    def __init__(self, raw_panel, specs, prices, cfg, score_rows):
-        self.raw_panel, self.specs, self.prices, self.cfg = raw_panel, specs, prices, cfg
+    def __init__(self, raw_panel, specs, grid, cfg, score_rows):
+        self.raw_panel = RawPanel(
+            dates=raw_panel.dates.copy(),
+            stock_ids=raw_panel.stock_ids.copy(),
+            columns=[c.copy() for c in raw_panel.columns],
+            y=raw_panel.y.copy(),
+        )
+        self.grid = grid.copy()
+        self.specs, self.cfg = copy.deepcopy(list(specs)), copy.deepcopy(cfg)
+        self._settings = _settings(specs, cfg)
+        self._pickles = [
+            pickle.dumps(a) if a.dtype == object else None
+            for a in _study_arrays(self.raw_panel, self.grid)
+        ]
         self.score_rows = np.sort(np.asarray(score_rows, dtype=np.intp))
-        self.labeled = np.isfinite(raw_panel.y)
-        self.resolution = np.busday_offset(raw_panel.dates, cfg.horizon_days)
+        self.labeled = np.isfinite(self.raw_panel.y)
+        self.resolution = np.busday_offset(self.raw_panel.dates, self.cfg.horizon_days)
         # Row indices by date, ascending within a date, for a binary search.
-        self.by_date = np.argsort(raw_panel.dates, kind="stable")
-        self.sorted_dates = raw_panel.dates[self.by_date]
+        self.by_date = np.argsort(self.raw_panel.dates, kind="stable")
+        self.sorted_dates = self.raw_panel.dates[self.by_date]
+
+    def same_inputs(
+        self,
+        raw_panel: RawPanel,
+        specs: Sequence[FeatureSpec],
+        grid: np.ndarray,
+        cfg: WalkForwardConfig,
+    ) -> bool:
+        """Whether a study on these inputs would read what this engine's
+        copies held when they were made: every numeric array equal in dtype,
+        shape and bytes (so NaN payloads and -0.0 count), every object array
+        pickling to the same bytes (so 1 and 1.0 differ), and the specs and
+        every config field pickling alike."""
+        if _settings(specs, cfg) != self._settings:
+            return False
+        theirs = _study_arrays(raw_panel, grid)
+        ours = _study_arrays(self.raw_panel, self.grid)
+        if len(theirs) != len(ours):
+            return False
+        for a, own, pickled in zip(theirs, ours, self._pickles):
+            a = np.asarray(a)
+            if a.dtype != own.dtype or a.shape != own.shape:
+                return False
+            if pickled is not None:
+                if pickle.dumps(a) != pickled:
+                    return False
+            elif not np.array_equal(np.ascontiguousarray(a).view(np.uint8), own.view(np.uint8)):
+                return False
+        return True
 
     def learning(self, L: np.datetime64) -> LearningRecord:
         """Refit the discretizer and rules at the close of L on every
@@ -716,35 +748,39 @@ class _Engine:
         """Out of sample from the close of L to the close of next_L (or the
         end of data) under one learning's discretizer and rules, starting
         from `state`: the labels that resolve in the segment update the
-        weights on the day they resolve, and every score day in it is
-        scored with the weights of its close. Returns the scores and the
-        state at the segment's end.
+        weights at the first close on or after the day they resolve (a label
+        resolving on a market holiday counts at the next trading day), and
+        every score day in it is scored with the weights of its close.
+        Returns the scores and the state at the segment's end.
 
         The discretizer and rules are fixed within a segment, so its pending
         labels are discretized and activated once, and so are the panel rows
         of all its score days; only the prediction under the day's weights
         runs per score day, on that day's rows of the one matrix."""
-        raw_panel, prices, cfg = self.raw_panel, self.prices, self.cfg
+        raw_panel, grid = self.raw_panel, self.grid
         ruleset, discretizer = step.ruleset, step.discretizer
         pending = self.labeled & (self.resolution > L)
         if next_L is not None:
             pending &= self.resolution <= next_L
         pend_idx = np.flatnonzero(pending)
-        pend_by_day: Dict[np.datetime64, np.ndarray] = {}
+        due_at: Dict[int, np.ndarray] = {}
         if len(pend_idx):
             panel_pend = apply_discretizer(raw_panel.take(pend_idx), discretizer)
             A_pend = ruleset.activation_matrix(panel_pend.x)
-            pend_by_day = _rows_by_key(
-                np.busday_offset(panel_pend.dates, cfg.horizon_days)
+            # Grid day t gets the labels resolving in (grid[t-1], grid[t]]:
+            # one that resolves on a day without prices (a market holiday)
+            # updates the weights at the next close.
+            due_at = _rows_by_key(
+                np.searchsorted(grid, np.busday_offset(panel_pend.dates, self.cfg.horizon_days))
             )
 
-        t_start = prices.index_of(L) + 1
-        t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
+        t_start = int(np.searchsorted(grid, L)) + 1
+        t_stop = int(np.searchsorted(grid, next_L)) + 1 if next_L is not None else len(grid)
         score_t = self.score_rows[(self.score_rows >= t_start) & (self.score_rows < t_stop)]
         # Score day t -> its rows of panel_score (sorted by date, then stock).
         rows_at: Dict[int, slice] = {}
         if len(score_t):
-            days = prices.dates[score_t]
+            days = grid[score_t]
             lo = np.searchsorted(self.sorted_dates, days)
             hi = np.searchsorted(self.sorted_dates, days + 1)
             empty = np.flatnonzero(hi == lo)
@@ -761,8 +797,8 @@ class _Engine:
 
         scores: Scores = {}
         for t in range(t_start, t_stop):
-            day = prices.dates[t]
-            todo = pend_by_day.get(day)
+            day = grid[t]
+            todo = due_at.get(t)
             if todo is not None:
                 state = update(
                     state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
@@ -790,7 +826,8 @@ def _scored_study(
 
     A walk-forward study (freeze_year None) computes every schedule entry
     and replaces the memo with them. A frozen study takes the entries up to
-    the freeze_year learning from the memo when its fingerprint matches and
+    the freeze_year learning, and the engine that computed them, from the
+    memo when the engine's copies match its inputs (_Engine.same_inputs) and
     appends the missing ones with the same walk-forward bounds. Unless that
     learning is the last, it then scores one tail, from the next learning
     date to the end of data, starting from the state the freeze_year
@@ -809,25 +846,27 @@ def _scored_study(
     first_learning = learn_dates[0]
 
     lag = cfg.score_lag_days
-    review_candidates = month_ends(grid)
-    reviews = []
-    for r in review_candidates:
+    reviews, score_rows = [], []
+    for r in month_ends(grid):
         i = prices.index_of(r)
-        if i - lag < 0:
-            continue
-        if grid[i - lag] >= first_learning:
+        if i - lag >= 0 and grid[i - lag] >= first_learning:
             reviews.append(r)
+            score_rows.append(i - lag)
     if not reviews:
         raise InsufficientHistory("no out-of-sample review after the first learning")
     review_arr = np.array(reviews, dtype="datetime64[D]")
 
-    engine = _Engine(raw_panel, specs, prices, cfg, [prices.index_of(r) - lag for r in reviews])
-    key = _fingerprint(raw_panel, specs, grid, cfg)
     memo = _last_schedule
-    if freeze_year is not None and memo is not None and memo.key == key:
-        entries = list(memo.entries)
+    if (
+        freeze_year is not None
+        and memo is not None
+        and memo.engine.same_inputs(raw_panel, specs, grid, cfg)
+    ):
+        engine, entries = memo.engine, list(memo.entries)
     else:
-        entries = []
+        # Let go of the last study's copies before this one makes its own.
+        _last_schedule = memo = None
+        engine, entries = _Engine(raw_panel, specs, grid, cfg, score_rows), []
     n_read = len(entries)
     for k in range(n_read, n_learn):
         L = learn_dates[k]
@@ -835,7 +874,7 @@ def _scored_study(
         learning = engine.learning(L)
         entries.append(_Entry(learning, *engine.segment(learning, learning.state, L, next_L)))
     if len(entries) != n_read:
-        _last_schedule = _Schedule(key, tuple(entries))
+        _last_schedule = _Schedule(engine, tuple(entries))
 
     scores: Scores = {}
     for entry in entries[:n_learn]:
@@ -932,13 +971,18 @@ def run_study(
     from the stored end state; the labels resolving in (L_k, L_k+1] are the
     same rows in the same order either way, so no day is scored twice.
 
-    The schedule of the last study is kept in a one-entry memo keyed by a
-    sha256 of the panel, specs, trading-day grid and config (not of the
-    universe or prices, which it does not depend on). A walk-forward study
-    never reads the memo: it computes every entry and replaces the memo. A
-    frozen study reuses the memo's entries up to freeze_year and computes
-    only the rest, so its result is bit-identical to a cold run. The
-    returned learnings and score dicts are copies the memo does not share.
+    The schedule of the last study is kept in a one-entry memo with the
+    study's engine, which holds its own copies of the panel, specs,
+    trading-day grid and config (not of the universe or the returns, which
+    the schedule does not depend on). A walk-forward study never reads the
+    memo: it drops it, computes every entry on a new engine and replaces the
+    memo. A frozen study reuses the memo's engine and its entries up to
+    freeze_year when _Engine.same_inputs finds its inputs equal to the
+    engine's copies (byte for byte; object arrays by their pickles), and
+    computes only the rest, so its result is bit-identical to a cold run.
+    On a mismatch it drops the memo before it copies the inputs, so at most
+    one engine's copies are alive. The returned learnings and score dicts
+    are copies the memo does not share.
     """
     learnings, scores, reviews, plan = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year

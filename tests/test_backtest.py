@@ -3,7 +3,7 @@
 import logging
 import sys
 import threading
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -47,12 +47,19 @@ from rulescreen.backtest import (
 from rulescreen import backtest
 from rulescreen.aggregate import predict_many, score_many, update
 from rulescreen.backtest import _rows_by_key
-from rulescreen.panel import apply_discretizer
+from rulescreen.panel import CATEGORICAL, FeatureSpec, apply_discretizer
 from rulescreen.synth import PlantedRule, SynthSpec, generate
 from rulescreen.rules import Condition, Interval, RuleSet
 from test_acceptance import REGIME_CFG, regime_spec
 
 D = np.datetime64
+
+
+@pytest.fixture(autouse=True)
+def cleared_memo(monkeypatch):
+    """Every test starts on an empty study memo; the memo it found is put
+    back afterwards."""
+    monkeypatch.setattr(backtest, "_last_schedule", None)
 
 
 def snapshot(date="2020-01-31", caps=None, sectors=None, groups=None,
@@ -635,8 +642,7 @@ def frozen_bytes(rep):
 
 @pytest.fixture
 def learn_calls(monkeypatch):
-    """Learning dates of every backtest.learn call, on a cleared memo."""
-    monkeypatch.setattr(backtest, "_last_schedule", None)
+    """Learning dates of every backtest.learn call."""
     calls = []
     original = backtest.learn
 
@@ -699,6 +705,91 @@ def test_panel_changed_in_place_misses_the_memo(learn_calls):
     assert frozen_bytes(learning_y(*args, year)) == got
 
 
+def categorical_market(seed):
+    """small_study(seed) with feature f0 recoded as a categorical column of
+    Python ints, its quartile 0 to 3."""
+    data, universe, prices, cfg = small_study(seed=seed)
+    col = data.panel.columns[0]
+    quartile = np.searchsorted(np.quantile(col, [0.25, 0.5, 0.75]), col)
+    data.panel.columns[0] = np.array(quartile.tolist(), dtype=object)
+    data.specs[0] = FeatureSpec("f0", CATEGORICAL)
+    return data, universe, prices, cfg
+
+
+def mid_month_monday(grid, after):
+    """Grid row of the first Monday after `after` that falls between the 8th
+    and the 20th, so no month-end review or score day is on it."""
+    day_of_month = (grid - grid.astype("datetime64[M]")).astype(int) + 1
+    monday = (grid.astype(int) + 3) % 7 == 0  # 1970-01-01 was a Thursday
+    return int(np.flatnonzero((grid > after) & monday & (day_of_month >= 8)
+                              & (day_of_month <= 20))[0])
+
+
+@pytest.mark.parametrize("change", [
+    "stock_id", "numeric_zero", "categorical", "grid", "spec", "config",
+])
+def test_input_changed_in_place_misses_the_memo(learn_calls, change):
+    """Each in-place change of a study input, even one that == cannot see
+    (0.0 to -0.0, 1 to 1.0, an id with a trailing NUL), makes the next
+    frozen study learn again, and its result equals a cold run."""
+    data, universe, prices, cfg = (
+        categorical_market(8) if change == "categorical" else small_study(seed=8)
+    )
+    panel = data.panel
+    k = int(np.flatnonzero(np.isfinite(panel.y))[0])
+    panel.columns[1][k] = 0.0
+    args = (panel, data.specs, universe, prices, cfg)
+    res = run_study(*args)
+    year = res.learnings[0].year
+    if change == "stock_id":
+        panel.stock_ids[k] += "\0"
+    elif change == "numeric_zero":
+        panel.columns[1][k] = -0.0
+    elif change == "categorical":
+        j = next(i for i, v in enumerate(panel.columns[0]) if v == 1)
+        panel.columns[0][j] = 1.0
+    elif change == "grid":
+        # The Monday becomes a Sunday: still sorted, same months and reviews.
+        prices.dates[mid_month_monday(prices.dates, res.learnings[0].date)] -= 1
+    elif change == "spec":
+        data.specs[1] = replace(data.specs[1], relative_to="sector")
+    else:
+        cfg.c_max = 0.6
+    learn_calls.clear()
+    got = frozen_bytes(learning_y(*args, year))
+    assert learn_calls == [res.learnings[0].date]
+    backtest._last_schedule = None
+    assert frozen_bytes(learning_y(*args, year)) == got
+
+
+def test_no_engine_is_built_while_the_memo_holds_one(monkeypatch):
+    """A study copies its inputs only after the last study's copies are let
+    go: _Engine.__init__ runs on an empty memo for a walk-forward study
+    after another and for a frozen study that misses, and not at all for a
+    frozen study that hits."""
+    data, universe, prices, cfg = small_study(seed=8)
+    args = (data.panel, data.specs, universe, prices, cfg)
+    memo_at_init = []
+    init_original = backtest._Engine.__init__
+
+    def recording(self, *a, **kw):
+        memo_at_init.append(backtest._last_schedule)
+        init_original(self, *a, **kw)
+
+    monkeypatch.setattr(backtest._Engine, "__init__", recording)
+    res = run_study(*args)
+    run_study(*args)
+    assert len(memo_at_init) == 2
+    engine = backtest._last_schedule.engine
+    learning_y(*args, res.learnings[-1].year)
+    assert len(memo_at_init) == 2  # a hit
+    assert backtest._last_schedule.engine is engine
+    data.panel.y[np.flatnonzero(np.isfinite(data.panel.y))[0]] += 0.5
+    learning_y(*args, res.learnings[-1].year)
+    assert memo_at_init == [None, None, None]
+    assert backtest._last_schedule.engine is not engine
+
+
 def test_returned_scores_and_learnings_are_not_the_memo(learn_calls):
     data, universe, prices, cfg = small_study(seed=9)
     args = (data.panel, data.specs, universe, prices, cfg)
@@ -721,7 +812,6 @@ def test_frozen_study_after_walk_forward_scores_only_its_tail(monkeypatch):
     """After a walk-forward study, the year-Y frozen study scores no day on
     or before the next learning date L_Y+1, and no day at all for the last
     learning year: the walk-forward segments already scored those days."""
-    monkeypatch.setattr(backtest, "_last_schedule", None)
     data, universe, prices, cfg = small_study(seed=6)
     args = (data.panel, data.specs, universe, prices, cfg)
     learnings = run_study(*args).learnings
@@ -743,10 +833,9 @@ def test_frozen_study_after_walk_forward_scores_only_its_tail(monkeypatch):
             assert all(day > learnings[k + 1].date for day in scored)
 
 
-def test_studies_in_threads_match_cold_runs(monkeypatch):
+def test_studies_in_threads_match_cold_runs():
     """Threads interleaving studies on two markets replace the one-entry
     memo under each other; every result still equals a cold run."""
-    monkeypatch.setattr(backtest, "_last_schedule", None)
     markets = [small_study(seed=s)[:3] for s in (10, 11)]
     cfg = small_study()[3]
     want = {}
@@ -792,19 +881,23 @@ def test_studies_in_threads_match_cold_runs(monkeypatch):
 
 
 def reference_segment(engine, step, state, L, next_L):
-    """_Engine.segment as a per-day loop: on each day of (L, next_L], the
-    labels resolving that day are discretized and update the weights, then a
-    score day's own panel rows are discretized and predicted on their own."""
-    raw, prices, ruleset = engine.raw_panel, engine.prices, step.ruleset
+    """_Engine.segment as a per-day loop: on each grid day of (L, next_L],
+    the labels resolving after the previous grid day and on or before this
+    one are discretized and update the weights, then a score day's own panel
+    rows are discretized and predicted on their own."""
+    raw, grid, ruleset = engine.raw_panel, engine.grid, step.ruleset
     pending = engine.labeled & (engine.resolution > L)
     if next_L is not None:
         pending &= engine.resolution <= next_L
     score_rows = set(engine.score_rows.tolist())
-    t_stop = prices.index_of(next_L) + 1 if next_L is not None else prices.n
+    t_start = int(np.flatnonzero(grid == L)[0]) + 1
+    t_stop = int(np.flatnonzero(grid == next_L)[0]) + 1 if next_L is not None else len(grid)
     scores = {}
-    for t in range(prices.index_of(L) + 1, t_stop):
-        day = prices.dates[t]
-        due = np.flatnonzero(pending & (engine.resolution == day))
+    for t in range(t_start, t_stop):
+        day = grid[t]
+        due = np.flatnonzero(
+            pending & (engine.resolution > grid[t - 1]) & (engine.resolution <= day)
+        )
         if len(due):
             labels = apply_discretizer(raw.take(due), step.discretizer)
             state = update(state, ruleset, labels.x, labels.y)
@@ -851,7 +944,6 @@ def thinned_market():
 def test_segment_scores_equal_per_day_reference(monkeypatch, market):
     """Walk-forward scores and every frozen study's tail equal the per-day
     reference bit for bit, in y_hat and ternary, and so do the levels."""
-    monkeypatch.setattr(backtest, "_last_schedule", None)
     data, universe, prices, cfg = (
         thinned_market() if market == "thinned" else regime_market(int(market[-1]))
     )
@@ -877,11 +969,67 @@ def test_segment_scores_equal_per_day_reference(monkeypatch, market):
         assert min(sizes) < max(sizes) == universe.at(min(first.scores)).n
 
 
+HOLIDAY = D("2013-11-14")
+
+
+def holiday_market():
+    """small_study(seed=3) without HOLIDAY in its prices and its panel, as if
+    the market were closed that day; 20 labels resolve on it."""
+    data, universe, prices, cfg = small_study(seed=3)
+    open_days = prices.dates != HOLIDAY
+    prices = PriceTable(prices.dates[open_days], prices.stock_ids, prices.returns[open_days])
+    data.panel = data.panel.take(np.flatnonzero(data.panel.dates != HOLIDAY))
+    return data, universe, prices, cfg
+
+
+def test_labels_resolving_on_a_market_holiday_update_the_next_close(monkeypatch):
+    """Every out-of-sample label updates the weights once, the 20 that
+    resolve on a holiday included, and (with every grid day scored) each
+    day's predictions equal the per-day reference, which applies a label at
+    the first close on or after its resolution day and none before."""
+    data, universe, prices, cfg = holiday_market()
+    grid, panel = prices.dates, data.panel
+    resolution = np.busday_offset(panel.dates, cfg.horizon_days)
+    labeled = np.isfinite(panel.y)
+    assert np.count_nonzero(labeled & (resolution == HOLIDAY)) == 20
+    learn_dates = backtest._learning_dates(grid, cfg.initial_train_years)
+
+    engine = backtest._Engine(panel, data.specs, grid, cfg, np.arange(1, len(grid)))
+    for k, L in enumerate(learn_dates):
+        next_L = learn_dates[k + 1] if k + 1 < len(learn_dates) else None
+        step = engine.learning(L)
+        got, got_state = engine.segment(step, step.state, L, next_L)
+        want, want_state = reference_segment(engine, step, step.state, L, next_L)
+        assert score_bits(got) == score_bits(want)
+        assert got_state.weights.tobytes() == want_state.weights.tobytes()
+
+    applied, in_segment = [], []
+    update_original = backtest.update
+    segment_original = backtest._Engine.segment
+
+    def counting(state, ruleset, x, y, **kw):
+        if in_segment:
+            applied.append(len(y))
+        return update_original(state, ruleset, x, y, **kw)
+
+    def flagged(self, *a, **kw):
+        in_segment.append(True)
+        try:
+            return segment_original(self, *a, **kw)
+        finally:
+            in_segment.pop()
+
+    monkeypatch.setattr(backtest, "update", counting)
+    monkeypatch.setattr(backtest._Engine, "segment", flagged)
+    run_study(panel, data.specs, universe, prices, cfg)
+    out_of_sample = labeled & (resolution > learn_dates[0]) & (resolution <= grid[-1])
+    assert sum(applied) == np.count_nonzero(out_of_sample)
+
+
 def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
     """Within a segment the score days' rows go through apply_discretizer
     once and RuleSet.activation_matrix once, however many score days the
     segment has; the only other call of each is for its pending labels."""
-    monkeypatch.setattr(backtest, "_last_schedule", None)
     data, universe, prices, cfg = small_study(seed=6)
     args = (data.panel, data.specs, universe, prices, cfg)
     calls, segments = [], []
