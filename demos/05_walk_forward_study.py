@@ -57,7 +57,6 @@ cfg = WalkForwardConfig(
     c_max=0.7,
     top_m=20,
     epsilon=0.01,
-    workers=1,
 )
 
 logging.basicConfig(level=logging.ERROR)  # legs log each review they hold the benchmark

@@ -519,7 +519,7 @@ class WalkForwardConfig:
     bic_x: float = 0.30
     score_lag_days: int = 4
     periods_per_year: float = 252.0
-    workers: int = 1
+    workers: int = 1  # no effect; kept so callers that pass workers=1 still run
 
     def search_params(self) -> SearchParams:
         return SearchParams(
@@ -600,9 +600,7 @@ def learning_step(
     codes = apply_discretizer(raw, discretizer)
     N = codes.n
     parts = split(codes, max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N)))))
-    ruleset, report = learn(
-        parts.learn, cfg.search_params(), learned_at=learned_at, workers=cfg.workers
-    )
+    ruleset, report = learn(parts.learn, cfg.search_params(), learned_at=learned_at)
     state = replay_state(ruleset, parts.aggregate, cfg)
     return LearningRecord(
         date=learned_at,

@@ -79,8 +79,6 @@ from .synth import (
 
 logger = logging.getLogger(__name__)
 
-WORKERS_ENV = "RULESCREEN_WORKERS"
-
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -117,7 +115,7 @@ class RunConfig:
     universe: str = ""
     prices: str = ""
     # plumbing
-    worker_count: int = 1
+    worker_count: int = 1  # no effect; kept so config files that set it still parse
     seed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -217,19 +215,6 @@ def default_config_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def effective_workers(cfg: RunConfig) -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return cfg.worker_count
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -277,9 +262,7 @@ def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
 
 
 def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
-    """The run's study config, and through its search_params() the one
-    mapping of the rule-search keys. It leaves workers at 1: only the
-    subcommands that search read RULESCREEN_WORKERS (effective_workers)."""
+    """The run's study config; its search_params() maps the rule-search keys."""
     return WalkForwardConfig(
         initial_train_years=cfg.initial_train_years,
         horizon_days=cfg.horizon_days,
@@ -305,9 +288,16 @@ def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
 # subcommands
 
 
+def _parse_file(path: str, parse, error=SpecMismatch):
+    """parse(the file's text); text that parse cannot read raises error(path)."""
+    try:
+        return parse(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise error(f"{path} does not parse: {exc!r}") from None
+
+
 def cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        blob = json.load(fh)
+    blob = _parse_file(args.spec, json.loads, InconsistentSpec)
     spec = parse_synth_spec(blob)
     data = generate(spec)
     out = Path(args.out)
@@ -324,34 +314,33 @@ def cmd_synth(args) -> int:
 
 
 def parse_synth_spec(blob: Dict) -> SynthSpec:
+    if not isinstance(blob, dict):
+        raise InconsistentSpec("a synth spec must be a JSON object")
     known = {f.name for f in fields(SynthSpec)}
     unknown = set(blob) - known
     if unknown:
         raise InconsistentSpec(f"unknown synth spec keys {sorted(unknown)}")
 
     def parse_rule(entry) -> PlantedRule:
-        try:
-            intervals = tuple(
-                Interval(int(iv["feature_index"]), int(iv["lo"]), int(iv["hi"]))
-                for iv in entry["intervals"]
-            )
-            effect = float(entry["effect"])
-        except KeyError as exc:
-            raise InconsistentSpec(f"planted rule missing key {exc}") from None
-        return PlantedRule(condition=Condition(intervals), effect=effect)
-
-    kwargs = dict(blob)
-    kwargs["planted"] = [parse_rule(e) for e in blob.get("planted", [])]
-    shift = blob.get("regime_shift")
-    if shift is not None:
-        kwargs["regime_shift"] = (
-            str(shift["date"]),
-            [parse_rule(e) for e in shift.get("replacement", [])],
+        intervals = tuple(
+            Interval(int(iv["feature_index"]), int(iv["lo"]), int(iv["hi"]))
+            for iv in entry["intervals"]
         )
+        return PlantedRule(condition=Condition(intervals), effect=float(entry["effect"]))
+
     try:
-        return SynthSpec(**kwargs)
-    except TypeError as exc:
-        raise InconsistentSpec(f"bad synth spec: {exc}") from None
+        kwargs = dict(blob, planted=[parse_rule(e) for e in blob.get("planted", [])])
+        shift = blob.get("regime_shift")
+        if shift is not None:
+            kwargs["regime_shift"] = (
+                str(shift["date"]),
+                [parse_rule(e) for e in shift.get("replacement", [])],
+            )
+        spec = SynthSpec(**kwargs)
+        spec.validate()
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InconsistentSpec(f"bad synth spec: {exc!r}") from None
+    return spec
 
 
 def cmd_discretize(args) -> int:
@@ -383,8 +372,7 @@ def cmd_learn(args) -> int:
     labeled = panel.take(keep)
     if labeled.n < 2:
         raise EmptyPanel(f"need at least 2 labeled rows, got {labeled.n}")
-    wcfg = replace(_cfg_to_walk(cfg), workers=effective_workers(cfg))
-    rec = learning_step(labeled, specs, wcfg, panel.dates.max())
+    rec = learning_step(labeled, specs, _cfg_to_walk(cfg), panel.dates.max())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -404,17 +392,20 @@ def cmd_learn(args) -> int:
 
 
 def cmd_score(args) -> int:
-    disc = Discretizer.from_json(Path(args.discretizer).read_text())
+    try:
+        asof = np.datetime64(args.asof, "D")
+    except ValueError:
+        raise ConfigError(f"--asof must be an ISO date, got {args.asof!r}") from None
+    disc = _parse_file(args.discretizer, Discretizer.from_json)
     feature_ids = [s.feature_id for s in disc.specs]
     n_codes = [disc.n_codes(fid) for fid in feature_ids]
-    ruleset = RuleSet.from_json(Path(args.rules).read_text(), feature_ids, n_codes)
-    state = AggregationState.from_json(Path(args.state).read_text())
+    ruleset = _parse_file(args.rules, lambda text: RuleSet.from_json(text, feature_ids, n_codes))
+    state = _parse_file(args.state, AggregationState.from_json)
     if state.n_rules != ruleset.R:
         raise InconsistentSpec(
             f"state has {state.n_rules} weights for {ruleset.R} rules"
         )
     panel, specs = load_features_csv(args.panel, specs=disc.specs)
-    asof = np.datetime64(args.asof, "D")
     keep = panel.dates == asof
     if not keep.any():
         raise EmptyPanel(f"no feature rows dated {asof}")
@@ -458,7 +449,7 @@ def cmd_backtest(args) -> int:
             {d: s for d, s in universe.snapshots.items() if lo <= d <= hi}
         )
 
-    wcfg = replace(_cfg_to_walk(cfg), workers=effective_workers(cfg))
+    wcfg = _cfg_to_walk(cfg)
     result = run_study(panel, specs, universe, prices, wcfg)
 
     if cfg.learning_years == "none":

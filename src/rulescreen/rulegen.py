@@ -9,7 +9,6 @@ vector (rows with unobserved y still need a prediction later).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,24 +73,6 @@ class LearnReport:
                 for name in header
             ],
         )
-
-
-def _chunks(items: Sequence, n_chunks: int) -> List[Sequence]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-    return [items[bounds[i] : bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-
-
-def _map_chunked(fn, items: Sequence, workers: int) -> List:
-    """Apply fn to chunks of items, in parallel when workers > 1; results are
-    concatenated in chunk order so output never depends on scheduling."""
-    chunks = _chunks(items, workers * 4 if workers > 1 else 1)
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [fn(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, chunks))
-    return [item for part in parts for item in part]
 
 
 # Bytes of unpacked boolean rows held at once, while prefix masks are built
@@ -173,29 +154,19 @@ def _popcount(masks: np.ndarray):
     return np.bitwise_count(masks).sum(axis=-1, dtype=np.int64)
 
 
-def _with_means(
-    candidates: Sequence[tuple], masks_of, bits: PackedMasks, workers: int
-) -> List[tuple]:
+def _with_means(candidates: Sequence[tuple], masks_of, bits: PackedMasks) -> List[tuple]:
     """(condition, count, mean) of each (condition, count, source) candidate,
     where masks_of(sources) stacks the candidates' packed masks. The mean of
     observed y over a condition's rows, summed in row order, is bit for bit
     conditional_mean(condition, panel.observed()). These means are the costly
-    part of the search, so they run on the pool, and a block of masks is
-    unpacked in one call."""
+    part of the search, so a block of masks is unpacked in one call."""
     block = max(1, UNPACKED_BLOCK_BYTES // max(bits.n, 1))
-
-    def means(chunk) -> List[tuple]:
-        out = []
-        for start in range(0, len(chunk), block):
-            part = chunk[start : start + block]
-            rows = bits.rows(masks_of([source for _, _, source in part]))
-            out += [
-                (cond, count, observed_mean(bits.y[r]))
-                for (cond, count, _), r in zip(part, rows)
-            ]
-        return out
-
-    return _map_chunked(means, candidates, workers)
+    out = []
+    for start in range(0, len(candidates), block):
+        part = candidates[start : start + block]
+        rows = bits.rows(masks_of([source for _, _, source in part]))
+        out += [(cond, count, observed_mean(bits.y[r])) for (cond, count, _), r in zip(part, rows)]
+    return out
 
 
 def _finalize_candidates(
@@ -227,7 +198,6 @@ def _finalize_candidates(
 def enumerate_complexity1(
     panel: DiscretizedPanel,
     params: SearchParams,
-    workers: int = 1,
     report: Optional[LearnReport] = None,
     bits: Optional[PackedMasks] = None,
 ) -> List[Rule]:
@@ -249,36 +219,31 @@ def enumerate_complexity1(
     sigma = sample_std(obs)
     z_fn = Z_KINDS[params.z_kind]
 
-    def screen_features(feature_indices: Sequence[int]) -> List[tuple]:
-        picked = []
-        for k in feature_indices:
-            col = obs.x[:, k]
-            K = obs.n_codes[k]
-            valid = col >= 0
-            counts = np.bincount(col[valid], minlength=K)
-            sums = np.bincount(col[valid], weights=obs.y[valid], minlength=K)
-            c_pre = np.concatenate(([0], np.cumsum(counts)))
-            s_pre = np.concatenate(([0.0], np.cumsum(sums)))
-            for a in range(K):
-                for b in range(a, K):
-                    count = int(c_pre[b + 1] - c_pre[a])
-                    if count < 1:
-                        continue
-                    cov = count / n
-                    if not params.c_min <= cov <= params.c_max:
-                        continue
-                    # A screen only: finalize re-tests with the exact mean.
-                    mu = (s_pre[b + 1] - s_pre[a]) / count
-                    if abs(mu - global_mean) < z_fn(count, params.alpha, sigma):
-                        continue
-                    cond = Condition((Interval(k, a, b),))
-                    picked.append((cond, count, cond))
-        return picked
-
-    d = obs.d
+    raw = []
+    for k in range(obs.d):
+        col = obs.x[:, k]
+        K = obs.n_codes[k]
+        valid = col >= 0
+        counts = np.bincount(col[valid], minlength=K)
+        sums = np.bincount(col[valid], weights=obs.y[valid], minlength=K)
+        c_pre = np.concatenate(([0], np.cumsum(counts)))
+        s_pre = np.concatenate(([0.0], np.cumsum(sums)))
+        for a in range(K):
+            for b in range(a, K):
+                count = int(c_pre[b + 1] - c_pre[a])
+                if count < 1:
+                    continue
+                cov = count / n
+                if not params.c_min <= cov <= params.c_max:
+                    continue
+                # A screen only: finalize re-tests with the exact mean.
+                mu = (s_pre[b + 1] - s_pre[a]) / count
+                if abs(mu - global_mean) < z_fn(count, params.alpha, sigma):
+                    continue
+                cond = Condition((Interval(k, a, b),))
+                raw.append((cond, count, cond))
     n_candidates = sum(K * (K + 1) // 2 for K in obs.n_codes)
-    raw = _map_chunked(screen_features, list(range(d)), workers)
-    raw = _with_means(raw, lambda conds: np.array([bits.mask(c) for c in conds]), bits, workers)
+    raw = _with_means(raw, lambda conds: np.array([bits.mask(c) for c in conds]), bits)
     rules = _finalize_candidates(raw, params, global_mean, sigma)
     rules.sort(key=lambda r: rule_sort_key(r, global_mean, obs.n_codes))
     if report is not None:
@@ -294,7 +259,6 @@ def generate_complexity_c(
     c: int,
     params: SearchParams,
     panel: DiscretizedPanel,
-    workers: int = 1,
     report: Optional[LearnReport] = None,
     bits: Optional[PackedMasks] = None,
 ) -> List[Rule]:
@@ -357,7 +321,6 @@ def generate_complexity_c(
         list(seen.values()),
         lambda pairs: masks1[[i for i, _ in pairs]] & masksc[[j for _, j in pairs]],
         bits,
-        workers,
     )
     rules = _finalize_candidates(raw, params, global_mean, sigma)
     rules.sort(key=lambda r: rule_sort_key(r, global_mean, n_codes))
@@ -371,7 +334,6 @@ def generate_complexity_c(
 def design_rules(
     panel: DiscretizedPanel,
     params: SearchParams,
-    workers: int = 1,
     report: Optional[LearnReport] = None,
     bits: Optional[PackedMasks] = None,
 ) -> List[Rule]:
@@ -379,14 +341,14 @@ def design_rules(
     empty. Every level reads one set of packed masks of the panel."""
     if bits is None:
         bits = PackedMasks(panel)
-    level1 = enumerate_complexity1(panel, params, workers=workers, report=report, bits=bits)
+    level1 = enumerate_complexity1(panel, params, report=report, bits=bits)
     all_rules = list(level1)
     previous = level1
     for c in range(2, params.cp_max + 1):
         if not previous:
             break
         level_c = generate_complexity_c(
-            level1, previous, c, params, panel, workers=workers, report=report, bits=bits
+            level1, previous, c, params, panel, report=report, bits=bits
         )
         if not level_c:
             break
@@ -463,12 +425,11 @@ def learn(
     panel: DiscretizedPanel,
     params: SearchParams,
     learned_at=None,
-    workers: int = 1,
 ) -> Tuple[RuleSet, LearnReport]:
     """Full rule-learning pass over one learning panel."""
     report = LearnReport()
     bits = PackedMasks(panel)
-    candidates = design_rules(panel, params, workers=workers, report=report, bits=bits)
+    candidates = design_rules(panel, params, report=report, bits=bits)
     ruleset = select_covering(
         candidates, panel, learned_at=learned_at, report=report, bits=bits
     )

@@ -322,7 +322,7 @@ def selection_criterion(rule: Rule, global_mean: float) -> float:
 
 def rule_sort_key(rule: Rule, global_mean: float, n_codes: Sequence[int]) -> tuple:
     # Criterion descending, then complexity, then the interval tuple, making
-    # the order total and reproducible across worker counts.
+    # the order total: it never depends on the order candidates were found in.
     return (
         -selection_criterion(rule, global_mean),
         rule.complexity(n_codes),

@@ -298,8 +298,7 @@ PRE_RULES = [
 ]
 POST_RULES = PRE_RULES[:3] + [PlantedRule(C((4, 3, 4)), -E3)]
 REGIME_CFG = WalkForwardConfig(initial_train_years=3, learn_fraction=0.75,
-                               m=5, c_max=0.7, top_m=20, epsilon=0.01,
-                               workers=1)
+                               m=5, c_max=0.7, top_m=20, epsilon=0.01)
 N_STUDY_SEEDS = 100
 FREEZE_YEAR = 2012
 
@@ -400,7 +399,7 @@ def test_c09_kpi_hand_values():
 
 
 # ---------------------------------------------------------------------------
-# 10. worker count never changes bytes on disk
+# 10. two fresh runs, one on a cold parse cache, write the same bytes
 
 
 SPEC10 = {
@@ -426,16 +425,15 @@ COMPARED = ("learn/rules.json", "learn/state.json", "scores.csv",
             "bt/learning-y.csv", "report.md")
 
 
-def test_c10_worker_determinism(tmp_path, monkeypatch):
+def test_c10_worker_determinism(tmp_path):
     data = tmp_path / "data"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC10))
     assert run(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
     asof = str(business_day_grid("2010-01-04", SPEC10["n_dates"])[-1])
 
-    def one_pass(workers):
-        root = tmp_path / f"w{workers}"
-        monkeypatch.setenv("RULESCREEN_WORKERS", str(workers))
+    def one_pass(label):
+        root = tmp_path / label
         cfg_path = root / "run.cfg"
         root.mkdir()
         lines = [CFG10] + [f"{k} = {data / (k + '.csv')}"
@@ -459,8 +457,8 @@ def test_c10_worker_determinism(tmp_path, monkeypatch):
                     "--out", str(root / "report.md")]) == 0
         return {name: (root / name).read_bytes() for name in COMPARED}
 
-    first, second = one_pass(1), one_pass(4)
+    first, second = one_pass("cold"), one_pass("warm")
     same = [name for name in COMPARED if first[name] == second[name]]
     report(10, len(same) == len(COMPARED),
            f"{len(same)}/{len(COMPARED)} outputs byte-identical "
-           f"for worker counts 1 and 4")
+           f"for a cold and a warm parse-cache run")

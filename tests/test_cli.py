@@ -18,7 +18,6 @@ from rulescreen.cli import (
     RunConfig,
     _cfg_to_walk,
     default_config_text,
-    effective_workers,
     parse_config,
     parse_synth_spec,
     run,
@@ -113,20 +112,6 @@ def test_parse_config_rejects_out_of_range(tmp_path, line):
 def test_default_config_text_round_trips(tmp_path):
     path = write_cfg(tmp_path, default_config_text())
     assert parse_config(path) == RunConfig()
-
-
-def test_effective_workers_env_override(tmp_path, monkeypatch):
-    cfg = RunConfig(worker_count=2)
-    monkeypatch.delenv("RULESCREEN_WORKERS", raising=False)
-    assert effective_workers(cfg) == 2
-    monkeypatch.setenv("RULESCREEN_WORKERS", "6")
-    assert effective_workers(cfg) == 6
-    monkeypatch.setenv("RULESCREEN_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        effective_workers(cfg)
-    monkeypatch.setenv("RULESCREEN_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        effective_workers(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +335,6 @@ def test_synth_writes_all_inputs(pipeline):
     assert names == SYNTH_FILES
 
 
-def test_bad_worker_env_fails_only_learn_and_backtest(pipeline, tmp_path, monkeypatch):
-    monkeypatch.setenv("RULESCREEN_WORKERS", "zero")
-    features = str(pipeline["data"] / "features.csv")
-    returns = str(pipeline["data"] / "returns.csv")
-    cfg = str(pipeline["cfg"])
-    assert run(["discretize", "--features", features, "--returns", returns, "--config", cfg,
-                "--out", str(tmp_path / "disc" / "discretizer.json")]) == 0
-    assert run(["learn", "--panel", features, "--returns", returns, "--config", cfg,
-                "--out", str(tmp_path / "learn" / "rules.json")]) == 1
-    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "bt")]) == 1
-
-
 def test_learn_writes_sibling_artifacts(pipeline):
     names = {p.name for p in pipeline["learn"].iterdir()}
     assert names == {"rules.json", "learn-report.csv", "discretizer.json",
@@ -422,12 +395,16 @@ def test_report_renders_markdown(pipeline):
     assert "## Calendar-year excess" in text
 
 
-def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path,
-                                                    monkeypatch):
-    data, cfg = pipeline["data"], pipeline["cfg"]
+def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path):
+    """worker_count is still a valid config key, and no output depends on it."""
+    data = pipeline["data"]
+    text = pipeline["cfg"].read_text()
+    assert "worker_count = 1" in text
 
     def learn_into(directory, workers):
-        monkeypatch.setenv("RULESCREEN_WORKERS", str(workers))
+        directory.mkdir()
+        cfg = directory / "run.cfg"
+        cfg.write_text(text.replace("worker_count = 1", f"worker_count = {workers}"))
         assert run([
             "learn",
             "--panel", str(data / "features.csv"),
@@ -442,6 +419,58 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path,
         a = (tmp_path / "w1" / name).read_bytes()
         b = (tmp_path / "w4" / name).read_bytes()
         assert a == b, name
+
+
+# A file of the learn output or the synth spec, what is written over it, the
+# exit code and what the CLI's error line must hold.
+BAD_JSON_CASES = {
+    "state_not_json": ("learn/state.json", "{not json", 2, ("SpecMismatch", "state.json")),
+    "rules_not_json": ("learn/rules.json", "{not json", 2, ("SpecMismatch", "rules.json")),
+    "discretizer_not_json": ("learn/discretizer.json", "{not json", 2,
+                             ("SpecMismatch", "discretizer.json")),
+    "state_without_weights": ("learn/state.json", "{}", 2, ("SpecMismatch", "state.json")),
+    "spec_not_json": ("spec.json", "{not json", 1, ("InconsistentSpec", "spec.json")),
+    "spec_bad_type": ("spec.json", json.dumps(dict(SPEC_BLOB, n_stocks="x")), 1,
+                      ("InconsistentSpec",)),
+    "spec_not_an_object": ("spec.json", "5", 1, ("InconsistentSpec",)),
+    "spec_bad_planted_rule": ("spec.json", json.dumps(dict(SPEC_BLOB, planted=[1])), 1,
+                              ("InconsistentSpec",)),
+    "spec_shift_without_date": ("spec.json",
+                                json.dumps(dict(SPEC_BLOB, regime_shift={"replacement": []})),
+                                1, ("InconsistentSpec", "date")),
+    "asof_not_a_date": (None, None, 1, ("ConfigError", "'notadate'")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_CASES))
+def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case):
+    name, text, code, expected = BAD_JSON_CASES[case]
+    shutil.copytree(pipeline["learn"], tmp_path / "learn")
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC_BLOB))
+    if name is not None:
+        (tmp_path / name).write_text(text)
+    if name == "spec.json":
+        argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]
+    else:
+        argv = [
+            "score",
+            "--rules", str(tmp_path / "learn" / "rules.json"),
+            "--state", str(tmp_path / "learn" / "state.json"),
+            "--discretizer", str(tmp_path / "learn" / "discretizer.json"),
+            "--panel", str(pipeline["data"] / "features.csv"),
+            "--asof", "notadate" if case == "asof_not_a_date" else pipeline["asof"],
+            "--out", str(tmp_path / "scores.csv"),
+        ]
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "rulescreen.cli", *argv],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert all(part in proc.stderr for part in expected), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ series and weight history, its KPIs, every score, every learning, and each
 frozen series with its KPIs. A refactor of `backtest` that keeps behaviour
 byte for byte keeps every digest. The CLI digests cover the four CSV files
 `synth` writes and every file `learn`, `score`, `backtest` and `report`
-write on the acceptance suite's worker-determinism market, so they pin the
+write on the acceptance suite's criterion-10 market, so they pin the
 CSV writer and the CSV loaders. That market's `features.csv` and
 `prices.csv` have 12,096 records each, more than one block of the writer.
 The pinned values were computed with numpy 2.4 on x86-64; a change of
@@ -45,7 +45,7 @@ PRE_RULES = [
 ]
 POST_RULES = PRE_RULES[:3] + [PlantedRule(C((4, 3, 4)), -0.08)]
 CFG = WalkForwardConfig(initial_train_years=3, learn_fraction=0.75, m=5,
-                        c_max=0.7, top_m=20, epsilon=0.01, workers=1)
+                        c_max=0.7, top_m=20, epsilon=0.01)
 
 GOLDEN = {
     "series/Benchmark": "cbc5cfe5a45f0606ba449cba4e3dca091a306a58a780e348269d6d45da0d069c",

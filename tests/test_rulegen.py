@@ -207,15 +207,6 @@ def test_learned_at_defaults_to_last_panel_date():
     assert rs.learned_at == panel.dates.max()
 
 
-def test_worker_count_does_not_change_output():
-    panel = planted_panel(seed=12, n=600)
-    params = SearchParams(m=5, alpha=0.1, c_min=0.02, c_max=0.8, cp_max=2, M=30)
-    solo = design_rules(panel, params, workers=1)
-    quad = design_rules(panel, params, workers=4)
-    assert [r.condition for r in solo] == [r.condition for r in quad]
-    assert [r.prediction for r in solo] == [r.prediction for r in quad]
-
-
 def test_learn_report_csv(tmp_path):
     panel = planted_panel(seed=13)
     params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
