@@ -14,10 +14,9 @@ from rulescreen.panel import (
     CATEGORICAL,
     MISSING_CODE,
     FeatureSpec,
-    RawObservation,
+    RawPanel,
     apply_discretizer,
     fit_discretizer,
-    raw_panel_from_observations,
 )
 
 rng = np.random.default_rng(7)
@@ -28,20 +27,29 @@ specs = [
     FeatureSpec("region", kind=CATEGORICAL),
 ]
 
-fit_obs = [
-    RawObservation(
-        date="2021-03-31",
-        stock_id=f"S{i:03d}",
-        features=[
-            float(np.exp(rng.normal(-2.0, 0.8))),  # skewed, strictly positive
-            float(rng.integers(0, 2)),             # two distinct values only
-            rng.choice(["EU", "US", "JP"]),
-        ],
-    )
-    for i in range(400)
-]
 
-panel = raw_panel_from_observations(fit_obs, specs)
+def cross_section(date, stock_ids, columns):
+    """A RawPanel of one date: one column per spec (NaN or None = missing)
+    and no observed outcomes."""
+    n = len(stock_ids)
+    return RawPanel(
+        dates=np.full(n, np.datetime64(date, "D")),
+        stock_ids=np.array(stock_ids, dtype=object),
+        columns=columns,
+        y=np.full(n, np.nan),
+    )
+
+
+n = 400
+panel = cross_section(
+    "2021-03-31",
+    [f"S{i:03d}" for i in range(n)],
+    [
+        rng.lognormal(-2.0, 0.8, size=n),                # skewed, strictly positive
+        rng.integers(0, 2, size=n).astype(np.float64),   # two distinct values only
+        rng.choice(np.array(["EU", "US", "JP"], dtype=object), size=n),
+    ],
+)
 disc = fit_discretizer(panel, specs, m=4)
 
 print("fitted cut points (3 edges make 4 right-closed bins):")
@@ -62,12 +70,14 @@ tricky = [
     ("missing volatility", [None, 0.0, "US"]),
     ("unseen region", [0.1, 1.0, "BR"]),
 ]
-probe = raw_panel_from_observations(
+probe = cross_section(
+    "2021-06-30",
+    [f"P{i}" for i in range(len(tricky))],
     [
-        RawObservation("2021-06-30", f"P{i}", feats)
-        for i, (_, feats) in enumerate(tricky)
+        np.array([feats[0] for _, feats in tricky], dtype=np.float64),
+        np.array([feats[1] for _, feats in tricky], dtype=np.float64),
+        np.array([feats[2] for _, feats in tricky], dtype=object),
     ],
-    specs,
 )
 codes = apply_discretizer(probe, disc)
 

@@ -42,7 +42,7 @@ print(f"labeled learning set: {raw.n} rows, {spec.d} features")
 disc = fit_discretizer(raw, data.specs, m=5)
 codes = apply_discretizer(raw, disc)
 
-params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=30)
+params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=30)
 ruleset, report = learn(codes, params, learned_at=codes.dates[-1])
 
 print("\nsearch funnel:")

@@ -44,14 +44,9 @@ class AggregationState:
 
     weights: np.ndarray
     eta: float
-    loss_kind: str = "squared"
     loss_clip: float = 1.0
     epsilon: float = 0.0
     step: int = 0
-
-    def __post_init__(self):
-        if self.loss_kind != "squared":
-            raise SpecMismatch(f"unknown loss_kind {self.loss_kind!r}")
 
     @property
     def n_rules(self) -> int:
@@ -69,14 +64,11 @@ class AggregationState:
         )
 
     @classmethod
-    def from_json(
-        cls, text: str, loss_kind: str = "squared", loss_clip: float = 1.0
-    ) -> "AggregationState":
+    def from_json(cls, text: str, loss_clip: float = 1.0) -> "AggregationState":
         blob = json.loads(text)
         return cls(
             weights=np.asarray(blob["weights"], dtype=np.float64),
             eta=float(blob["eta"]),
-            loss_kind=loss_kind,
             loss_clip=loss_clip,
             epsilon=float(blob["epsilon"]),
             step=int(blob["step"]),
@@ -86,7 +78,6 @@ class AggregationState:
 def init_state(
     n_rules: int,
     eta: float,
-    loss_kind: str = "squared",
     loss_clip: float = 1.0,
     epsilon: float = 0.0,
 ) -> AggregationState:
@@ -96,7 +87,6 @@ def init_state(
     return AggregationState(
         weights=np.full(n_rules, 1.0 / n_rules, dtype=np.float64),
         eta=eta,
-        loss_kind=loss_kind,
         loss_clip=loss_clip,
         epsilon=epsilon,
     )

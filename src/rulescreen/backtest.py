@@ -512,7 +512,6 @@ class WalkForwardConfig:
     cp_max: int = 2
     top_m: int = 50
     z_kind: str = "gaussian"
-    loss_kind: str = "squared"
     loss_clip: float = 1.0
     eta: Optional[float] = None
     epsilon: Optional[float] = None
@@ -523,7 +522,6 @@ class WalkForwardConfig:
 
     def search_params(self) -> SearchParams:
         return SearchParams(
-            m=self.m,
             alpha=self.alpha,
             c_min=self.c_min,
             c_max=self.c_max,
@@ -578,7 +576,7 @@ def replay_state(
     cfg.epsilon None, the dead zone is the standard deviation of the replayed
     rows' predictions under the final weights."""
     eta = cfg.eta if cfg.eta is not None else default_eta(ruleset.R, max(1, replay.n))
-    state = init_state(ruleset.R, eta, loss_kind=cfg.loss_kind, loss_clip=cfg.loss_clip)
+    state = init_state(ruleset.R, eta, loss_clip=cfg.loss_clip)
     A = ruleset.activation_matrix(replay.x)
     state = update(state, ruleset, replay.x, replay.y, active=A)
     epsilon = cfg.epsilon
@@ -934,7 +932,7 @@ def run_study(
     cfg: WalkForwardConfig,
     freeze_year: Optional[int] = None,
 ) -> StudyResult:
-    """Shared engine behind walk_forward and learning_y.
+    """The walk-forward study, and the engine behind learning_y.
 
     Learnings happen at the last trading day of each calendar year, starting
     once `initial_train_years` are available. Each learning is one
@@ -1003,17 +1001,6 @@ def run_study(
         scores=scores,
         reviews=reviews,
     )
-
-
-def walk_forward(
-    raw_panel: RawPanel,
-    specs: Sequence[FeatureSpec],
-    universe: UniverseTable,
-    prices: PriceTable,
-    cfg: WalkForwardConfig,
-) -> Dict[str, BacktestReport]:
-    """Annual re-learning study; returns one report per strategy leg."""
-    return run_study(raw_panel, specs, universe, prices, cfg).reports
 
 
 def learning_y(

@@ -96,7 +96,7 @@ class RunConfig:
     z_kind: str = "gaussian"
     # aggregation
     eta: Optional[float] = None  # None = auto
-    loss_kind: str = "squared"
+    loss_kind: str = "squared"  # no effect; kept so config files that set it still parse
     loss_clip: float = 1.0
     epsilon: Optional[float] = None  # None = auto
     learn_fraction: float = 0.25
@@ -168,6 +168,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
 _RANGES = {
     "eta": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
     "epsilon": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
+    "m": (lambda v: v >= 2, ">= 2"),
     "loss_kind": (lambda v: v == "squared", "squared"),
     "loss_clip": (lambda v: v > 0.0, "> 0"),
     "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
@@ -274,7 +275,6 @@ def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
         cp_max=cfg.cp_max,
         top_m=cfg.M,
         z_kind=cfg.z_kind,
-        loss_kind=cfg.loss_kind,
         loss_clip=cfg.loss_clip,
         eta=cfg.eta,
         epsilon=cfg.epsilon,
@@ -402,8 +402,8 @@ def cmd_score(args) -> int:
     ruleset = _parse_file(args.rules, lambda text: RuleSet.from_json(text, feature_ids, n_codes))
     state = _parse_file(args.state, AggregationState.from_json)
     if state.n_rules != ruleset.R:
-        raise InconsistentSpec(
-            f"state has {state.n_rules} weights for {ruleset.R} rules"
+        raise SpecMismatch(
+            f"{args.state} has {state.n_rules} weights for the {ruleset.R} rules of {args.rules}"
         )
     panel, specs = load_features_csv(args.panel, specs=disc.specs)
     keep = panel.dates == asof

@@ -17,7 +17,7 @@ import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,41 +40,22 @@ CATEGORICAL = "categorical"
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Declares one feature column.
-
-    relative_to is descriptive metadata (e.g. a feature expressed versus its
-    sector average); it never changes how the column is discretized.
-    """
+    """Declares one feature column."""
 
     feature_id: str
     kind: str = NUMERIC
-    relative_to: str = "all"
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise SpecMismatch(f"unknown feature kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class RawObservation:
-    """One (date, stock) record before discretization.
-
-    features holds d raw values; None marks a missing value. y is the 3-month
-    forward excess return as a decimal (0.01 = 1%), or None when the outcome
-    is not (yet) observed.
-    """
-
-    date: object
-    stock_id: str
-    features: Sequence[object]
-    y: Optional[float] = None
-
-
 @dataclass
 class RawPanel:
-    """Column-oriented raw panel; the fast-path equivalent of a list of
-    RawObservation. columns[k] is a float64 array (NaN = missing) for numeric
-    features and an object array (None = missing) for categorical ones."""
+    """Column-oriented raw panel of (date, stock_id) rows. columns[k] is a
+    float64 array (NaN = missing) for numeric features and an object array
+    (None = missing) for categorical ones; y is the 3-month forward excess
+    return as a decimal (0.01 = 1%), NaN when the outcome is not observed."""
 
     dates: np.ndarray
     stock_ids: np.ndarray
@@ -95,53 +76,11 @@ class RawPanel:
         )
 
 
-def as_date64(value) -> np.datetime64:
-    """Normalize a date-like value to numpy datetime64[D]."""
-    return np.datetime64(value, "D")
-
-
-def raw_panel_from_observations(
-    raw: Sequence[RawObservation], specs: Sequence[FeatureSpec]
-) -> RawPanel:
-    if len(raw) == 0:
-        raise EmptyPanel("no observations")
-    d = len(specs)
-    n = len(raw)
-    dates = np.array([as_date64(o.date) for o in raw], dtype="datetime64[D]")
-    stock_ids = np.array([o.stock_id for o in raw], dtype=object)
-    columns: List[np.ndarray] = []
-    for k, spec in enumerate(specs):
-        if spec.kind == NUMERIC:
-            col = np.full(n, np.nan, dtype=np.float64)
-            for i, o in enumerate(raw):
-                v = o.features[k]
-                if v is not None and v == v:
-                    col[i] = float(v)
-        else:
-            col = np.array(
-                [o.features[k] if o.features[k] is not None else None for o in raw],
-                dtype=object,
-            )
-        columns.append(col)
-    y = np.array(
-        [np.nan if o.y is None else float(o.y) for o in raw], dtype=np.float64
-    )
-    for i, o in enumerate(raw):
-        if len(o.features) != d:
-            raise SpecMismatch(
-                f"observation {i} has {len(o.features)} features, specs declare {d}"
-            )
-    return RawPanel(dates=dates, stock_ids=stock_ids, columns=columns, y=y)
-
-
-def _coerce_raw(raw, specs) -> RawPanel:
-    if isinstance(raw, RawPanel):
-        if len(raw.columns) != len(specs):
-            raise SpecMismatch(
-                f"panel has {len(raw.columns)} columns, specs declare {len(specs)}"
-            )
-        return raw
-    return raw_panel_from_observations(raw, specs)
+def _check_columns(panel: RawPanel, specs: Sequence[FeatureSpec]) -> None:
+    if len(panel.columns) != len(specs):
+        raise SpecMismatch(
+            f"panel has {len(panel.columns)} columns, specs declare {len(specs)}"
+        )
 
 
 def empirical_quantile(sorted_values: np.ndarray, p: float):
@@ -157,7 +96,6 @@ class Discretizer:
     category tables per categorical feature."""
 
     specs: List[FeatureSpec]
-    m: int
     edges: Dict[str, np.ndarray] = field(default_factory=dict)
     categories: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -186,30 +124,22 @@ class Discretizer:
         return json.dumps(blob, indent=2, sort_keys=False)
 
     @classmethod
-    def from_json(cls, text: str, m: Optional[int] = None) -> "Discretizer":
+    def from_json(cls, text: str) -> "Discretizer":
         blob = json.loads(text)
         specs = []
         edges: Dict[str, np.ndarray] = {}
         categories: Dict[str, List[str]] = {}
-        max_codes = 1
         for feature_id, entry in blob.items():
             kind = entry["kind"]
             specs.append(FeatureSpec(feature_id=feature_id, kind=kind))
             if kind == NUMERIC:
                 edges[feature_id] = np.asarray(entry["edges"], dtype=np.float64)
-                max_codes = max(max_codes, len(entry["edges"]) + 1)
             else:
                 categories[feature_id] = list(entry["categories"])
-                max_codes = max(max_codes, len(entry["categories"]))
-        return cls(
-            specs=specs,
-            m=m if m is not None else max_codes,
-            edges=edges,
-            categories=categories,
-        )
+        return cls(specs=specs, edges=edges, categories=categories)
 
 
-def fit_discretizer(raw, specs: Sequence[FeatureSpec], m: int) -> Discretizer:
+def fit_discretizer(panel: RawPanel, specs: Sequence[FeatureSpec], m: int) -> Discretizer:
     """Fit per-feature binning on a sample.
 
     Numeric features with more than m distinct values get m-1 cut points at
@@ -223,11 +153,11 @@ def fit_discretizer(raw, specs: Sequence[FeatureSpec], m: int) -> Discretizer:
     specs = list(specs)
     if len({s.feature_id for s in specs}) != len(specs):
         raise SpecMismatch("duplicate feature_id in specs")
-    panel = _coerce_raw(raw, specs)
+    _check_columns(panel, specs)
     if panel.n == 0:
         raise EmptyPanel("no observations")
 
-    disc = Discretizer(specs=specs, m=m)
+    disc = Discretizer(specs=specs)
     for spec, col in zip(specs, panel.columns):
         if spec.kind == CATEGORICAL:
             seen = sorted({v for v in col if v is not None})
@@ -261,7 +191,6 @@ class DiscretizedPanel:
     """
 
     specs: List[FeatureSpec]
-    m: int
     dates: np.ndarray
     stock_ids: np.ndarray
     x: np.ndarray
@@ -287,7 +216,6 @@ class DiscretizedPanel:
     def take(self, index) -> "DiscretizedPanel":
         return DiscretizedPanel(
             specs=self.specs,
-            m=self.m,
             dates=self.dates[index],
             stock_ids=self.stock_ids[index],
             x=self.x[index],
@@ -296,7 +224,7 @@ class DiscretizedPanel:
         )
 
 
-def apply_discretizer(raw, discretizer: Discretizer) -> DiscretizedPanel:
+def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedPanel:
     """Map raw values to modality codes with frozen bins.
 
     Bins are right-closed (a value equal to a cut point falls in the lower
@@ -305,7 +233,7 @@ def apply_discretizer(raw, discretizer: Discretizer) -> DiscretizedPanel:
     as missing. Output rows are sorted by (date, stock_id).
     """
     specs = discretizer.specs
-    panel = _coerce_raw(raw, specs)
+    _check_columns(panel, specs)
     n, d = panel.n, len(specs)
     x = np.full((n, d), MISSING_CODE, dtype=np.int32)
     for k, spec in enumerate(specs):
@@ -331,7 +259,6 @@ def apply_discretizer(raw, discretizer: Discretizer) -> DiscretizedPanel:
     order = np.lexsort((panel.stock_ids, panel.dates))
     return DiscretizedPanel(
         specs=list(specs),
-        m=discretizer.m,
         dates=panel.dates[order],
         stock_ids=panel.stock_ids[order],
         x=x[order],

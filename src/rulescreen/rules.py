@@ -191,7 +191,6 @@ def significance_threshold(
 class SearchParams:
     """Knobs of the rule search."""
 
-    m: int = 10
     alpha: float = 0.05
     c_min: float = 0.05
     c_max: float = 0.5
@@ -200,8 +199,6 @@ class SearchParams:
     z_kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.m < 2:
-            raise SpecMismatch(f"m must be >= 2, got {self.m}")
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecMismatch(f"alpha must lie in [0,1], got {self.alpha}")
         # c_min = 0 disables the lower coverage bound (diagnostic configs).

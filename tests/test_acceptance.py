@@ -74,7 +74,6 @@ def panel_from_codes(x, y, m):
     n, d = x.shape
     return DiscretizedPanel(
         specs=[FeatureSpec(f"f{k}") for k in range(d)],
-        m=m,
         dates=np.array(["2020-01-01"] * n, dtype="datetime64[D]"),
         stock_ids=np.array([f"S{i}" for i in range(n)], dtype=object),
         x=x,
@@ -133,8 +132,7 @@ def test_c01_oracle_equivalence():
 
 
 def test_c02_suitability_post_conditions():
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7,
-                          cp_max=2, M=30)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=30)
     q = float(norm.ppf(1.0 - params.alpha / 2.0))
     emitted = 0
     violations = 0
@@ -171,7 +169,7 @@ def test_c02_suitability_post_conditions():
 
 
 TARGET3 = C((0, 0, 2), (1, 1, 2))
-PARAMS3 = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
+PARAMS3 = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
 
 
 def labeled_codes(spec):

@@ -131,11 +131,6 @@ def test_loss_clip_caps_the_charge():
     assert st1.weights == pytest.approx(want, rel=1e-14)
 
 
-def test_unknown_loss_kind_rejected():
-    with pytest.raises(SpecMismatch):
-        init_state(2, 0.1, loss_kind="absolute")
-
-
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_never_active_rule_keeps_exact_initial_weight(codes):

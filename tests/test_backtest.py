@@ -39,7 +39,6 @@ from rulescreen.backtest import (
     run_study,
     sector_match,
     simulate,
-    walk_forward,
     write_calendar_csv,
     write_kpis_json,
     write_levels_csv,
@@ -549,7 +548,7 @@ def small_study(seed=0, planted=None, **cfg_kw):
 
 def test_walk_forward_emits_all_five_legs():
     data, universe, prices, cfg = small_study()
-    reports = walk_forward(data.panel, data.specs, universe, prices, cfg)
+    reports = run_study(data.panel, data.specs, universe, prices, cfg).reports
     assert set(reports) == {BENCHMARK, POSITIVE, POSITIVE_SM, NEGATIVE,
                             BEST_IN_CLASS}
     for rep in reports.values():
@@ -567,7 +566,7 @@ def test_first_out_of_sample_scores_in_january_of_year_4():
 
 def test_planted_panel_positive_beats_negative():
     data, universe, prices, cfg = small_study(seed=1)
-    reports = walk_forward(data.panel, data.specs, universe, prices, cfg)
+    reports = run_study(data.panel, data.specs, universe, prices, cfg).reports
     assert (reports[POSITIVE].kpis.ann_performance
             > reports[NEGATIVE].kpis.ann_performance)
 
@@ -579,16 +578,16 @@ def test_one_year_of_data_is_insufficient():
     data = generate(spec)
     cfg = WalkForwardConfig(initial_train_years=3, m=3)
     with pytest.raises(InsufficientHistory):
-        walk_forward(data.panel, data.specs,
-                     UniverseTable.from_rows(data.universe),
-                     PriceTable(data.price_dates, data.price_stock_ids,
-                                data.price_returns), cfg)
+        run_study(data.panel, data.specs,
+                  UniverseTable.from_rows(data.universe),
+                  PriceTable(data.price_dates, data.price_stock_ids,
+                             data.price_returns), cfg)
 
 
 def test_null_panel_falls_back_to_benchmark(caplog):
     data, universe, prices, cfg = small_study(seed=2, planted=[])
     with caplog.at_level(logging.WARNING, logger="rulescreen.backtest"):
-        reports = walk_forward(data.panel, data.specs, universe, prices, cfg)
+        reports = run_study(data.panel, data.specs, universe, prices, cfg).reports
     # with nothing score-worthy the ML legs hold the benchmark instead
     assert reports[NEGATIVE].series.values == pytest.approx(
         reports[BENCHMARK].series.values)
@@ -752,7 +751,7 @@ def test_input_changed_in_place_misses_the_memo(learn_calls, change):
         # The Monday becomes a Sunday: still sorted, same months and reviews.
         prices.dates[mid_month_monday(prices.dates, res.learnings[0].date)] -= 1
     elif change == "spec":
-        data.specs[1] = replace(data.specs[1], relative_to="sector")
+        data.specs[1] = replace(data.specs[1], feature_id="g1")
     else:
         cfg.c_max = 0.6
     learn_calls.clear()
@@ -1198,7 +1197,7 @@ def test_prices_csv_round_trip_and_gap_detection(tmp_path):
 
 def test_report_writers_shapes(tmp_path):
     data, universe, prices, cfg = small_study(seed=8)
-    reports = walk_forward(data.panel, data.specs, universe, prices, cfg)
+    reports = run_study(data.panel, data.specs, universe, prices, cfg).reports
     write_levels_csv(tmp_path / "levels.csv",
                      {n: r.series for n, r in reports.items()})
     write_kpis_json(tmp_path / "kpis.json", reports)

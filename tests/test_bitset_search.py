@@ -161,7 +161,6 @@ def random_panel(seed, n, d, m, missing, unobserved):
     y[rng.random(n) < unobserved] = np.nan
     return DiscretizedPanel(
         specs=[FeatureSpec(f"f{k}") for k in range(d)],
-        m=m,
         dates=np.full(n, np.datetime64("2020-01-01")),
         stock_ids=np.array([f"S{i}" for i in range(n)], dtype=object),
         x=x,
@@ -196,7 +195,7 @@ def test_bitset_search_matches_the_per_pair_reference(
     seed, n, d, m, missing, unobserved, cp_max, M, c_min, c_max, alpha
 ):
     panel = random_panel(seed, n, d, m, missing, unobserved)
-    params = SearchParams(m=m, alpha=alpha, c_min=c_min, c_max=c_max, cp_max=cp_max, M=M)
+    params = SearchParams(alpha=alpha, c_min=c_min, c_max=c_max, cp_max=cp_max, M=M)
     if not np.isfinite(panel.y).any():
         with pytest.raises(EmptyLearningSet):
             learn(panel, params)

@@ -421,14 +421,23 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path):
         assert a == b, name
 
 
-# A file of the learn output or the synth spec, what is written over it, the
-# exit code and what the CLI's error line must hold.
+def one_weight_short(text):
+    blob = json.loads(text)
+    blob["weights"].pop()
+    return json.dumps(blob)
+
+
+# A file of the learn output or the synth spec, what is written over it (a
+# string, or a function of the file's text), the exit code and what the CLI's
+# error line must hold.
 BAD_JSON_CASES = {
     "state_not_json": ("learn/state.json", "{not json", 2, ("SpecMismatch", "state.json")),
     "rules_not_json": ("learn/rules.json", "{not json", 2, ("SpecMismatch", "rules.json")),
     "discretizer_not_json": ("learn/discretizer.json", "{not json", 2,
                              ("SpecMismatch", "discretizer.json")),
     "state_without_weights": ("learn/state.json", "{}", 2, ("SpecMismatch", "state.json")),
+    "state_one_weight_short": ("learn/state.json", one_weight_short, 2,
+                               ("SpecMismatch", "state.json", "rules.json")),
     "spec_not_json": ("spec.json", "{not json", 1, ("InconsistentSpec", "spec.json")),
     "spec_bad_type": ("spec.json", json.dumps(dict(SPEC_BLOB, n_stocks="x")), 1,
                       ("InconsistentSpec",)),
@@ -447,6 +456,8 @@ def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case
     name, text, code, expected = BAD_JSON_CASES[case]
     shutil.copytree(pipeline["learn"], tmp_path / "learn")
     (tmp_path / "spec.json").write_text(json.dumps(SPEC_BLOB))
+    if callable(text):
+        text = text((tmp_path / name).read_text())
     if name is not None:
         (tmp_path / name).write_text(text)
     if name == "spec.json":

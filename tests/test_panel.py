@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulescreen.errors import BadSplitPoint, EmptyPanel, MalformedRow, NonPositiveModalities
+from rulescreen.errors import (
+    BadSplitPoint,
+    EmptyPanel,
+    MalformedRow,
+    NonPositiveModalities,
+    SpecMismatch,
+)
 from rulescreen.panel import (
     CATEGORICAL,
     MISSING_CODE,
     Discretizer,
     FeatureSpec,
-    RawObservation,
     RawPanel,
     apply_discretizer,
     attach_returns,
@@ -27,13 +32,30 @@ from rulescreen.panel import (
 SPEC1 = [FeatureSpec("f0")]
 
 
+def raw_panel(dates, stock_ids, *columns, y=None):
+    """A RawPanel of the given rows; None in y (or in a numeric column) is
+    NaN, an unobserved outcome (or a missing value)."""
+    return RawPanel(
+        dates=np.array(dates, dtype="datetime64[D]"),
+        stock_ids=np.array(stock_ids, dtype=object),
+        columns=list(columns),
+        y=np.full(len(stock_ids), np.nan) if y is None else np.array(y, dtype=np.float64),
+    )
+
+
+def numeric(values):
+    return np.array(values, dtype=np.float64)
+
+
+def labels(values):
+    return np.array(values, dtype=object)
+
+
 def panel_of(values, y=None):
-    obs = [
-        RawObservation(np.datetime64("2020-01-01") + i, f"S{i:03d}", [v],
-                       None if y is None else y[i])
-        for i, v in enumerate(values)
-    ]
-    return obs
+    """One numeric column, one row per value, each on its own date."""
+    n = len(values)
+    return raw_panel(np.datetime64("2020-01-01") + np.arange(n),
+                     [f"S{i:03d}" for i in range(n)], numeric(values), y=y)
 
 
 def test_uniform_1_to_100_m4_edges():
@@ -84,8 +106,8 @@ def test_missing_value_gets_missing_code():
 
 def test_categorical_feature_passthrough():
     specs = [FeatureSpec("sec", kind="categorical")]
-    obs = [RawObservation("2020-01-01", f"S{i}", [v])
-           for i, v in enumerate(["b", "a", "b", None])]
+    obs = raw_panel(["2020-01-01"] * 4, [f"S{i}" for i in range(4)],
+                    labels(["b", "a", "b", None]))
     disc = fit_discretizer(obs, specs, m=4)
     assert disc.categories["sec"] == ["a", "b"]
     out = apply_discretizer(obs, disc)
@@ -93,8 +115,7 @@ def test_categorical_feature_passthrough():
     assert by_stock["S0"] == 1 and by_stock["S1"] == 0
     assert by_stock["S3"] == MISSING_CODE
     # Labels never seen at fit time behave like missing values.
-    unseen = apply_discretizer(
-        [RawObservation("2020-01-01", "S9", ["zz"])], disc)
+    unseen = apply_discretizer(raw_panel(["2020-01-01"], ["S9"], labels(["zz"])), disc)
     assert unseen.x[0, 0] == MISSING_CODE
 
 
@@ -126,26 +147,35 @@ def test_m_below_2_rejected():
 
 def test_empty_panel_rejected():
     with pytest.raises(EmptyPanel):
-        fit_discretizer([], SPEC1, m=4)
+        fit_discretizer(panel_of([]), SPEC1, m=4)
+
+
+def test_column_count_must_match_specs():
+    """A panel whose column count differs from the specs' is refused, by the
+    fit and by the apply, naming both counts."""
+    two = raw_panel(["2020-01-01"] * 3, ["A", "B", "C"],
+                    numeric([1.0, 2.0, 3.0]), numeric([4.0, 5.0, 6.0]))
+    with pytest.raises(SpecMismatch, match="^panel has 2 columns, specs declare 1$"):
+        fit_discretizer(two, SPEC1, m=2)
+    disc = fit_discretizer(panel_of([1.0, 2.0, 3.0]), SPEC1, m=2)
+    with pytest.raises(SpecMismatch, match="^panel has 2 columns, specs declare 1$"):
+        apply_discretizer(two, disc)
 
 
 def test_discretizer_json_round_trip():
     specs = [FeatureSpec("f0"), FeatureSpec("sec", kind="categorical")]
-    obs = [RawObservation("2020-01-01", f"S{i}", [float(i), "ab"[i % 2]])
-           for i in range(30)]
+    obs = raw_panel(["2020-01-01"] * 30, [f"S{i}" for i in range(30)],
+                    numeric(range(30)), labels(["ab"[i % 2] for i in range(30)]))
     disc = fit_discretizer(obs, specs, m=4)
-    clone = Discretizer.from_json(disc.to_json(), m=4)
+    clone = Discretizer.from_json(disc.to_json())
     assert clone.edges["f0"].tolist() == disc.edges["f0"].tolist()
     assert clone.categories["sec"] == disc.categories["sec"]
     assert clone.code_counts() == disc.code_counts()
 
 
 def test_apply_sorts_rows_by_date_then_stock():
-    obs = [
-        RawObservation("2020-01-02", "B", [1.0]),
-        RawObservation("2020-01-01", "B", [2.0]),
-        RawObservation("2020-01-01", "A", [3.0]),
-    ]
+    obs = raw_panel(["2020-01-02", "2020-01-01", "2020-01-01"], ["B", "B", "A"],
+                    numeric([1.0, 2.0, 3.0]))
     disc = fit_discretizer(obs, SPEC1, m=2)
     out = apply_discretizer(obs, disc)
     keys = list(zip(out.dates, out.stock_ids))
@@ -175,8 +205,7 @@ def test_shuffled_input_splits_like_sorted_input():
     rng = np.random.default_rng(3)
     obs = panel_of(rng.normal(size=40), y=list(rng.normal(size=40)))
     disc = fit_discretizer(obs, SPEC1, m=4)
-    shuffled = list(obs)
-    rng.shuffle(shuffled)
+    shuffled = obs.take(rng.permutation(obs.n))
     a = split(apply_discretizer(obs, disc), 25)
     b = split(apply_discretizer(shuffled, disc), 25)
     assert np.array_equal(a.learn.x, b.learn.x)
@@ -195,14 +224,15 @@ def test_same_bytes_same_codes():
 def test_features_csv_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     specs = [FeatureSpec("f0"), FeatureSpec("f1"), FeatureSpec("sector", CATEGORICAL)]
-    obs = [
-        RawObservation(np.datetime64("2020-01-01") + i % 3, f"S{i % 4}",
-                       [rng.normal(), None if i == 5 else rng.normal(),
-                        None if i == 7 else f"sec{i % 3}"])
-        for i in range(12)
-    ]
-    from rulescreen.panel import raw_panel_from_observations
-    panel = raw_panel_from_observations(obs, specs)
+    f1 = rng.normal(size=12)
+    f1[5] = np.nan
+    panel = raw_panel(
+        np.datetime64("2020-01-01") + np.arange(12) % 3,
+        [f"S{i % 4}" for i in range(12)],
+        rng.normal(size=12),
+        f1,
+        labels([None if i == 7 else f"sec{i % 3}" for i in range(12)]),
+    )
     path = tmp_path / "features.csv"
     write_features_csv(path, panel, specs)
     loaded, loaded_specs = load_features_csv(path, specs=specs)
@@ -254,14 +284,8 @@ def test_bad_cell_search_names_first_line_across_columns(tmp_path):
 
 
 def test_returns_csv_round_trip_and_attach(tmp_path):
-    specs = [FeatureSpec("f0")]
-    obs = [
-        RawObservation("2020-01-01", "A", [1.0], 0.05),
-        RawObservation("2020-01-01", "B", [2.0], None),
-        RawObservation("2020-01-02", "A", [3.0], -0.02),
-    ]
-    from rulescreen.panel import raw_panel_from_observations
-    panel = raw_panel_from_observations(obs, specs)
+    panel = raw_panel(["2020-01-01", "2020-01-01", "2020-01-02"], ["A", "B", "A"],
+                      numeric([1.0, 2.0, 3.0]), y=[0.05, None, -0.02])
     path = tmp_path / "returns.csv"
     write_returns_csv(path, panel)
     table = load_returns_csv(path)

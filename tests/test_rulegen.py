@@ -33,7 +33,6 @@ def toy_panel(x, y, m):
     n, d = x.shape
     return DiscretizedPanel(
         specs=[FeatureSpec(f"f{k}") for k in range(d)],
-        m=m,
         dates=np.array(["2020-01-01"] * n, dtype="datetime64[D]"),
         stock_ids=np.array([f"S{i}" for i in range(n)], dtype=object),
         x=x,
@@ -43,7 +42,7 @@ def toy_panel(x, y, m):
 
 
 def open_params(**kw):
-    base = dict(m=3, alpha=1.0, c_min=0.0, c_max=1.0, cp_max=1, M=50)
+    base = dict(alpha=1.0, c_min=0.0, c_max=1.0, cp_max=1, M=50)
     base.update(kw)
     return SearchParams(**base)
 
@@ -86,21 +85,21 @@ def test_planted_single_feature_effect_found():
     y = rng.normal(0, 0.02, 400)
     y[x[:, 2] <= 1] += 0.10
     panel = toy_panel(x, y, m=5)
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=1, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=1, M=50)
     rules = enumerate_complexity1(panel, params)
     assert any(r.condition == C((2, 0, 1)) for r in rules)
 
 
 def test_planted_conjunction_recovered_at_level_2():
     panel = planted_panel()
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
     rules = design_rules(panel, params)
     assert any(r.condition == C((0, 0, 1), (1, 3, 4)) for r in rules)
 
 
 def test_every_emitted_rule_is_suitable():
     panel = planted_panel(seed=7)
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
     sigma = sample_std(panel)
     gm = conditional_mean(Condition(), panel)
     for rule in design_rules(panel, params):
@@ -109,7 +108,7 @@ def test_every_emitted_rule_is_suitable():
 
 def test_cp_max_1_equals_plain_enumeration():
     panel = planted_panel(seed=3)
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=1, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=1, M=50)
     a = [r.condition for r in design_rules(panel, params)]
     b = [r.condition for r in enumerate_complexity1(panel, params)]
     assert a == b
@@ -117,7 +116,7 @@ def test_cp_max_1_equals_plain_enumeration():
 
 def test_level2_output_has_complexity_exactly_2():
     panel = planted_panel(seed=5)
-    params = SearchParams(m=5, alpha=0.05, c_min=0.02, c_max=0.8, cp_max=2, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.02, c_max=0.8, cp_max=2, M=50)
     level1 = enumerate_complexity1(panel, params)
     level2 = generate_complexity_c(level1, level1, 2, params, panel)
     for r in level2:
@@ -126,8 +125,8 @@ def test_level2_output_has_complexity_exactly_2():
 
 def test_m_caps_intersection_attempts():
     panel = planted_panel(seed=6)
-    params_narrow = SearchParams(m=5, alpha=0.5, c_min=0.02, c_max=0.9, cp_max=2, M=1)
-    params_wide = SearchParams(m=5, alpha=0.5, c_min=0.02, c_max=0.9, cp_max=2, M=50)
+    params_narrow = SearchParams(alpha=0.5, c_min=0.02, c_max=0.9, cp_max=2, M=1)
+    params_wide = SearchParams(alpha=0.5, c_min=0.02, c_max=0.9, cp_max=2, M=50)
     level1 = enumerate_complexity1(panel, params_wide)
     narrow = generate_complexity_c(level1, level1, 2, params_narrow, panel)
     wide = generate_complexity_c(level1, level1, 2, params_wide, panel)
@@ -140,7 +139,7 @@ def test_parents_sharing_their_only_feature_yield_nothing():
     x = rng.integers(0, 5, size=(200, 1)).astype(np.int32)
     y = rng.normal(0, 0.01, 200) + 0.05 * (x[:, 0] <= 1)
     panel = toy_panel(x, y, m=5)
-    params = SearchParams(m=5, alpha=0.5, c_min=0.0, c_max=1.0, cp_max=2, M=50)
+    params = SearchParams(alpha=0.5, c_min=0.0, c_max=1.0, cp_max=2, M=50)
     level1 = enumerate_complexity1(panel, params)
     assert level1
     assert generate_complexity_c(level1, level1, 2, params, panel) == []
@@ -151,7 +150,7 @@ def test_parents_sharing_their_only_feature_yield_nothing():
 
 def test_single_covering_candidate_no_default():
     panel = planted_panel(seed=8)
-    full = design_rules(panel, open_params(m=5))
+    full = design_rules(panel, open_params())
     wide = [r for r in full if r.condition.complexity(panel.n_codes) == 0]
     rs = select_covering(wide[:1], panel)
     assert rs.R == 1
@@ -161,7 +160,7 @@ def test_single_covering_candidate_no_default():
 def test_two_disjoint_candidates_cover_without_default():
     x = np.array([[0], [0], [3], [3]], dtype=np.int32)
     panel = toy_panel(x, [0.1, 0.1, -0.1, -0.1], m=5)
-    params = open_params(m=5)
+    params = open_params()
     cands = [r for r in enumerate_complexity1(panel, params)
              if r.condition in (C((0, 0, 0)), C((0, 3, 3)))]
     rs = select_covering(cands, panel)
@@ -180,7 +179,7 @@ def test_empty_candidates_fall_back_to_default_rule():
 def test_default_appended_only_when_needed():
     x = np.array([[0], [1], [2], [4]], dtype=np.int32)
     panel = toy_panel(x, [0.2, 0.2, -0.2, 0.0], m=5)
-    params = open_params(m=5)
+    params = open_params()
     partial = [r for r in enumerate_complexity1(panel, params)
                if r.condition == C((0, 0, 1))]
     rs = select_covering(partial, panel)
@@ -191,7 +190,7 @@ def test_default_appended_only_when_needed():
 
 def test_covering_invariant_on_random_panels():
     rng = np.random.default_rng(10)
-    params = SearchParams(m=4, alpha=0.2, c_min=0.05, c_max=0.6, cp_max=2, M=20)
+    params = SearchParams(alpha=0.2, c_min=0.05, c_max=0.6, cp_max=2, M=20)
     for _ in range(10):
         x = rng.integers(0, 4, size=(150, 3)).astype(np.int32)
         y = rng.normal(0, 0.05, 150)
@@ -209,7 +208,7 @@ def test_learned_at_defaults_to_last_panel_date():
 
 def test_learn_report_csv(tmp_path):
     panel = planted_panel(seed=13)
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=50)
     _rs, report = learn(panel, params)
     out = tmp_path / "learn-report.csv"
     report.to_csv(out)

@@ -42,7 +42,6 @@ def toy_panel(x, y, m=5):
     n, d = x.shape
     return DiscretizedPanel(
         specs=[FeatureSpec(f"f{k}") for k in range(d)],
-        m=m,
         dates=np.arange("2020-01-01", "2020-01-01", dtype="datetime64[D]").repeat(0)
         if n == 0
         else np.array(["2020-01-01"] * n, dtype="datetime64[D]"),
@@ -236,7 +235,7 @@ def suitable_fixture():
 
 def test_planted_strong_rule_is_suitable():
     panel = suitable_fixture()
-    params = SearchParams(m=5, alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=10)
+    params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=10)
     rule = make_rule(C((0, 0, 1)), panel)
     assert is_suitable(rule, panel, params)
     assert rule.sign == 1
@@ -245,15 +244,15 @@ def test_planted_strong_rule_is_suitable():
 def test_coverage_bounds_veto_regardless_of_significance():
     panel = suitable_fixture()
     rule = make_rule(C((0, 0, 1)), panel)
-    too_high = SearchParams(m=5, alpha=0.05, c_min=0.0, c_max=0.1, cp_max=1, M=1)
-    too_low = SearchParams(m=5, alpha=0.05, c_min=0.9, c_max=1.0, cp_max=1, M=1)
+    too_high = SearchParams(alpha=0.05, c_min=0.0, c_max=0.1, cp_max=1, M=1)
+    too_low = SearchParams(alpha=0.05, c_min=0.9, c_max=1.0, cp_max=1, M=1)
     assert not is_suitable(rule, panel, too_high)
     assert not is_suitable(rule, panel, too_low)
 
 
 def test_alpha_zero_rejects_every_finite_effect():
     panel = suitable_fixture()
-    params = SearchParams(m=5, alpha=0.0, c_min=0.0, c_max=1.0, cp_max=1, M=1)
+    params = SearchParams(alpha=0.0, c_min=0.0, c_max=1.0, cp_max=1, M=1)
     rule = make_rule(C((0, 0, 1)), panel)
     assert not is_suitable(rule, panel, params)
 
