@@ -19,6 +19,7 @@ from rulescreen.backtest import (
     best_in_class,
     kpis,
     ml_screen,
+    review_plan,
     sector_match,
     simulate,
 )
@@ -71,6 +72,7 @@ universe = UniverseTable(
 )
 
 reviews = [r for r in data.review_dates if prices.index_of(r) >= 4]
+plan = review_plan(reviews, prices, universe)
 strategies = {
     "Benchmark": lambda s: s.cap_weight,
     "Positive screen": lambda s: ml_screen(s, 1),
@@ -80,7 +82,7 @@ strategies = {
 }
 
 series = {
-    name: simulate(reviews, fn, prices, universe, name=name)
+    name: simulate(plan, fn, prices, name=name)
     for name, fn in strategies.items()
 }
 reports = {name: kpis(s, series["Benchmark"], 252.0) for name, s in series.items()}

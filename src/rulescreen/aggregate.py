@@ -64,12 +64,11 @@ class AggregationState:
         )
 
     @classmethod
-    def from_json(cls, text: str, loss_clip: float = 1.0) -> "AggregationState":
+    def from_json(cls, text: str) -> "AggregationState":
         blob = json.loads(text)
         return cls(
             weights=np.asarray(blob["weights"], dtype=np.float64),
             eta=float(blob["eta"]),
-            loss_clip=loss_clip,
             epsilon=float(blob["epsilon"]),
             step=int(blob["step"]),
         )

@@ -205,9 +205,6 @@ class PortfolioSeries:
         if len(self.values) and abs(float(self.values[0]) - 100.0) > 1e-9:
             raise SpecMismatch("portfolio level series must start at 100")
 
-    def periodic_returns(self) -> np.ndarray:
-        return self.values[1:] / self.values[:-1] - 1.0
-
 
 @dataclass
 class KpiReport:
@@ -370,26 +367,15 @@ def review_plan(
 
 
 def simulate(
-    review_schedule: Sequence[np.datetime64],
+    plan: ReviewPlan,
     weights_fn: Callable[[UniverseSnapshot], np.ndarray],
     prices: PriceTable,
-    universe: Optional[UniverseTable],
     name: str = "portfolio",
-    score_lag_days: int = 4,
 ) -> PortfolioSeries:
-    """Run one strategy: at each review close, rebalance to the weights that
-    weights_fn assigns to the snapshot dated score_lag_days earlier; hold
-    between reviews. Level series starts at 100 on the first review.
-
-    review_schedule may be a ReviewPlan that review_plan resolved on these
-    prices; universe and score_lag_days are then not read, so several legs
-    on the same reviews resolve them once. weights_fn gets a read-only
-    snapshot."""
-    plan = (
-        review_schedule
-        if isinstance(review_schedule, ReviewPlan)
-        else review_plan(review_schedule, prices, universe, score_lag_days)
-    )
+    """Run one strategy on a plan that review_plan resolved on these prices:
+    at each review close, rebalance to the weights that weights_fn assigns to
+    the review's read-only snapshot; hold between reviews. The level series
+    starts at 100 on the first review. Legs on the same reviews share a plan."""
     i0 = plan.rows[0]
     # Row k starts as 1 + r on day i0 + k; a rebalance writes the holdings
     # into its review's row and a hold grows them in place through the rows.
@@ -618,6 +604,8 @@ def _year(date: np.datetime64) -> int:
 
 
 def _learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datetime64]:
+    if not len(grid):
+        raise MissingPriceData("the prices hold no trading day")
     first_year = _year(grid[0]) + initial_train_years - 1
     last_year = _year(grid[-1])
     if first_year > last_year:
@@ -984,7 +972,7 @@ def run_study(
         raw_panel, specs, universe, prices, cfg, freeze_year
     )
     series = {
-        name: simulate(plan, fn, prices, None, name)
+        name: simulate(plan, fn, prices, name)
         for name, fn in _leg_weights(cfg).items()
     }
     bench = series[BENCHMARK]
@@ -1028,8 +1016,8 @@ def learning_y(
     )
     legs = _leg_weights(cfg)
     name = f"Learning {Y}"
-    bench = simulate(plan, legs[BENCHMARK], prices, None, BENCHMARK)
-    series = simulate(plan, legs[POSITIVE], prices, None, name)
+    bench = simulate(plan, legs[BENCHMARK], prices, BENCHMARK)
+    series = simulate(plan, legs[POSITIVE], prices, name)
     return BacktestReport(
         name=name, series=series, kpis=kpis(series, bench, cfg.periods_per_year)
     )

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-One binary, six subcommands (synth, discretize, learn, score, backtest,
-report). Configuration is a flat `key = value` text file whose defaults print
-with --print-config; every run drops a manifest.json next to its outputs with
-the effective config, sha256 of each input file, and library versions, so a
-run can be reproduced byte for byte.
+One binary, five subcommands (synth, learn, score, backtest, report).
+Configuration is a flat `key = value` text file whose defaults print with
+--print-config; every run drops a manifest.json next to its outputs with the
+effective config, sha256 of each input file, and library versions, so a run
+can be reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .panel import (
     InputCsv,
     apply_discretizer,
     attach_returns,
-    fit_discretizer,
+    fit_discretizer,  # noqa: F401  (the name perfbench/tracing.py wraps)
     float_cells,
     load_features_csv,
     load_returns_csv,
@@ -96,7 +96,6 @@ class RunConfig:
     z_kind: str = "gaussian"
     # aggregation
     eta: Optional[float] = None  # None = auto
-    loss_kind: str = "squared"  # no effect; kept so config files that set it still parse
     loss_clip: float = 1.0
     epsilon: Optional[float] = None  # None = auto
     learn_fraction: float = 0.25
@@ -116,7 +115,6 @@ class RunConfig:
     prices: str = ""
     # plumbing
     worker_count: int = 1  # no effect; kept so config files that set it still parse
-    seed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -146,7 +144,6 @@ def parse_config(path: Optional[str]) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    known = {f.name for f in fields(RunConfig)}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -156,7 +153,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = text.split("=", 1)
             key = key.strip()
-            if key not in known:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             cfg = replace(cfg, **{key: _convert(key, raw)})
     _validate_config(cfg)
@@ -169,7 +166,6 @@ _RANGES = {
     "eta": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
     "epsilon": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
     "m": (lambda v: v >= 2, ">= 2"),
-    "loss_kind": (lambda v: v == "squared", "squared"),
     "loss_clip": (lambda v: v > 0.0, "> 0"),
     "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
     "horizon_days": (lambda v: v >= 1, ">= 1"),
@@ -192,13 +188,16 @@ def _validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if not ok(value):
             raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    window = {}
     for key in ("start_date", "end_date"):
         value = getattr(cfg, key)
         try:
             if value:
-                np.datetime64(value, "D")
+                window[key] = np.datetime64(value, "D")
         except ValueError:
             raise ConfigError(f"{key} must be an ISO date or empty, got {value!r}") from None
+    if len(window) == 2 and window["start_date"] > window["end_date"]:
+        raise ConfigError(f"start_date {cfg.start_date} is after end_date {cfg.end_date}")
     if cfg.learning_years not in ("all", "none"):
         try:
             [int(part) for part in cfg.learning_years.split(",")]
@@ -343,26 +342,6 @@ def parse_synth_spec(blob: Dict) -> SynthSpec:
     return spec
 
 
-def cmd_discretize(args) -> int:
-    cfg = parse_config(args.config)
-    panel, specs = load_features_csv(args.features)
-    if args.returns:
-        panel = attach_returns(panel, load_returns_csv(args.returns))
-        keep = np.isfinite(panel.y)
-        if not keep.any():
-            raise EmptyPanel("no labeled rows to fit on")
-        panel = panel.take(keep)
-    disc = fit_discretizer(panel, specs, cfg.m)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(disc.to_json() + "\n")
-    inputs = [args.features] + ([args.returns] if args.returns else [])
-    if args.config:
-        inputs.append(args.config)
-    write_manifest(out.parent, "discretize", cfg.as_dict(), inputs)
-    return 0
-
-
 def cmd_learn(args) -> int:
     cfg = parse_config(args.config)
     panel, specs = _load_labeled_panel(args.panel, args.returns)
@@ -484,21 +463,21 @@ def cmd_backtest(args) -> int:
 
 def cmd_report(args) -> int:
     directory = Path(args.dir)
-    kpi_path = directory / "kpis.json"
-    if not kpi_path.exists():
-        raise EmptyPanel(f"{kpi_path} not found; run backtest first")
-    blob = json.loads(kpi_path.read_text())
+
+    def kpi_rows(text: str) -> List[str]:
+        blob = json.loads(text)
+        return [
+            "| {name} | {ann_performance:.2%} | {ann_volatility:.2%} | "
+            "{sharpe:.2f} | {max_drawdown:.2%} | {information_ratio:.2f} | "
+            "{ann_alpha:.2%} |".format(name=name, **blob[name])
+            for name in sorted(blob)
+        ]
+
     lines = ["# Backtest report", ""]
     header = ["strategy", "ann_perf", "ann_vol", "sharpe", "max_dd", "IR", "alpha"]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
-    for name in sorted(blob):
-        k = blob[name]
-        lines.append(
-            "| {name} | {ann_performance:.2%} | {ann_volatility:.2%} | "
-            "{sharpe:.2f} | {max_drawdown:.2%} | {information_ratio:.2f} | "
-            "{ann_alpha:.2%} |".format(name=name, **k)
-        )
+    lines += _parse_file(directory / "kpis.json", kpi_rows)
     cal_path = directory / "calendar.csv"
     if cal_path.exists():
         lines += ["", "## Calendar-year excess vs benchmark", ""]
@@ -528,7 +507,7 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulescreen",
-        description="Rule-based stock screening: discretize, learn, score, backtest.",
+        description="Rule-based stock screening: learn, score, backtest.",
     )
     parser.add_argument(
         "--print-config",
@@ -541,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="SynthSpec JSON file")
     p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("discretize", help="fit quantile bins on a feature panel")
-    p.add_argument("--features", required=True)
-    p.add_argument("--returns", default=None, help="restrict the fit to labeled rows")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True, help="discretizer JSON path")
 
     p = sub.add_parser("learn", help="design rules on a labeled panel")
     p.add_argument("--panel", required=True, help="features.csv")
@@ -575,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "synth": cmd_synth,
-    "discretize": cmd_discretize,
     "learn": cmd_learn,
     "score": cmd_score,
     "backtest": cmd_backtest,

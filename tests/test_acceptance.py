@@ -25,6 +25,7 @@ from rulescreen.backtest import (
     best_in_class,
     kpis,
     learning_y,
+    review_plan,
     run_study,
     simulate,
 )
@@ -371,10 +372,9 @@ def test_c08_best_in_class_neutrality():
                             data.price_returns)
         universe = UniverseTable.from_rows(data.universe)
         reviews = [r for r in data.review_dates if prices.index_of(r) >= 4]
-        bic = simulate(reviews, lambda s: best_in_class(s, 0.30),
-                       prices, universe, name="bic")
-        bench = simulate(reviews, lambda s: s.cap_weight,
-                         prices, universe, name="bench")
+        plan = review_plan(reviews, prices, universe)
+        bic = simulate(plan, lambda s: best_in_class(s, 0.30), prices, name="bic")
+        bench = simulate(plan, lambda s: s.cap_weight, prices, name="bench")
         irs.append(kpis(bic, bench, 252.0).information_ratio)
     mean_ir = float(np.mean(irs))
     report(8, abs(mean_ir) <= 0.5,

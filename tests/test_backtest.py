@@ -36,6 +36,7 @@ from rulescreen.backtest import (
     load_universe_csv,
     ml_screen,
     month_ends,
+    review_plan,
     run_study,
     sector_match,
     simulate,
@@ -268,8 +269,8 @@ def one_stock_world(returns, start="2020-01-06"):
 
 def test_two_days_of_one_percent_compound_to_102_01():
     dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
-    series = simulate([dates[0]], lambda s: np.array([1.0]), prices, universe,
-                      score_lag_days=0)
+    plan = review_plan([dates[0]], prices, universe, score_lag_days=0)
+    series = simulate(plan, lambda s: np.array([1.0]), prices)
     assert series.values[-1] == pytest.approx(102.01)
     assert series.values[0] == 100.0
 
@@ -289,8 +290,8 @@ def test_cap_weight_strategy_replicates_benchmark():
         esg_rating=np.array([1.0, 2.0, 3.0])) for d in dates}
     universe = UniverseTable(snaps)
     reviews = month_ends(dates)[:-1]
-    series = simulate(reviews, lambda s: s.cap_weight, prices, universe,
-                      score_lag_days=4)
+    plan = review_plan(reviews, prices, universe, score_lag_days=4)
+    series = simulate(plan, lambda s: s.cap_weight, prices)
 
     # independent oracle: plain-float buy-and-hold with monthly rebalance
     i0 = prices.index_of(reviews[0])
@@ -326,8 +327,8 @@ def test_two_stock_two_month_spreadsheet():
         cap_weight=np.array([0.5, 0.5]), sector=np.array(["X", "X"], dtype=object),
         peer_group=np.array(["G", "G"], dtype=object),
         esg_rating=np.array([1.0, 2.0])) for d in dates}
-    series = simulate(reviews, weights_fn, prices, UniverseTable(snaps),
-                      score_lag_days=2)
+    plan = review_plan(reviews, prices, UniverseTable(snaps), score_lag_days=2)
+    series = simulate(plan, weights_fn, prices)
 
     i0, i1 = prices.index_of(reviews[0]), prices.index_of(reviews[1])
     a, b = 70.0, 30.0
@@ -346,8 +347,7 @@ def test_two_stock_two_month_spreadsheet():
 def test_simulate_rejects_review_before_snapshot_window():
     dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
     with pytest.raises(MissingPriceData):
-        simulate([dates[1]], lambda s: np.array([1.0]), prices, universe,
-                 score_lag_days=4)
+        review_plan([dates[1]], prices, universe, score_lag_days=4)
 
 
 def test_simulate_rejects_stock_without_prices():
@@ -358,18 +358,16 @@ def test_simulate_rejects_stock_without_prices():
         peer_group=np.array(["G", "G"], dtype=object),
         esg_rating=np.array([1.0, 2.0])) for d in dates}
     with pytest.raises(MissingPriceData, match="no prices for Z"):
-        simulate([dates[0]], lambda s: s.cap_weight, prices, UniverseTable(snaps),
-                 score_lag_days=0)
+        review_plan([dates[0]], prices, UniverseTable(snaps), score_lag_days=0)
 
 
 def test_simulate_validates_weights():
     dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
+    plan = review_plan([dates[0]], prices, universe, score_lag_days=0)
     with pytest.raises(SpecMismatch):
-        simulate([dates[0]], lambda s: np.array([0.9]), prices, universe,
-                 score_lag_days=0)
+        simulate(plan, lambda s: np.array([0.9]), prices)
     with pytest.raises(SpecMismatch):
-        simulate([dates[0]], lambda s: np.array([2.0, -1.0]), prices, universe,
-                 score_lag_days=0)
+        simulate(plan, lambda s: np.array([2.0, -1.0]), prices)
 
 
 def reference_simulate(reviews, weights_fn, prices, universe, lag):
@@ -422,7 +420,7 @@ def test_simulate_matches_per_day_loop_bitwise(seed, review_on_last_day):
     ends = month_ends(dates)
     reviews = list(ends if review_on_last_day else ends[:-1])
     reviews = reviews[::-1] + [reviews[2]]  # unsorted, one review twice
-    series = simulate(reviews, weights_fn, prices, universe, score_lag_days=lag)
+    series = simulate(review_plan(reviews, prices, universe, lag), weights_fn, prices)
     values, weights = reference_simulate(reviews, weights_fn, prices, universe, lag)
     assert series.values.tolist() == values.tolist()
     assert [h[2].tolist() for h in series.weights_history] == \
@@ -544,6 +542,15 @@ def small_study(seed=0, planted=None, **cfg_kw):
     prices = PriceTable(data.price_dates, data.price_stock_ids,
                         data.price_returns)
     return data, universe, prices, cfg
+
+
+def test_study_on_prices_without_a_trading_day_raises_missing_price_data():
+    data, universe, prices, cfg = small_study()
+    empty = PriceTable(prices.dates[:0], prices.stock_ids, prices.returns[:0])
+    with pytest.raises(MissingPriceData, match="no trading day"):
+        run_study(data.panel, data.specs, universe, empty, cfg)
+    with pytest.raises(MissingPriceData, match="no trading day"):
+        learning_y(data.panel, data.specs, universe, empty, cfg, 2012)
 
 
 def test_walk_forward_emits_all_five_legs():
@@ -1098,9 +1105,9 @@ def test_study_legs_equal_independent_simulations():
         snap = universe.at(day)
         scored[day] = snap.with_scores(
             [per_stock.get(sid, (0.0, 0))[1] for sid in snap.stock_ids])
-    scored = UniverseTable(scored)
+    plan = review_plan(res.reviews, prices, UniverseTable(scored), lag)
     for name, fn in backtest._leg_weights(cfg).items():
-        want = simulate(res.reviews, fn, prices, scored, name, lag)
+        want = simulate(plan, fn, prices, name)
         got = res.series[name]
         assert got.values.tobytes() == want.values.tobytes()
         assert history_bytes(got) == history_bytes(want)

@@ -1,5 +1,5 @@
 """Command line round trips: config parsing, exit codes, and the full
-synth -> discretize -> learn -> score -> backtest -> report pipeline."""
+synth -> learn -> score -> backtest -> report pipeline."""
 
 import csv
 import hashlib
@@ -94,7 +94,6 @@ def test_parse_config_bad_value(tmp_path):
     "eta = -1",
     "eta = nan",
     "epsilon = -1",
-    "loss_kind = absolute",
     "loss_clip = -1",
     "loss_clip = 0",
     "score_lag_days = -3",
@@ -103,6 +102,7 @@ def test_parse_config_bad_value(tmp_path):
     "best_in_class_x = -0.1",
     "periods_per_year = 0",
     "end_date = 2013-13-01",
+    "start_date = 2013-01-02\nend_date = 2013-01-01",
 ])
 def test_parse_config_rejects_out_of_range(tmp_path, line):
     with pytest.raises(ConfigError):
@@ -175,6 +175,28 @@ def test_print_config_exits_zero(capsys):
     assert "eta = auto" in out
 
 
+def test_print_config_prints_every_key_once(capsys):
+    """The config surface: --print-config prints exactly these keys, in
+    this order; a key added or removed changes this list."""
+    assert run(["--print-config"]) == 0
+    keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == [
+        "m", "alpha", "c_min", "c_max", "cp_max", "M", "z_kind", "eta",
+        "loss_clip", "epsilon", "learn_fraction", "horizon_days",
+        "initial_train_years", "best_in_class_x", "score_lag_days",
+        "periods_per_year", "start_date", "end_date", "learning_years",
+        "features", "returns", "universe", "prices", "worker_count",
+    ]
+
+
+@pytest.mark.parametrize("line", ["seed = 0", "loss_kind = squared"])
+def test_deleted_config_keys_exit_one_as_unknown(tmp_path, caplog, line):
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    key = line.split(" = ")[0]
+    assert f"ConfigError: {cfg}:1: unknown config key {key!r}" in caplog.text
+
+
 def test_no_subcommand_exits_one():
     assert run([]) == 1
 
@@ -197,6 +219,7 @@ def test_missing_input_file_exits_two(tmp_path):
         "--out", str(tmp_path / "rules.json"),
     ])
     assert code == 2
+    assert run(["report", "--dir", str(tmp_path)]) == 2
 
 
 def test_backtest_missing_prices_exits_two(tmp_path, caplog):
@@ -286,15 +309,6 @@ def pipeline(tmp_path_factory):
     for key in ("features", "returns", "universe", "prices"):
         lines.append(f"{key} = {data / (key + '.csv')}")
     cfg_path.write_text("\n".join(lines) + "\n")
-
-    disc_path = root / "disc" / "discretizer.json"
-    assert run([
-        "discretize",
-        "--features", str(data / "features.csv"),
-        "--returns", str(data / "returns.csv"),
-        "--config", str(cfg_path),
-        "--out", str(disc_path),
-    ]) == 0
 
     learn_dir = root / "learn"
     assert run([
@@ -427,9 +441,15 @@ def one_weight_short(text):
     return json.dumps(blob)
 
 
-# A file of the learn output or the synth spec, what is written over it (a
-# string, or a function of the file's text), the exit code and what the CLI's
-# error line must hold.
+def one_kpi_short(text):
+    blob = json.loads(text)
+    del blob["Benchmark"]["ann_volatility"]
+    return json.dumps(blob)
+
+
+# A file of the learn or backtest output or the synth spec, what is written
+# over it (a string, or a function of the file's text), the exit code and
+# what the CLI's error line must hold.
 BAD_JSON_CASES = {
     "state_not_json": ("learn/state.json", "{not json", 2, ("SpecMismatch", "state.json")),
     "rules_not_json": ("learn/rules.json", "{not json", 2, ("SpecMismatch", "rules.json")),
@@ -448,6 +468,9 @@ BAD_JSON_CASES = {
                                 json.dumps(dict(SPEC_BLOB, regime_shift={"replacement": []})),
                                 1, ("InconsistentSpec", "date")),
     "asof_not_a_date": (None, None, 1, ("ConfigError", "'notadate'")),
+    "kpis_not_json": ("bt/kpis.json", "{not json", 2, ("SpecMismatch", "kpis.json")),
+    "kpis_one_kpi_short": ("bt/kpis.json", one_kpi_short, 2,
+                           ("SpecMismatch", "kpis.json", "ann_volatility")),
 }
 
 
@@ -455,6 +478,7 @@ BAD_JSON_CASES = {
 def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case):
     name, text, code, expected = BAD_JSON_CASES[case]
     shutil.copytree(pipeline["learn"], tmp_path / "learn")
+    shutil.copytree(pipeline["bt"], tmp_path / "bt")
     (tmp_path / "spec.json").write_text(json.dumps(SPEC_BLOB))
     if callable(text):
         text = text((tmp_path / name).read_text())
@@ -462,6 +486,8 @@ def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case
         (tmp_path / name).write_text(text)
     if name == "spec.json":
         argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]
+    elif name == "bt/kpis.json":
+        argv = ["report", "--dir", str(tmp_path / "bt")]
     else:
         argv = [
             "score",
@@ -683,3 +709,23 @@ def test_backtest_negative_score_lag_exits_one(pipeline, tmp_path, caplog):
     assert "ConfigError: score_lag_days must be >= 0, got -3" in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+def test_backtest_window_after_the_data_exits_two(pipeline, tmp_path):
+    """A start_date after the last price date leaves no trading day to
+    study: a typed data error (exit 2), not a traceback."""
+    lines = [CFG_TEXT, "start_date = 2030-01-01"]
+    for key in ("features", "returns", "universe", "prices"):
+        lines.append(f"{key} = {pipeline['data'] / (key + '.csv')}")
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "rulescreen.cli",
+         "backtest", "--config", cfg, "--out", str(tmp_path / "o")],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "MissingPriceData: the prices hold no trading day" in proc.stderr
+    assert "Traceback" not in proc.stderr
