@@ -486,11 +486,29 @@ def kpis(
 # walk-forward study
 
 
+# The range of each study field that SearchParams does not check. The
+# comparisons are written so that nan fails them, and inf fails those that
+# need a finite value.
+_RANGES = {
+    "m": (lambda v: v >= 2, ">= 2"),
+    "eta": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
+    "loss_clip": (lambda v: v > 0.0, "> 0"),
+    "epsilon": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
+    "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
+    "horizon_days": (lambda v: v >= 1, ">= 1"),
+    "initial_train_years": (lambda v: v >= 1, ">= 1"),
+    "bic_x": (lambda v: 0.0 <= v < 1.0, "in [0,1)"),
+    "score_lag_days": (lambda v: v >= 0, ">= 0"),
+    "periods_per_year": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+}
+
+
 @dataclass
 class WalkForwardConfig:
-    initial_train_years: int = 3
-    horizon_days: int = 63
-    learn_fraction: float = 0.25
+    """Every knob of a study: the rule search (see search_params), the
+    aggregation and the study layout. Each range is checked when the config
+    is built; a value out of range raises SpecMismatch naming the field."""
+
     m: int = 10
     alpha: float = 0.05
     c_min: float = 0.05
@@ -498,13 +516,23 @@ class WalkForwardConfig:
     cp_max: int = 2
     top_m: int = 50
     z_kind: str = "gaussian"
+    eta: Optional[float] = None  # None = auto
     loss_clip: float = 1.0
-    eta: Optional[float] = None
-    epsilon: Optional[float] = None
+    epsilon: Optional[float] = None  # None = auto
+    learn_fraction: float = 0.25
+    horizon_days: int = 63
+    initial_train_years: int = 3
     bic_x: float = 0.30
     score_lag_days: int = 4
     periods_per_year: float = 252.0
     workers: int = 1  # no effect; kept so callers that pass workers=1 still run
+
+    def __post_init__(self):
+        self.search_params()  # SearchParams checks the rule-search fields
+        for name, (ok, wanted) in _RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise SpecMismatch(f"{name} must be {wanted}, got {value!r}")
 
     def search_params(self) -> SearchParams:
         return SearchParams(

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, get_type_hints
 
@@ -86,25 +86,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    # rule search
-    m: int = 10
-    alpha: float = 0.05
-    c_min: float = 0.05
-    c_max: float = 0.5
-    cp_max: int = 2
-    M: int = 50
-    z_kind: str = "gaussian"
-    # aggregation
-    eta: Optional[float] = None  # None = auto
-    loss_clip: float = 1.0
-    epsilon: Optional[float] = None  # None = auto
-    learn_fraction: float = 0.25
-    # study layout
-    horizon_days: int = 63
-    initial_train_years: int = 3
-    best_in_class_x: float = 0.30
-    score_lag_days: int = 4
-    periods_per_year: float = 252.0
+    """A config file's values: the run's own keys and the study it runs."""
+
     start_date: str = ""
     end_date: str = ""
     learning_years: str = "all"
@@ -115,18 +98,30 @@ class RunConfig:
     prices: str = ""
     # plumbing
     worker_count: int = 1  # no effect; kept so config files that set it still parse
+    study: WalkForwardConfig = field(default_factory=WalkForwardConfig)
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = "auto" if v is None else v
-        return out
+        """Every config key with its value, in --print-config order."""
+        values = [(key, getattr(self.study, name)) for key, name in _STUDY_KEYS.items()]
+        values += [(key, getattr(self, key)) for key in _RUN_KEYS]
+        return {key: "auto" if v is None else v for key, v in values}
 
 
-# Each key's value type, as RunConfig declares it; Optional[float] keys also
-# take "auto" (None).
-_KEY_TYPES = get_type_hints(RunConfig, globals())
+# The config key of each study field: the field's own name, except M (top_m)
+# and best_in_class_x (bic_x). `workers` is not a config key.
+_STUDY_KEYS = {
+    {"top_m": "M", "bic_x": "best_in_class_x"}.get(f.name, f.name): f.name
+    for f in fields(WalkForwardConfig)
+    if f.name != "workers"
+}
+_RUN_KEYS = [f.name for f in fields(RunConfig) if f.name != "study"]
+
+# Each key's value type, as its dataclass declares it; Optional[float] keys
+# also take "auto" (None).
+_study_types = get_type_hints(WalkForwardConfig)
+_run_types = get_type_hints(RunConfig, globals())
+_KEY_TYPES = {key: _study_types[name] for key, name in _STUDY_KEYS.items()}
+_KEY_TYPES.update((key, _run_types[key]) for key in _RUN_KEYS)
 
 
 def _convert(key: str, raw: str):
@@ -141,9 +136,12 @@ def _convert(key: str, raw: str):
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
-    cfg = RunConfig()
+    """The config file's values over the defaults. Every line is read before
+    the config is built, so one range that spans keys (c_min < c_max) is
+    checked on the file's final values, whatever their order."""
     if path is None:
-        return cfg
+        return RunConfig()
+    values: Dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -155,39 +153,23 @@ def parse_config(path: Optional[str]) -> RunConfig:
             key = key.strip()
             if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg = replace(cfg, **{key: _convert(key, raw)})
+            values[key] = _convert(key, raw)
+    try:
+        study = WalkForwardConfig(
+            **{_STUDY_KEYS[k]: v for k, v in values.items() if k in _STUDY_KEYS}
+        )
+    except SpecMismatch as exc:
+        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(study=study, **{k: v for k, v in values.items() if k not in _STUDY_KEYS})
     _validate_config(cfg)
     return cfg
 
 
-# The range of each config key that SearchParams does not check. The
-# comparisons are written so that nan fails them.
-_RANGES = {
-    "eta": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
-    "epsilon": (lambda v: v is None or v >= 0.0, ">= 0 or auto"),
-    "m": (lambda v: v >= 2, ">= 2"),
-    "loss_clip": (lambda v: v > 0.0, "> 0"),
-    "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
-    "horizon_days": (lambda v: v >= 1, ">= 1"),
-    "initial_train_years": (lambda v: v >= 1, ">= 1"),
-    "best_in_class_x": (lambda v: 0.0 <= v < 1.0, "in [0,1)"),
-    "score_lag_days": (lambda v: v >= 0, ">= 0"),
-    "periods_per_year": (lambda v: v > 0.0, "> 0"),
-    "worker_count": (lambda v: v >= 1, ">= 1"),
-}
-
-
 def _validate_config(cfg: RunConfig) -> None:
-    """The one range check of a config file's values, run before any input
-    is read."""
-    try:
-        _cfg_to_walk(cfg).search_params()
-    except SpecMismatch as exc:
-        raise ConfigError(str(exc)) from None
-    for key, (ok, wanted) in _RANGES.items():
-        value = getattr(cfg, key)
-        if not ok(value):
-            raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    """The range check of the run's own keys, run before any input is read;
+    WalkForwardConfig checks the study's."""
+    if cfg.worker_count < 1:
+        raise ConfigError(f"worker_count must be >= 1, got {cfg.worker_count!r}")
     window = {}
     for key in ("start_date", "end_date"):
         value = getattr(cfg, key)
@@ -200,12 +182,14 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"start_date {cfg.start_date} is after end_date {cfg.end_date}")
     if cfg.learning_years not in ("all", "none"):
         try:
-            [int(part) for part in cfg.learning_years.split(",")]
+            years = [int(part) for part in cfg.learning_years.split(",")]
         except ValueError:
             raise ConfigError(
                 f"learning_years must be 'all', 'none' or comma-separated "
                 f"years, got {cfg.learning_years!r}"
             ) from None
+        if len(set(years)) < len(years):
+            raise ConfigError(f"learning_years repeats a year: {cfg.learning_years!r}")
 
 
 def default_config_text() -> str:
@@ -258,28 +242,6 @@ def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
         (stock_ids, str_cells),
         (y_hat, float_cells),
         (np.asarray(score, dtype=np.int64), str_cells),
-    )
-
-
-def _cfg_to_walk(cfg: RunConfig) -> WalkForwardConfig:
-    """The run's study config; its search_params() maps the rule-search keys."""
-    return WalkForwardConfig(
-        initial_train_years=cfg.initial_train_years,
-        horizon_days=cfg.horizon_days,
-        learn_fraction=cfg.learn_fraction,
-        m=cfg.m,
-        alpha=cfg.alpha,
-        c_min=cfg.c_min,
-        c_max=cfg.c_max,
-        cp_max=cfg.cp_max,
-        top_m=cfg.M,
-        z_kind=cfg.z_kind,
-        loss_clip=cfg.loss_clip,
-        eta=cfg.eta,
-        epsilon=cfg.epsilon,
-        bic_x=cfg.best_in_class_x,
-        score_lag_days=cfg.score_lag_days,
-        periods_per_year=cfg.periods_per_year,
     )
 
 
@@ -351,7 +313,7 @@ def cmd_learn(args) -> int:
     labeled = panel.take(keep)
     if labeled.n < 2:
         raise EmptyPanel(f"need at least 2 labeled rows, got {labeled.n}")
-    rec = learning_step(labeled, specs, _cfg_to_walk(cfg), panel.dates.max())
+    rec = learning_step(labeled, specs, cfg.study, panel.dates.max())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -428,8 +390,7 @@ def cmd_backtest(args) -> int:
             {d: s for d, s in universe.snapshots.items() if lo <= d <= hi}
         )
 
-    wcfg = _cfg_to_walk(cfg)
-    result = run_study(panel, specs, universe, prices, wcfg)
+    result = run_study(panel, specs, universe, prices, cfg.study)
 
     if cfg.learning_years == "none":
         frozen_years: List[int] = []
@@ -439,7 +400,7 @@ def cmd_backtest(args) -> int:
         frozen_years = [int(p) for p in cfg.learning_years.split(",")]
     frozen_series = []
     for year in frozen_years:
-        rep = learning_y(panel, specs, universe, prices, wcfg, year)
+        rep = learning_y(panel, specs, universe, prices, cfg.study, year)
         frozen_series.append(rep.series)
 
     out = Path(args.out)

@@ -13,16 +13,21 @@ import numpy as np
 import pytest
 
 import rulescreen
-from rulescreen.backtest import load_prices_csv, load_universe_csv, month_ends, run_study
+from rulescreen.backtest import (
+    WalkForwardConfig,
+    load_prices_csv,
+    load_universe_csv,
+    month_ends,
+    run_study,
+)
 from rulescreen.cli import (
     RunConfig,
-    _cfg_to_walk,
     default_config_text,
     parse_config,
     parse_synth_spec,
     run,
 )
-from rulescreen.errors import ConfigError, InconsistentSpec
+from rulescreen.errors import ConfigError, InconsistentSpec, SpecMismatch
 from rulescreen.panel import CACHE_DIR, attach_returns, load_features_csv, load_returns_csv
 from rulescreen.synth import business_day_grid
 
@@ -53,12 +58,19 @@ epsilon = 0.02
 learning_years = 2012,2013
 """)
     cfg = parse_config(path)
-    assert cfg.m == 5
-    assert cfg.alpha == 0.10
-    assert cfg.cp_max == 3
-    assert cfg.eta is None
-    assert cfg.epsilon == 0.02
+    assert cfg.study.m == 5
+    assert cfg.study.alpha == 0.10
+    assert cfg.study.cp_max == 3
+    assert cfg.study.eta is None
+    assert cfg.study.epsilon == 0.02
     assert cfg.learning_years == "2012,2013"
+
+
+def test_parse_config_checks_ranges_on_the_final_values(tmp_path):
+    """c_min = 0.6 alone is above the default c_max = 0.5; the file is
+    valid because the config is built once, after its last line."""
+    cfg = parse_config(write_cfg(tmp_path, "c_min = 0.6\nc_max = 0.9\n"))
+    assert (cfg.study.c_min, cfg.study.c_max) == (0.6, 0.9)
 
 
 def test_parse_config_unknown_key_is_named(tmp_path):
@@ -79,34 +91,53 @@ def test_parse_config_bad_value(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize("line", [
+# Study values out of range, as (config key, value). Each is rejected both
+# by parse_config, as a config line, and by WalkForwardConfig, as the value
+# of the field the key sets.
+STUDY_OUT_OF_RANGE = [
+    ("horizon_days", 0),
+    ("learn_fraction", 1.0),
+    ("learn_fraction", 0.0),
+    ("c_max", 2),
+    ("m", 1),
+    ("alpha", 1.5),
+    ("cp_max", 0),
+    ("M", 0),
+    ("z_kind", "student"),
+    ("eta", -1),
+    ("eta", float("nan")),
+    ("eta", float("inf")),
+    ("epsilon", -1),
+    ("epsilon", float("inf")),
+    ("loss_clip", -1),
+    ("loss_clip", 0),
+    ("score_lag_days", -3),
+    ("initial_train_years", 0),
+    ("best_in_class_x", 1.5),
+    ("best_in_class_x", -0.1),
+    ("periods_per_year", 0),
+    ("periods_per_year", float("inf")),
+]
+STUDY_FIELD = {"M": "top_m", "best_in_class_x": "bic_x"}
+
+
+@pytest.mark.parametrize("line", [f"{key} = {value}" for key, value in STUDY_OUT_OF_RANGE] + [
     "worker_count = 0",
-    "horizon_days = 0",
-    "learn_fraction = 1.0",
-    "learn_fraction = 0.0",
     "learning_years = twenty12",
-    "c_max = 2",
-    "m = 1",
-    "alpha = 1.5",
-    "cp_max = 0",
-    "M = 0",
-    "z_kind = student",
-    "eta = -1",
-    "eta = nan",
-    "epsilon = -1",
-    "loss_clip = -1",
-    "loss_clip = 0",
-    "score_lag_days = -3",
-    "initial_train_years = 0",
-    "best_in_class_x = 1.5",
-    "best_in_class_x = -0.1",
-    "periods_per_year = 0",
+    "learning_years = 2013,2013",
     "end_date = 2013-13-01",
     "start_date = 2013-01-02\nend_date = 2013-01-01",
 ])
 def test_parse_config_rejects_out_of_range(tmp_path, line):
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("key,value", STUDY_OUT_OF_RANGE)
+def test_walk_forward_config_rejects_out_of_range(key, value):
+    """A library caller gets the config file's range checks."""
+    with pytest.raises(SpecMismatch):
+        WalkForwardConfig(**{STUDY_FIELD.get(key, key): value})
 
 
 def test_default_config_text_round_trips(tmp_path):
@@ -363,6 +394,12 @@ def test_manifest_hashes_inputs(pipeline):
     blob = json.loads((pipeline["learn"] / "manifest.json").read_text())
     assert blob["subcommand"] == "learn"
     assert blob["config"]["m"] == 3
+    # every --print-config key, spelled as in the file, with None as "auto"
+    assert sorted(blob["config"]) == sorted(
+        line.split(" = ")[0] for line in default_config_text().splitlines())
+    assert len(blob["config"]) == 24
+    assert (blob["config"]["M"], blob["config"]["best_in_class_x"]) == (20, 0.3)
+    assert blob["config"]["eta"] == blob["config"]["epsilon"] == "auto"
     features = str(pipeline["data"] / "features.csv")
     digest = hashlib.sha256(
         (pipeline["data"] / "features.csv").read_bytes()).hexdigest()
@@ -618,7 +655,7 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     grid = load_prices_csv(data / "prices.csv").dates
     # three training years from 2010: the first learning is 2012's last day
     first_learning = grid[grid < np.datetime64("2013-01-01")][-1]
-    lag = RunConfig().score_lag_days
+    lag = RunConfig().study.score_lag_days
     review = next(r for r in month_ends(grid)
                   if grid[np.searchsorted(grid, r) - lag] >= first_learning)
     day = str(grid[np.searchsorted(grid, review) - lag])
@@ -691,7 +728,7 @@ def test_learn_on_cut_inputs_writes_the_studys_last_learning(pipeline, tmp_path)
     panel = attach_returns(panel, load_returns_csv(data / "returns.csv"))
     study = run_study(
         panel, specs, load_universe_csv(data / "universe.csv"),
-        load_prices_csv(data / "prices.csv"), _cfg_to_walk(parse_config(cfg_path)),
+        load_prices_csv(data / "prices.csv"), parse_config(cfg_path).study,
     )
     assert str(study.learnings[-1].date) == t
     assert ((tmp_path / "learn" / "rules.json").read_text()
