@@ -5,136 +5,10 @@ plus a significance test on conditional means); the surviving rules form a
 covering whose predictions are blended by exponentially-weighted aggregation
 with sleeping experts, scored into {-1, 0, +1}, and backtested with monthly
 rebalancing against capitalization-weighted and best-in-class benchmarks.
+
+The public API is the submodules: rulescreen.panel, .rules, .rulegen,
+.aggregate, .backtest, .synth, .errors and .cli. Importing the package
+loads none of them, so a CLI subcommand loads only the modules it runs.
 """
 
-from .aggregate import (
-    AggregationState,
-    default_eta,
-    init_state,
-    predict,
-    predict_many,
-    score,
-    score_many,
-    update,
-)
-from .backtest import (
-    BacktestReport,
-    KpiReport,
-    PortfolioSeries,
-    PriceTable,
-    UniverseSnapshot,
-    UniverseTable,
-    WalkForwardConfig,
-    best_in_class,
-    kpis,
-    learning_y,
-    ml_screen,
-    run_study,
-    sector_match,
-    simulate,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    RuleScreenError,
-    ValidationError,
-)
-from .panel import (
-    MISSING_CODE,
-    DiscretizedPanel,
-    Discretizer,
-    FeatureSpec,
-    RawPanel,
-    TrainSplit,
-    apply_discretizer,
-    empirical_quantile,
-    fit_discretizer,
-    split,
-)
-from .rulegen import (
-    LearnReport,
-    design_rules,
-    enumerate_complexity1,
-    generate_complexity_c,
-    learn,
-    select_covering,
-)
-from .rules import (
-    Condition,
-    Interval,
-    Rule,
-    RuleSet,
-    SearchParams,
-    activates,
-    conditional_mean,
-    coverage_ratio,
-    describe,
-    intersect,
-    is_suitable,
-    make_rule,
-    significance_threshold,
-)
-from .synth import PlantedRule, SynthSpec, generate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregationState",
-    "BacktestReport",
-    "Condition",
-    "ConfigError",
-    "DataError",
-    "DiscretizedPanel",
-    "Discretizer",
-    "FeatureSpec",
-    "Interval",
-    "KpiReport",
-    "LearnReport",
-    "MISSING_CODE",
-    "PlantedRule",
-    "PortfolioSeries",
-    "PriceTable",
-    "RawPanel",
-    "Rule",
-    "RuleScreenError",
-    "RuleSet",
-    "SearchParams",
-    "SynthSpec",
-    "TrainSplit",
-    "UniverseSnapshot",
-    "UniverseTable",
-    "ValidationError",
-    "WalkForwardConfig",
-    "activates",
-    "apply_discretizer",
-    "best_in_class",
-    "conditional_mean",
-    "coverage_ratio",
-    "default_eta",
-    "describe",
-    "design_rules",
-    "empirical_quantile",
-    "enumerate_complexity1",
-    "fit_discretizer",
-    "generate",
-    "generate_complexity_c",
-    "init_state",
-    "intersect",
-    "is_suitable",
-    "kpis",
-    "learn",
-    "learning_y",
-    "make_rule",
-    "ml_screen",
-    "predict",
-    "predict_many",
-    "run_study",
-    "score",
-    "score_many",
-    "sector_match",
-    "select_covering",
-    "significance_threshold",
-    "simulate",
-    "split",
-    "update",
-]

@@ -45,6 +45,7 @@ from .panel import (
     apply_discretizer,
     fit_discretizer,
     float_cells,
+    month_ends,
     record_keys,
     split,
     str_cells,
@@ -178,14 +179,6 @@ class PriceTable:
             return np.fromiter(map(self.col.__getitem__, stock_ids), np.intp, len(stock_ids))
         except KeyError as exc:
             raise MissingPriceData(f"no prices for {exc.args[0]}") from None
-
-
-def month_ends(dates: np.ndarray) -> np.ndarray:
-    """Last date of each calendar month present in a sorted daily grid."""
-    months = dates.astype("datetime64[M]")
-    keep = np.ones(len(dates), dtype=bool)
-    keep[:-1] = months[:-1] != months[1:]
-    return dates[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import logging
 import os
@@ -21,26 +23,6 @@ from typing import Dict, List, Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .aggregate import (
-    AggregationState,
-    predict_many,
-    score_many,
-    update,  # noqa: F401  (the name perfbench/tracing.py wraps as cli.update)
-)
-from .backtest import (
-    BENCHMARK,
-    POSITIVE,
-    WalkForwardConfig,
-    learning_step,
-    learning_y,
-    load_prices_csv,
-    load_universe_csv,
-    run_study,
-    write_calendar_csv,
-    write_kpis_json,
-    write_learning_y_csv,
-    write_levels_csv,
-)
 from .errors import (
     ConfigError,
     DataError,
@@ -60,6 +42,7 @@ from .panel import (
     load_features_csv,
     load_returns_csv,
     parse_columns,
+    read_digests,
     sha256_of,
     str_cells,
     to_floats,
@@ -67,21 +50,64 @@ from .panel import (
     write_features_csv,
     write_returns_csv,
 )
-from .rulegen import learn as learn_rules  # noqa: F401  (the name perfbench/tracing.py wraps)
-from .rules import Condition, Interval, RuleSet
-from .synth import (
-    PlantedRule,
-    SynthSpec,
-    generate,
-    write_prices_csv,
-    write_universe_csv,
-)
 
 logger = logging.getLogger(__name__)
+
+# The names cli takes from the modules that not every subcommand runs, by
+# module ("a as b" binds a as b). Each is bound into this module when first
+# needed: run() binds the modules of its subcommand before dispatch, and
+# __getattr__ binds a name's module when the name is read from outside, as
+# perfbench/tracing.py does to wrap it. A name already bound keeps its value,
+# so a wrapper put in its place survives. update and learn_rules are bound
+# only for perfbench/tracing.py to wrap.
+_LAZY_NAMES = {
+    "aggregate": ("AggregationState", "predict_many", "score_many", "update"),
+    "rules": ("RuleSet",),
+    "rulegen": ("learn as learn_rules",),
+    "backtest": (
+        "BENCHMARK",
+        "POSITIVE",
+        "WalkForwardConfig",
+        "learning_step",
+        "learning_y",
+        "load_prices_csv",
+        "load_universe_csv",
+        "run_study",
+        "write_calendar_csv",
+        "write_kpis_json",
+        "write_learning_y_csv",
+        "write_levels_csv",
+    ),
+    "synth": ("generate", "parse_synth_spec", "write_prices_csv", "write_universe_csv"),
+}
+_MODULE_OF = {
+    entry.split(" as ")[-1]: module for module, entries in _LAZY_NAMES.items() for entry in entries
+}
+
+
+def _bind(*modules: str) -> None:
+    scope = globals()
+    for module in modules:
+        owner = importlib.import_module(f".{module}", __package__)
+        for entry in _LAZY_NAMES[module]:
+            name, _, alias = entry.partition(" as ")
+            scope.setdefault(alias or name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
 # run configuration
+
+
+def _default_study():
+    _bind("backtest")
+    return WalkForwardConfig()
 
 
 @dataclass
@@ -98,35 +124,39 @@ class RunConfig:
     prices: str = ""
     # plumbing
     worker_count: int = 1  # no effect; kept so config files that set it still parse
-    study: WalkForwardConfig = field(default_factory=WalkForwardConfig)
+    study: WalkForwardConfig = field(default_factory=_default_study)
 
     def as_dict(self) -> Dict[str, object]:
         """Every config key with its value, in --print-config order."""
-        values = [(key, getattr(self.study, name)) for key, name in _STUDY_KEYS.items()]
-        values += [(key, getattr(self, key)) for key in _RUN_KEYS]
+        study_keys, run_keys, _ = _config_keys()
+        values = [(key, getattr(self.study, name)) for key, name in study_keys.items()]
+        values += [(key, getattr(self, key)) for key in run_keys]
         return {key: "auto" if v is None else v for key, v in values}
 
 
-# The config key of each study field: the field's own name, except M (top_m)
-# and best_in_class_x (bic_x). `workers` is not a config key.
-_STUDY_KEYS = {
-    {"top_m": "M", "bic_x": "best_in_class_x"}.get(f.name, f.name): f.name
-    for f in fields(WalkForwardConfig)
-    if f.name != "workers"
-}
-_RUN_KEYS = [f.name for f in fields(RunConfig) if f.name != "study"]
+@functools.cache
+def _config_keys():
+    """The config keys, built on first use, as they need WalkForwardConfig:
+    the field of each study key (its own name, except M for top_m and
+    best_in_class_x for bic_x; `workers` is not a key), the run's own keys,
+    and each key's value type as its dataclass declares it. Optional[float]
+    keys also take "auto" (None)."""
+    _bind("backtest")
+    study_keys = {
+        {"top_m": "M", "bic_x": "best_in_class_x"}.get(f.name, f.name): f.name
+        for f in fields(WalkForwardConfig)
+        if f.name != "workers"
+    }
+    run_keys = [f.name for f in fields(RunConfig) if f.name != "study"]
+    study_types = get_type_hints(WalkForwardConfig)
+    run_types = get_type_hints(RunConfig, globals())
+    key_types = {key: study_types[name] for key, name in study_keys.items()}
+    key_types.update((key, run_types[key]) for key in run_keys)
+    return study_keys, run_keys, key_types
 
-# Each key's value type, as its dataclass declares it; Optional[float] keys
-# also take "auto" (None).
-_study_types = get_type_hints(WalkForwardConfig)
-_run_types = get_type_hints(RunConfig, globals())
-_KEY_TYPES = {key: _study_types[name] for key, name in _STUDY_KEYS.items()}
-_KEY_TYPES.update((key, _run_types[key]) for key in _RUN_KEYS)
 
-
-def _convert(key: str, raw: str):
+def _convert(key: str, raw: str, kind):
     raw = raw.strip()
-    kind = _KEY_TYPES[key]
     try:
         if kind == Optional[float]:
             return None if raw == "auto" else float(raw)
@@ -141,6 +171,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
     checked on the file's final values, whatever their order."""
     if path is None:
         return RunConfig()
+    study_keys, _, key_types = _config_keys()
     values: Dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -151,16 +182,16 @@ def parse_config(path: Optional[str]) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = text.split("=", 1)
             key = key.strip()
-            if key not in _KEY_TYPES:
+            if key not in key_types:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _convert(key, raw)
+            values[key] = _convert(key, raw, key_types[key])
     try:
         study = WalkForwardConfig(
-            **{_STUDY_KEYS[k]: v for k, v in values.items() if k in _STUDY_KEYS}
+            **{study_keys[k]: v for k, v in values.items() if k in study_keys}
         )
     except SpecMismatch as exc:
         raise ConfigError(str(exc)) from None
-    cfg = RunConfig(study=study, **{k: v for k, v in values.items() if k not in _STUDY_KEYS})
+    cfg = RunConfig(study=study, **{k: v for k, v in values.items() if k not in study_keys})
     _validate_config(cfg)
     return cfg
 
@@ -206,8 +237,11 @@ def default_config_text() -> str:
 def write_manifest(directory, subcommand: str, config: Dict[str, object], inputs) -> None:
     digests = {}
     for p in inputs:
-        with open(p, "rb") as fh:
-            digests[str(p)] = sha256_of(fh)
+        digest = read_digests.get(str(p))
+        if digest is None:  # a JSON or config input, which no InputCsv read
+            with open(p, "rb") as fh:
+                digest = sha256_of(fh)
+        digests[str(p)] = digest
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -272,36 +306,6 @@ def cmd_synth(args) -> int:
     write_manifest(out, "synth", {"spec": blob}, [args.spec])
     logger.info("synth: wrote %d panel rows to %s", data.panel.n, out)
     return 0
-
-
-def parse_synth_spec(blob: Dict) -> SynthSpec:
-    if not isinstance(blob, dict):
-        raise InconsistentSpec("a synth spec must be a JSON object")
-    known = {f.name for f in fields(SynthSpec)}
-    unknown = set(blob) - known
-    if unknown:
-        raise InconsistentSpec(f"unknown synth spec keys {sorted(unknown)}")
-
-    def parse_rule(entry) -> PlantedRule:
-        intervals = tuple(
-            Interval(int(iv["feature_index"]), int(iv["lo"]), int(iv["hi"]))
-            for iv in entry["intervals"]
-        )
-        return PlantedRule(condition=Condition(intervals), effect=float(entry["effect"]))
-
-    try:
-        kwargs = dict(blob, planted=[parse_rule(e) for e in blob.get("planted", [])])
-        shift = blob.get("regime_shift")
-        if shift is not None:
-            kwargs["regime_shift"] = (
-                str(shift["date"]),
-                [parse_rule(e) for e in shift.get("replacement", [])],
-            )
-        spec = SynthSpec(**kwargs)
-        spec.validate()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InconsistentSpec(f"bad synth spec: {exc!r}") from None
-    return spec
 
 
 def cmd_learn(args) -> int:
@@ -507,12 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand, and the modules of _LAZY_NAMES whose names it calls.
 _DISPATCH = {
-    "synth": cmd_synth,
-    "learn": cmd_learn,
-    "score": cmd_score,
-    "backtest": cmd_backtest,
-    "report": cmd_report,
+    "synth": (cmd_synth, ("synth",)),
+    "learn": (cmd_learn, ("backtest",)),
+    "score": (cmd_score, ("aggregate", "rules")),
+    "backtest": (cmd_backtest, ("backtest",)),
+    "report": (cmd_report, ()),
 }
 
 
@@ -533,8 +538,11 @@ def run(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
+    command, modules = _DISPATCH[args.subcommand]
+    _bind(*modules)
+    read_digests.clear()
     try:
-        return _DISPATCH[args.subcommand](args)
+        return command(args)
     except ValidationError as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
         return 1

@@ -267,6 +267,14 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
     )
 
 
+def month_ends(dates: np.ndarray) -> np.ndarray:
+    """Last date of each calendar month present in a sorted daily grid."""
+    months = dates.astype("datetime64[M]")
+    keep = np.ones(len(dates), dtype=bool)
+    keep[:-1] = months[:-1] != months[1:]
+    return dates[keep]
+
+
 @dataclass
 class TrainSplit:
     """Chronological learning/aggregation split: D_n is the first n rows of
@@ -296,6 +304,11 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # the source of truth, and deleting the directory is always safe.
 CACHE_DIR = ".rulescreen-cache"
 CACHE_FORMAT = 1
+
+# The sha256 of each CSV file an InputCsv has read, by the path it was read
+# from, so that manifest.json takes a CSV input's digest from here instead of
+# reading and hashing the file again. cli.run clears it before each run.
+read_digests: Dict[str, str] = {}
 
 
 def sha256_of(fh) -> str:
@@ -372,7 +385,7 @@ class InputCsv:
     def __init__(self, path, header_ok: Callable[[List[str]], bool], header_error: str):
         self.path = path
         data = Path(path).read_bytes()
-        self.sha256 = sha256_of(io.BytesIO(data))
+        self.sha256 = read_digests[str(path)] = sha256_of(io.BytesIO(data))
         # A unicode array drops trailing NULs, so such a file is not cached.
         self.cacheable = b"\0" not in data
         self._reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))

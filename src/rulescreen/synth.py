@@ -12,15 +12,21 @@ overlap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backtest import month_ends
 from .errors import InconsistentSpec
-from .panel import FeatureSpec, RawPanel, float_cells, str_cells, write_csv_columns
-from .rules import Condition
+from .panel import (
+    FeatureSpec,
+    RawPanel,
+    float_cells,
+    month_ends,
+    str_cells,
+    write_csv_columns,
+)
+from .rules import Condition, Interval
 
 DEFAULT_START = "2010-01-04"
 
@@ -81,6 +87,38 @@ class SynthSpec:
         if self.regime_shift is not None:
             out.extend(self.regime_shift[1])
         return out
+
+
+def parse_synth_spec(blob: Dict) -> SynthSpec:
+    """The SynthSpec of a spec file's JSON object, validated; a blob that
+    does not make one raises InconsistentSpec."""
+    if not isinstance(blob, dict):
+        raise InconsistentSpec("a synth spec must be a JSON object")
+    known = {f.name for f in fields(SynthSpec)}
+    unknown = set(blob) - known
+    if unknown:
+        raise InconsistentSpec(f"unknown synth spec keys {sorted(unknown)}")
+
+    def parse_rule(entry) -> PlantedRule:
+        intervals = tuple(
+            Interval(int(iv["feature_index"]), int(iv["lo"]), int(iv["hi"]))
+            for iv in entry["intervals"]
+        )
+        return PlantedRule(condition=Condition(intervals), effect=float(entry["effect"]))
+
+    try:
+        kwargs = dict(blob, planted=[parse_rule(e) for e in blob.get("planted", [])])
+        shift = blob.get("regime_shift")
+        if shift is not None:
+            kwargs["regime_shift"] = (
+                str(shift["date"]),
+                [parse_rule(e) for e in shift.get("replacement", [])],
+            )
+        spec = SynthSpec(**kwargs)
+        spec.validate()
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InconsistentSpec(f"bad synth spec: {exc!r}") from None
+    return spec
 
 
 @dataclass

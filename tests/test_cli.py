@@ -264,18 +264,6 @@ def test_backtest_missing_prices_exits_two(tmp_path, caplog):
     assert "prices" in caplog.text
 
 
-def test_cli_imports_without_scipy():
-    src = str(Path(rulescreen.__file__).resolve().parents[1])
-    check = "import rulescreen.cli, sys; assert 'scipy' not in sys.modules"
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", check],
-        env={"PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_print_config_runs_under_cprofile():
     src = str(Path(rulescreen.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -405,6 +393,80 @@ def test_manifest_hashes_inputs(pipeline):
         (pipeline["data"] / "features.csv").read_bytes()).hexdigest()
     assert blob["inputs"][features] == digest
     assert "rulescreen" in blob["versions"]
+
+
+def test_learn_hashes_each_input_once(pipeline, tmp_path, monkeypatch):
+    """manifest.json takes a CSV input's digest from its loader, so a learn
+    run hashes each of its three input files exactly once."""
+    from rulescreen import cli, panel
+
+    hashed = []
+
+    def counted(fh, sha256_of=panel.sha256_of):
+        hashed.append(sha256_of(fh))
+        return hashed[-1]
+
+    monkeypatch.setattr(panel, "sha256_of", counted)
+    monkeypatch.setattr(cli, "sha256_of", counted)
+    inputs = [pipeline["data"] / "features.csv", pipeline["data"] / "returns.csv", pipeline["cfg"]]
+    assert run([
+        "learn", "--panel", str(inputs[0]), "--returns", str(inputs[1]),
+        "--config", str(inputs[2]), "--out", str(tmp_path / "rules.json"),
+    ]) == 0
+    digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+    assert sorted(hashed) == sorted(digests.values())
+    assert json.loads((tmp_path / "manifest.json").read_text())["inputs"] == digests
+
+
+CLI_MODULES = {"rulescreen", "rulescreen.cli", "rulescreen.errors", "rulescreen.panel"}
+ENGINE_MODULES = {"rulescreen.aggregate", "rulescreen.rules", "rulescreen.rulegen",
+                  "rulescreen.backtest"}
+# The rulescreen modules a fresh process loads: for `import rulescreen`, for
+# `import rulescreen.cli`, and for each stage run through the cli.
+STAGE_MODULES = {
+    "package": {"rulescreen"},
+    "cli": CLI_MODULES,
+    "print-config": CLI_MODULES | ENGINE_MODULES,
+    "synth": CLI_MODULES | {"rulescreen.rules", "rulescreen.synth"},
+    "learn": CLI_MODULES | ENGINE_MODULES,
+    "score": CLI_MODULES | {"rulescreen.aggregate", "rulescreen.rules"},
+    "backtest": CLI_MODULES | ENGINE_MODULES,
+    "report": CLI_MODULES,
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MODULES))
+def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
+    """Each stage imports the modules it runs and no others, and none of
+    them imports scipy."""
+    data, learned = pipeline["data"], pipeline["learn"]
+    argv = {
+        "print-config": ["--print-config"],
+        "synth": ["synth", "--spec", pipeline["root"] / "spec.json", "--out", tmp_path],
+        "learn": ["learn", "--panel", data / "features.csv", "--returns", data / "returns.csv",
+                  "--config", pipeline["cfg"], "--out", tmp_path / "rules.json"],
+        "score": ["score", "--rules", learned / "rules.json", "--state", learned / "state.json",
+                  "--discretizer", learned / "discretizer.json",
+                  "--panel", data / "features.csv", "--asof", pipeline["asof"],
+                  "--out", tmp_path / "scores.csv"],
+        "backtest": ["backtest", "--config", pipeline["cfg"], "--out", tmp_path],
+        "report": ["report", "--dir", pipeline["bt"], "--out", tmp_path / "report.md"],
+    }.get(stage)
+    code = "import rulescreen" if stage == "package" else "import rulescreen.cli"
+    if argv is not None:
+        code += "; assert rulescreen.cli.run(sys.argv[1:]) == 0"
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", f"import json, sys; {code}; print(json.dumps(list(sys.modules)))",
+         *map(str, argv or [])],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "scipy" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "rulescreen"} == STAGE_MODULES[stage]
 
 
 def test_scores_schema(pipeline):
