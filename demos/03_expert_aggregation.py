@@ -12,7 +12,7 @@ Run: python3 demos/03_expert_aggregation.py
 
 import numpy as np
 
-from rulescreen.aggregate import init_state, predict, score, update
+from rulescreen.aggregate import init_state, predict_many, score_many, update
 from rulescreen.rules import Condition, Interval, Rule, RuleSet
 
 rules = [
@@ -30,18 +30,19 @@ ruleset = RuleSet(
 
 rng = np.random.default_rng(3)
 state = init_state(ruleset.R, eta=0.8)
+x_probe = np.array([[1]], dtype=np.int32)
 
 print("step   w(A)    w(B)    w(C)    aggregate prediction at code 1")
 for step in range(600):
-    x = np.array([rng.integers(1, 3)], dtype=np.int32)  # codes 1..2 only
-    y = float(0.04 + rng.normal(0.0, 0.02))  # A's forecast is the truth
-    state = update(state, ruleset, x, y)
+    x = np.array([[rng.integers(1, 3)]], dtype=np.int32)  # codes 1..2 only
+    y = 0.04 + rng.normal(0.0, 0.02)  # A's forecast is the truth
+    # one resolved outcome: a block of one row and its activation row
+    state = update(state, ruleset, np.array([y]), ruleset.activation_matrix(x))
     if (step + 1) % 100 == 0:
         w = state.weights / state.weights.sum()
-        x_probe = np.array([1], dtype=np.int32)
         print(
             f"{step + 1:4d}  {w[0]:.4f}  {w[1]:.4f}  {w[2]:.4f}    "
-            f"{predict(state, ruleset, x_probe):+.4f}"
+            f"{predict_many(state, ruleset, x_probe)[0]:+.4f}"
         )
 
 w = state.weights / state.weights.sum()
@@ -49,5 +50,6 @@ print(f"\nrule C slept through all 600 updates; its share is still {w[2]:.6f}")
 print("(exactly the initial 1/3: sleepers are neither charged nor rescaled).")
 
 print("\nternary screen with dead zone epsilon = 0.02:")
-for y_hat in (0.05, 0.02, 0.019, -0.001, -0.03):
-    print(f"  y_hat {y_hat:+.3f} -> score {score(y_hat, 0.02):+d}")
+y_hats = np.array([0.05, 0.02, 0.019, -0.001, -0.03])
+for y_hat, s in zip(y_hats, score_many(y_hats, 0.02)):
+    print(f"  y_hat {y_hat:+.3f} -> score {s:+d}")

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoActiveRule, NonFiniteLoss, SpecMismatch
-from .rules import RuleSet, activates
+from .errors import NonFiniteLoss, SpecMismatch
+from .rules import RuleSet
 
 def squared_loss(p, y):
     """Squared loss of scalars or broadcastable arrays. float_power calls C
@@ -65,13 +65,18 @@ class AggregationState:
 
     @classmethod
     def from_json(cls, text: str) -> "AggregationState":
+        """Read a state written by to_json. Weights that are empty, negative
+        or not finite, and a negative or non-finite eta or epsilon, raise
+        ValueError: each would silently change every prediction or score."""
         blob = json.loads(text)
-        return cls(
-            weights=np.asarray(blob["weights"], dtype=np.float64),
-            eta=float(blob["eta"]),
-            epsilon=float(blob["epsilon"]),
-            step=int(blob["step"]),
-        )
+        weights = np.asarray(blob["weights"], dtype=np.float64)
+        eta, epsilon = float(blob["eta"]), float(blob["epsilon"])
+        if weights.ndim != 1 or not weights.size:
+            raise ValueError("weights must be a non-empty list")
+        for name, values in (("weights", weights), ("eta", eta), ("epsilon", epsilon)):
+            if not np.all(np.isfinite(values) & (np.asarray(values) >= 0.0)):
+                raise ValueError(f"{name} must be finite and non-negative")
+        return cls(weights=weights, eta=eta, epsilon=epsilon, step=int(blob["step"]))
 
 
 def init_state(
@@ -89,23 +94,6 @@ def init_state(
         loss_clip=loss_clip,
         epsilon=epsilon,
     )
-
-
-def _active_mask_single(ruleset: RuleSet, x) -> np.ndarray:
-    return np.array([activates(r.condition, x) for r in ruleset.rules], dtype=bool)
-
-
-def predict(state: AggregationState, ruleset: RuleSet, x) -> float:
-    """Aggregate prediction: weighted mean of the active rules' predictions."""
-    active = _active_mask_single(ruleset, x)
-    if not active.any():
-        raise NoActiveRule("no rule activates; ruleset is not a covering")
-    preds = np.array([r.prediction for r in ruleset.rules])
-    den = float(state.weights[active].sum())
-    if den <= 0.0:
-        # All active mass underflowed; fall back to the unweighted mean.
-        return float(preds[active].mean())
-    return float(np.dot(state.weights[active], preds[active]) / den)
 
 
 def predict_many(
@@ -138,16 +126,12 @@ def predict_many(
 def update(
     state: AggregationState,
     ruleset: RuleSet,
-    x,
-    y,
-    active: Optional[np.ndarray] = None,
+    y: np.ndarray,
+    active: np.ndarray,
 ) -> AggregationState:
-    """Weight update from resolved outcomes, one row or a block of rows.
-
-    Single row: x is one code vector and y a float. Block: y has shape (k,)
-    and active shape (k, R), or active is omitted and x is the (k, d) code
-    matrix. A block applies its rows in order on one weight vector and gives
-    exactly the weights of k single-row calls.
+    """Weight update from a block of k resolved outcomes: y has shape (k,)
+    and active, the rows' activation matrix, shape (k, R). The rows apply in
+    order on one weight vector.
 
     Active rules are charged their own (clipped) loss; inactive rules keep
     exactly their current weight, so a rule that never activates retains its
@@ -157,15 +141,7 @@ def update(
     Every row advances the step count.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 0:
-        if active is None:
-            active = _active_mask_single(ruleset, x)
-        y = y.reshape(1)
-        active = np.asarray(active, dtype=bool).reshape(1, -1)
-    elif active is None:
-        active = ruleset.activation_matrix(np.asarray(x))
-    else:
-        active = np.asarray(active, dtype=bool)
+    active = np.asarray(active, dtype=bool)
     finite = np.isfinite(y)
     if not finite.all():
         raise NonFiniteLoss(f"outcome {float(y[~finite][0])!r} is not finite")
@@ -188,16 +164,8 @@ def update(
     return replace(state, weights=w, step=state.step + len(y))
 
 
-def score(y_hat: float, epsilon: float) -> int:
-    """Ternary score with a closed dead zone: |y_hat| <= epsilon maps to 0."""
-    if y_hat > epsilon:
-        return 1
-    if y_hat < -epsilon:
-        return -1
-    return 0
-
-
 def score_many(y_hat: np.ndarray, epsilon: float) -> np.ndarray:
+    """Ternary scores with a closed dead zone: |y_hat| <= epsilon maps to 0."""
     out = np.zeros(len(y_hat), dtype=np.int64)
     out[y_hat > epsilon] = 1
     out[y_hat < -epsilon] = -1

@@ -585,7 +585,7 @@ def replay_state(
     eta = cfg.eta if cfg.eta is not None else default_eta(ruleset.R, max(1, replay.n))
     state = init_state(ruleset.R, eta, loss_clip=cfg.loss_clip)
     A = ruleset.activation_matrix(replay.x)
-    state = update(state, ruleset, replay.x, replay.y, active=A)
+    state = update(state, ruleset, replay.y, A)
     epsilon = cfg.epsilon
     if epsilon is None:
         epsilon = float(np.std(predict_many(state, ruleset, replay.x, activation=A)))
@@ -805,10 +805,7 @@ class _Engine:
             day = grid[t]
             todo = due_at.get(t)
             if todo is not None:
-                state = update(
-                    state, ruleset, panel_pend.x[todo], panel_pend.y[todo],
-                    active=A_pend[todo],
-                )
+                state = update(state, ruleset, panel_pend.y[todo], A_pend[todo])
             rows = rows_at.get(t)
             if rows is not None:
                 y_hat = predict_many(

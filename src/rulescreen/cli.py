@@ -287,7 +287,7 @@ def _parse_file(path: str, parse, error=SpecMismatch):
     """parse(the file's text); text that parse cannot read raises error(path)."""
     try:
         return parse(Path(path).read_text())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, SpecMismatch) as exc:
         raise error(f"{path} does not parse: {exc!r}") from None
 
 

@@ -58,10 +58,6 @@ class NoActivations(DataError):
 
 
 # aggregate
-class NoActiveRule(DataError):
-    pass
-
-
 class NonFiniteLoss(DataError):
     pass
 

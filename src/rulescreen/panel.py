@@ -133,7 +133,10 @@ class Discretizer:
             kind = entry["kind"]
             specs.append(FeatureSpec(feature_id=feature_id, kind=kind))
             if kind == NUMERIC:
-                edges[feature_id] = np.asarray(entry["edges"], dtype=np.float64)
+                cuts = np.asarray(entry["edges"], dtype=np.float64)
+                if cuts.ndim != 1 or not np.isfinite(cuts).all() or np.any(np.diff(cuts) < 0):
+                    raise ValueError(f"edges of {feature_id!r} are not finite and ascending")
+                edges[feature_id] = cuts
             else:
                 categories[feature_id] = list(entry["categories"])
         return cls(specs=specs, edges=edges, categories=categories)

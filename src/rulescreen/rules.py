@@ -1,5 +1,5 @@
-"""Rule algebra: hyper-rectangle conditions, activation, conditional means,
-coverage and significance tests, and suitable intersections.
+"""Rule algebra: hyper-rectangle conditions, activation masks, conditional
+means, significance thresholds and geometric intersections.
 
 A condition is a sparse set of closed modality intervals, one per constrained
 feature; features without an interval are unconstrained. A rule couples a
@@ -18,18 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyLearningSet,
-    NoActivations,
-    SpecMismatch,
-)
+from .errors import DimensionMismatch, NoActivations, SpecMismatch
 from .panel import DiscretizedPanel
-
-# Rejection reasons returned by intersect().
-REASON_EMPTY = "empty_intersection"
-REASON_COMPLEXITY = "complexity_condition"
-REASON_ACTIVATION = "intersection_condition"
 
 
 @dataclass(frozen=True, order=True)
@@ -43,9 +33,6 @@ class Interval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise SpecMismatch(f"interval lo {self.lo} > hi {self.hi}")
-
-    def contains(self, code: int) -> bool:
-        return self.lo <= code <= self.hi
 
 
 @dataclass(frozen=True)
@@ -80,19 +67,6 @@ class Condition:
         return tuple((iv.feature_index, iv.lo, iv.hi) for iv in self.intervals)
 
 
-def activates(condition: Condition, x: Sequence[int]) -> bool:
-    """True iff every stored interval contains the matching entry of x."""
-    x = np.asarray(x)
-    for iv in condition.intervals:
-        if iv.feature_index >= len(x):
-            raise DimensionMismatch(
-                f"condition references feature {iv.feature_index}, x has {len(x)}"
-            )
-        if not iv.contains(int(x[iv.feature_index])):
-            return False
-    return True
-
-
 def activation_mask(condition: Condition, x_matrix: np.ndarray) -> np.ndarray:
     """Boolean activation vector over the rows of an (n, d) code matrix."""
     n, d = x_matrix.shape
@@ -105,10 +79,6 @@ def activation_mask(condition: Condition, x_matrix: np.ndarray) -> np.ndarray:
         col = x_matrix[:, iv.feature_index]
         mask &= (col >= iv.lo) & (col <= iv.hi)
     return mask
-
-
-def activation_count(condition: Condition, panel: DiscretizedPanel) -> int:
-    return int(activation_mask(condition, panel.x).sum())
 
 
 def conditional_mean(condition: Condition, panel: DiscretizedPanel) -> float:
@@ -128,12 +98,6 @@ def observed_mean(selected: np.ndarray) -> float:
     if selected.size == 0:
         return 0.0
     return float(np.sum(selected) / selected.size)
-
-
-def coverage_ratio(condition: Condition, panel: DiscretizedPanel) -> float:
-    if panel.n == 0:
-        raise EmptyLearningSet("coverage over an empty learning set")
-    return activation_count(condition, panel) / panel.n
 
 
 def sample_std(panel: DiscretizedPanel) -> float:
@@ -165,26 +129,6 @@ def gaussian_threshold(n_activations: int, alpha: float, sigma: float) -> float:
 Z_KINDS: Dict[str, Callable[[int, float, float], float]] = {
     "gaussian": gaussian_threshold,
 }
-
-
-def significance_threshold(
-    condition: Condition,
-    panel: DiscretizedPanel,
-    alpha: float,
-    z_kind: str = "gaussian",
-    sigma: Optional[float] = None,
-) -> float:
-    """Minimum |mean difference| a rule must show to count as significant.
-
-    sigma defaults to the panel-wide sample dispersion of y; callers that
-    already computed it pass it in to avoid re-scanning.
-    """
-    if z_kind not in Z_KINDS:
-        raise SpecMismatch(f"unknown z_kind {z_kind!r}")
-    if sigma is None:
-        sigma = sample_std(panel)
-    n_act = activation_count(condition, panel)
-    return Z_KINDS[z_kind](n_act, alpha, sigma)
 
 
 @dataclass(frozen=True)
@@ -228,45 +172,6 @@ class Rule:
         return self.condition.complexity(n_codes)
 
 
-def make_rule(
-    condition: Condition,
-    panel: DiscretizedPanel,
-    global_mean: Optional[float] = None,
-) -> Rule:
-    if global_mean is None:
-        global_mean = conditional_mean(Condition(), panel)
-    prediction = conditional_mean(condition, panel)
-    count = activation_count(condition, panel)
-    return Rule(
-        condition=condition,
-        prediction=prediction,
-        activations=count,
-        sign=int(np.sign(prediction - global_mean)),
-    )
-
-
-def is_suitable(
-    rule: Rule,
-    panel: DiscretizedPanel,
-    params: SearchParams,
-    sigma: Optional[float] = None,
-    global_mean: Optional[float] = None,
-) -> bool:
-    """Coverage within [c_min, c_max] and mean shift at least the z threshold."""
-    cov = coverage_ratio(rule.condition, panel)
-    if not params.c_min <= cov <= params.c_max:
-        return False
-    if activation_count(rule.condition, panel) < 1:
-        return False
-    if global_mean is None:
-        global_mean = conditional_mean(Condition(), panel)
-    z = significance_threshold(
-        rule.condition, panel, params.alpha, params.z_kind, sigma=sigma
-    )
-    mu = conditional_mean(rule.condition, panel)
-    return bool(abs(mu - global_mean) >= z)
-
-
 def intersect_conditions(a: Condition, b: Condition) -> Optional[Condition]:
     """Geometric intersection of two hyper-rectangles; None when empty."""
     merged: Dict[int, Tuple[int, int]] = {
@@ -284,32 +189,6 @@ def intersect_conditions(a: Condition, b: Condition) -> Optional[Condition]:
     return Condition(
         tuple(Interval(k, lo, hi) for k, (lo, hi) in sorted(merged.items()))
     )
-
-
-def intersect(
-    rule_i: Rule,
-    rule_j: Rule,
-    panel: DiscretizedPanel,
-) -> Tuple[Optional[Condition], Optional[str]]:
-    """Try to form a suitable intersection of two rules.
-
-    Returns (condition, None) when all three conditions hold, otherwise
-    (None, reason) naming the first failed one. Checks run cheapest first:
-    geometric emptiness, complexity additivity, then the activation-count
-    strict-subset requirement (which needs a panel scan).
-    """
-    cond = intersect_conditions(rule_i.condition, rule_j.condition)
-    if cond is None:
-        return None, REASON_EMPTY
-    n_codes = panel.n_codes
-    if cond.complexity(n_codes) != rule_i.complexity(n_codes) + rule_j.complexity(
-        n_codes
-    ):
-        return None, REASON_COMPLEXITY
-    n_both = activation_count(cond, panel)
-    if n_both == rule_i.activations or n_both == rule_j.activations:
-        return None, REASON_ACTIVATION
-    return cond, None
 
 
 def selection_criterion(rule: Rule, global_mean: float) -> float:
@@ -409,9 +288,15 @@ class RuleSet:
             for iv in entry["intervals"]:
                 if iv["feature_id"] not in index:
                     raise SpecMismatch(f"unknown feature_id {iv['feature_id']!r}")
-                intervals.append(
-                    Interval(index[iv["feature_id"]], int(iv["lo"]), int(iv["hi"]))
-                )
+                k, lo, hi = index[iv["feature_id"]], int(iv["lo"]), int(iv["hi"])
+                # A code outside 0..n_codes-1 never comes out of the
+                # discretizer; lo < 0 would let a missing value activate.
+                if lo < 0 or hi >= n_codes[k]:
+                    raise ValueError(
+                        f"interval [{lo}, {hi}] on {iv['feature_id']!r} lies outside "
+                        f"its codes 0..{n_codes[k] - 1}"
+                    )
+                intervals.append(Interval(k, lo, hi))
             learned_at = np.datetime64(entry["learned_at"], "D")
             if "global_mean" in entry:
                 global_mean = float(entry["global_mean"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rulescreen.aggregate import default_eta, init_state, predict, update
+from rulescreen.aggregate import default_eta, init_state, predict_many, update
 from rulescreen.backtest import (
     BENCHMARK,
     NEGATIVE,
@@ -46,11 +46,10 @@ from rulescreen.rules import (
     Rule,
     RuleSet,
     SearchParams,
-    activation_count,
+    activation_mask,
     conditional_mean,
-    coverage_ratio,
+    gaussian_threshold,
     sample_std,
-    significance_threshold,
 )
 from rulescreen.synth import (
     PlantedRule,
@@ -117,9 +116,7 @@ def test_c01_oracle_equivalence():
                     ok = False
                     break
             mask[i] = ok
-        count = int(mask.sum())
-        assert activation_count(cond, panel) == count
-        assert coverage_ratio(cond, panel) == count / n
+        assert activation_mask(cond, panel.x).sum() == int(mask.sum())
         sel = y[mask]
         sel = sel[np.isfinite(sel)]
         expected = 0.0 if sel.size == 0 else float(np.sum(sel) / sel.size)
@@ -204,15 +201,16 @@ def test_c03_planted_recovery_and_null_rate():
     for seed in range(20):
         codes = labeled_codes(recovery_spec(1000 + seed, []))
         mu = conditional_mean(Condition(), codes)
+        sigma = sample_std(codes)
         for f in range(10):
             for lo in range(5):
                 for hi in range(lo, 5):
                     cond = C((f, lo, hi))
-                    cov = coverage_ratio(cond, codes)
-                    if not PARAMS3.c_min <= cov <= PARAMS3.c_max:
+                    n_act = int(activation_mask(cond, codes.x).sum())
+                    if not PARAMS3.c_min <= n_act / codes.n <= PARAMS3.c_max:
                         continue
                     den += 1
-                    thr = significance_threshold(cond, codes, PARAMS3.alpha)
+                    thr = gaussian_threshold(n_act, PARAMS3.alpha, sigma)
                     if abs(conditional_mean(cond, codes) - mu) >= thr:
                         num += 1
     rate = num / den
@@ -237,7 +235,7 @@ def test_c04_regret_bound():
     R, T = 20, 500
     t0 = time.monotonic()
     eta = default_eta(R, T)
-    x = np.zeros(1, dtype=np.int32)
+    x = np.zeros((1, 1), dtype=np.int32)
     worst = -math.inf
     violations = 0
     for stream in range(50):
@@ -245,12 +243,13 @@ def test_c04_regret_bound():
         preds = rng.random(R)
         ys = rng.random(T)
         ruleset = always_active_ruleset(preds)
+        active = ruleset.activation_matrix(x)
         state = init_state(R, eta=eta)
         loss_agg = 0.0
         for y in ys:
-            p = predict(state, ruleset, x)
+            p = float(predict_many(state, ruleset, x, activation=active)[0])
             loss_agg += min((p - y) ** 2, 1.0)
-            state = update(state, ruleset, x, float(y))
+            state = update(state, ruleset, np.array([y]), active)
         loss_best = min(float(np.minimum((p - ys) ** 2, 1.0).sum())
                         for p in preds)
         slack = loss_agg - (loss_best + math.log(R) / eta + T * eta / 8.0)
@@ -277,8 +276,8 @@ def test_c05_sleeping_invariance():
     for _ in range(20):
         state = init_state(R, eta=0.4)
         for _ in range(300):
-            x = np.array([rng.integers(0, 5)], dtype=np.int32)
-            state = update(state, ruleset, x, float(rng.normal(0.0, 0.05)))
+            active = ruleset.activation_matrix(np.array([[rng.integers(0, 5)]], dtype=np.int32))
+            state = update(state, ruleset, np.array([rng.normal(0.0, 0.05)]), active)
         rel = float(state.weights[0] / state.weights.sum())
         worst = max(worst, abs(rel - 1.0 / R))
     report(5, worst <= 1e-12, f"max |relative weight drift| {worst:.2e}")

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rulescreen.errors import NoActiveRule, NonFiniteLoss, SpecMismatch
+from rulescreen.errors import NonFiniteLoss, SpecMismatch
 from rulescreen.aggregate import (
     AggregationState,
     default_eta,
     init_state,
-    predict,
     predict_many,
-    score,
     score_many,
     squared_loss,
     update,
@@ -37,6 +35,12 @@ def ruleset_of(preds, conditions=None, default_idx=None):
                    global_mean=0.0)
 
 
+def update_row(state, ruleset, code, y):
+    """update on a one-row block: one outcome y for one stock with code."""
+    active = ruleset.activation_matrix(np.array([[code]], dtype=np.int32))
+    return update(state, ruleset, np.array([y]), active)
+
+
 def test_initial_weights_uniform():
     st0 = init_state(4, eta=0.5)
     assert st0.weights.tolist() == [0.25] * 4
@@ -53,16 +57,11 @@ def test_default_eta_formula():
 def test_predict_weighted_mean_of_active():
     rs = ruleset_of([0.10, -0.02], [C((0, 0, 2)), C((0, 2, 4))])
     st0 = AggregationState(weights=np.array([0.75, 0.25]), eta=0.1)
+    both, first = predict_many(st0, rs, np.array([[2], [0]], dtype=np.int32))
     # both active at code 2
-    assert predict(st0, rs, [2]) == pytest.approx(0.75 * 0.10 + 0.25 * -0.02)
+    assert both == pytest.approx(0.75 * 0.10 + 0.25 * -0.02)
     # only the first active at code 0
-    assert predict(st0, rs, [0]) == pytest.approx(0.10)
-
-
-def test_predict_needs_a_covering():
-    rs = ruleset_of([0.10], [C((0, 0, 1))])
-    with pytest.raises(NoActiveRule):
-        predict(init_state(1, 0.1), rs, [4])
+    assert first == pytest.approx(0.10)
 
 
 def test_predict_many_default_fallback():
@@ -87,7 +86,7 @@ def test_update_hand_case():
     eta = 0.8
     st0 = init_state(2, eta)
     y = 0.0
-    st1 = update(st0, rs, [0], y)
+    st1 = update_row(st0, rs, 0, y)
     f = np.exp(-eta * np.array([0.25, 0.0]))
     want = 0.5 * f / (0.5 * f).sum()
     assert st1.weights == pytest.approx(want, rel=1e-14)
@@ -98,7 +97,7 @@ def test_update_rescales_only_the_active_block():
     conds = [C((0, 0, 0)), C((0, 0, 0)), C((0, 3, 4))]
     rs = ruleset_of([0.2, -0.2, 0.9], conds)
     st0 = AggregationState(weights=np.array([0.3, 0.3, 0.4]), eta=1.0)
-    st1 = update(st0, rs, [0], 0.2)
+    st1 = update_row(st0, rs, 0, 0.2)
     # sleeper keeps its weight bit for bit
     assert st1.weights[2] == 0.4
     # active block keeps its joint mass
@@ -110,7 +109,7 @@ def test_update_rescales_only_the_active_block():
 def test_update_without_activations_is_identity_plus_step():
     rs = ruleset_of([0.1], [C((0, 0, 0))])
     st0 = init_state(1, 0.5)
-    st1 = update(st0, rs, [4], 0.3)
+    st1 = update_row(st0, rs, 4, 0.3)
     assert st1.weights.tolist() == st0.weights.tolist()
     assert st1.step == 1
 
@@ -118,13 +117,13 @@ def test_update_without_activations_is_identity_plus_step():
 def test_update_rejects_non_finite_outcome():
     rs = ruleset_of([0.1])
     with pytest.raises(NonFiniteLoss):
-        update(init_state(1, 0.1), rs, [0], float("nan"))
+        update_row(init_state(1, 0.1), rs, 0, float("nan"))
 
 
 def test_loss_clip_caps_the_charge():
     rs = ruleset_of([10.0, 0.0], [Condition(), Condition()])
     st_clip = init_state(2, eta=1.0, loss_clip=1.0)
-    st1 = update(st_clip, rs, [0], 0.0)
+    st1 = update_row(st_clip, rs, 0, 0.0)
     # squared loss of the far rule is 100 but gets clipped to 1
     f = np.exp(-np.array([1.0, 0.0]))
     want = 0.5 * f / (0.5 * f).sum()
@@ -142,31 +141,36 @@ def test_never_active_rule_keeps_exact_initial_weight(codes):
     w_sleeper = state.weights[2]
     rng = np.random.default_rng(0)
     for code in codes:
-        state = update(state, rs, [code], float(rng.normal(0, 0.1)))
+        state = update_row(state, rs, code, float(rng.normal(0, 0.1)))
     assert state.weights[2] == w_sleeper  # exact, no tolerance
     assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (state.weights >= 0).all()
 
 
 def test_score_dead_zone_is_closed():
-    eps = 0.02
-    assert score(0.02, eps) == 0
-    assert score(-0.02, eps) == 0
-    assert score(0.020001, eps) == 1
-    assert score(-0.020001, eps) == -1
-    assert score(0.0, eps) == 0
+    y_hat = np.array([0.02, -0.02, 0.020001, -0.020001, 0.0])
+    assert score_many(y_hat, 0.02).tolist() == [0, 0, 1, -1, 0]
 
 
 @given(st.floats(-1, 1, allow_nan=False), st.floats(0, 0.5, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_score_odd_symmetry(y_hat, eps):
-    assert score(-y_hat, eps) == -score(y_hat, eps)
+    assert score_many(np.array([-y_hat]), eps)[0] == -score_many(np.array([y_hat]), eps)[0]
+
+
+def ternary(y_hat, epsilon):
+    """The score of one prediction: its sign outside the closed dead zone."""
+    if y_hat > epsilon:
+        return 1
+    if y_hat < -epsilon:
+        return -1
+    return 0
 
 
 def test_score_many_matches_scalar():
     y = np.array([-0.5, -0.01, 0.0, 0.01, 0.5])
     got = score_many(y, 0.01)
-    assert got.tolist() == [score(v, 0.01) for v in y]
+    assert got.tolist() == [ternary(v, 0.01) for v in y]
 
 
 def test_state_json_round_trip():
@@ -215,7 +219,7 @@ def update_blocks(draw):
 @example(([0.26953125], np.array([0.0, 0.0]), np.array([[True], [True]]), 1e4, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_block_update_equals_row_by_row(case):
-    """A block update gives exactly (==) the weights of k single-row calls
+    """A block update gives exactly (==) the weights of k one-row blocks
     and of the per-row reference loop, through all-inactive rows, clipped
     losses (|p - y| up to 4 against clips of 1 and 0.05) and blocks whose
     active mass underflows (eta = 1e4), to zero or to a subnormal."""
@@ -223,11 +227,11 @@ def test_block_update_equals_row_by_row(case):
     rs = ruleset_of(preds)
     st0 = init_state(len(preds), eta, loss_clip=clip)
 
-    block = update(st0, rs, None, ys, active=active)
+    block = update(st0, rs, ys, active)
     rows = st0
     want = st0.weights
-    for y, on in zip(ys, active):
-        rows = update(rows, rs, None, float(y), active=on)
+    for i, (y, on) in enumerate(zip(ys, active)):
+        rows = update(rows, rs, ys[i : i + 1], active[i : i + 1])
         want = reference_update(want, np.array(preds), float(y), on, eta, clip)
     assert block.weights.tolist() == rows.weights.tolist()
     assert block.weights.tolist() == want.tolist()
@@ -247,7 +251,7 @@ def test_block_update_equals_reference_on_random_returns():
     want = st0.weights
     for y, on in zip(ys, active):
         want = reference_update(want, preds, float(y), on, eta, 1.0)
-    got = update(st0, rs, None, ys, active=active)
+    got = update(st0, rs, ys, active)
     assert got.weights.tolist() == want.tolist()
 
 def test_squared_loss_block_equals_scalar_losses():
@@ -265,8 +269,8 @@ def test_squared_loss_block_equals_scalar_losses():
 def test_block_update_underflow_and_clip_hand_cases():
     rs = ruleset_of([1.0, -1.0, 0.0], [Condition(), Condition(), C((0, 4, 4))])
     st0 = init_state(3, eta=1e4)
-    x = np.array([[0], [0], [1]], dtype=np.int32)
-    st1 = update(st0, rs, x, np.array([0.0, 1.0, 3.0]))
+    active = rs.activation_matrix(np.array([[0], [0], [1]], dtype=np.int32))
+    st1 = update(st0, rs, np.array([0.0, 1.0, 3.0]), active)
     # row 0: both active losses are 1, exp(-1e4) underflows, weights stay;
     # row 1: losses 0 and 4 (clipped to 1): the exact rule takes the mass;
     # row 2: losses 4 and 16 both clip to 1 and underflow again.
@@ -274,25 +278,14 @@ def test_block_update_underflow_and_clip_hand_cases():
     assert st1.weights[1] == 0.0
     assert st1.weights[2] == st0.weights[2]  # the sleeper, bit for bit
     assert st1.step == 3
-    assert update(st1, rs, x[2:], np.array([3.0])).weights.tolist() == \
+    assert update(st1, rs, np.array([3.0]), active[2:]).weights.tolist() == \
         st1.weights.tolist()
-
-
-def test_block_update_derives_activations_from_codes():
-    rs = ruleset_of([0.1, -0.2], [C((0, 0, 2)), C((0, 2, 4))])
-    x = np.array([[0], [2], [4], [3]], dtype=np.int32)
-    y = np.array([0.05, -0.1, 0.3, 0.0])
-    st0 = init_state(2, eta=0.9)
-    got = update(st0, rs, x, y)
-    want = update(st0, rs, None, y, active=rs.activation_matrix(x))
-    assert got.weights.tolist() == want.weights.tolist()
 
 
 def test_block_update_rejects_a_non_finite_outcome_anywhere():
     rs = ruleset_of([0.1])
     with pytest.raises(NonFiniteLoss):
-        update(init_state(1, 0.1), rs, np.zeros((3, 1), np.int32),
-               np.array([0.0, np.inf, 0.1]))
+        update(init_state(1, 0.1), rs, np.array([0.0, np.inf, 0.1]), np.ones((3, 1), bool))
 
 
 # --- scoring through saved files -------------------------------------------------

@@ -906,7 +906,7 @@ def reference_segment(engine, step, state, L, next_L):
         )
         if len(due):
             labels = apply_discretizer(raw.take(due), step.discretizer)
-            state = update(state, ruleset, labels.x, labels.y)
+            state = update(state, ruleset, labels.y, ruleset.activation_matrix(labels.x))
         if t in score_rows:
             rows = np.flatnonzero(raw.dates == day)
             if not len(rows):

@@ -534,10 +534,27 @@ def test_learn_worker_count_does_not_change_outputs(pipeline, tmp_path):
         assert a == b, name
 
 
-def one_weight_short(text):
-    blob = json.loads(text)
-    blob["weights"].pop()
-    return json.dumps(blob)
+def edited(pick, key, value):
+    """A function of a JSON file's text that sets pick(blob)[key] to value,
+    or to value(old) when value is callable."""
+    def edit(text):
+        blob = json.loads(text)
+        target = pick(blob)
+        target[key] = value(target[key]) if callable(value) else value
+        return json.dumps(blob)
+    return edit
+
+
+def whole(blob):
+    return blob
+
+
+def first_interval(rules):
+    return next(entry for entry in rules if entry["intervals"])["intervals"][0]
+
+
+def first_numeric(discretizer):
+    return next(entry for entry in discretizer.values() if entry["kind"] == "numeric")
 
 
 def one_kpi_short(text):
@@ -546,17 +563,44 @@ def one_kpi_short(text):
     return json.dumps(blob)
 
 
-# A file of the learn or backtest output or the synth spec, what is written
-# over it (a string, or a function of the file's text), the exit code and
-# what the CLI's error line must hold.
+# A file of the learn or backtest output or the synth spec (or a tuple of
+# files), what is written over it (a string, or a function of the file's
+# text; a tuple for a tuple of files), the exit code and what the CLI's
+# error line must hold.
 BAD_JSON_CASES = {
     "state_not_json": ("learn/state.json", "{not json", 2, ("SpecMismatch", "state.json")),
     "rules_not_json": ("learn/rules.json", "{not json", 2, ("SpecMismatch", "rules.json")),
     "discretizer_not_json": ("learn/discretizer.json", "{not json", 2,
                              ("SpecMismatch", "discretizer.json")),
     "state_without_weights": ("learn/state.json", "{}", 2, ("SpecMismatch", "state.json")),
-    "state_one_weight_short": ("learn/state.json", one_weight_short, 2,
+    "state_one_weight_short": ("learn/state.json", edited(whole, "weights", lambda w: w[:-1]), 2,
                                ("SpecMismatch", "state.json", "rules.json")),
+    "state_nan_weight": ("learn/state.json",
+                         edited(whole, "weights", lambda w: [float("nan")] + w[1:]), 2,
+                         ("SpecMismatch", "state.json")),
+    "state_negative_weight": ("learn/state.json",
+                              edited(whole, "weights", lambda w: [-0.25] + w[1:]), 2,
+                              ("SpecMismatch", "state.json")),
+    "state_nan_epsilon": ("learn/state.json", edited(whole, "epsilon", float("nan")), 2,
+                          ("SpecMismatch", "state.json", "epsilon")),
+    "state_and_rules_empty": (("learn/state.json", "learn/rules.json"),
+                              (edited(whole, "weights", []), "[]"), 2,
+                              ("SpecMismatch", "state.json")),
+    "rules_interval_below_codes": ("learn/rules.json", edited(first_interval, "lo", -5), 2,
+                                   ("SpecMismatch", "rules.json")),
+    "rules_interval_reversed": ("learn/rules.json", edited(first_interval, "lo", 99), 2,
+                                ("SpecMismatch", "rules.json")),
+    "rules_unknown_feature": ("learn/rules.json", edited(first_interval, "feature_id", "zz"), 2,
+                              ("SpecMismatch", "rules.json", "'zz'")),
+    "rules_interval_above_codes": ("learn/rules.json", edited(first_interval, "hi", 99), 2,
+                                   ("SpecMismatch", "rules.json")),
+    "discretizer_edges_descending": ("learn/discretizer.json",
+                                     edited(first_numeric, "edges", lambda e: e[::-1]), 2,
+                                     ("SpecMismatch", "discretizer.json")),
+    "discretizer_edge_not_finite": ("learn/discretizer.json",
+                                    edited(first_numeric, "edges",
+                                           lambda e: e[:-1] + [float("inf")]), 2,
+                                    ("SpecMismatch", "discretizer.json")),
     "spec_not_json": ("spec.json", "{not json", 1, ("InconsistentSpec", "spec.json")),
     "spec_bad_type": ("spec.json", json.dumps(dict(SPEC_BLOB, n_stocks="x")), 1,
                       ("InconsistentSpec",)),
@@ -579,10 +623,14 @@ def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case
     shutil.copytree(pipeline["learn"], tmp_path / "learn")
     shutil.copytree(pipeline["bt"], tmp_path / "bt")
     (tmp_path / "spec.json").write_text(json.dumps(SPEC_BLOB))
-    if callable(text):
-        text = text((tmp_path / name).read_text())
-    if name is not None:
-        (tmp_path / name).write_text(text)
+    names, texts = (name, text) if isinstance(name, tuple) else ((name,), (text,))
+    for path, content in zip(names, texts):
+        if path is None:
+            continue
+        if callable(content):
+            content = content((tmp_path / path).read_text())
+        (tmp_path / path).write_text(content)
+    name = names[0]
     if name == "spec.json":
         argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]
     elif name == "bt/kpis.json":

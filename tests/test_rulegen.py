@@ -19,7 +19,7 @@ from rulescreen.rules import (
     SearchParams,
     activation_mask,
     conditional_mean,
-    is_suitable,
+    gaussian_threshold,
     sample_std,
 )
 
@@ -103,7 +103,10 @@ def test_every_emitted_rule_is_suitable():
     sigma = sample_std(panel)
     gm = conditional_mean(Condition(), panel)
     for rule in design_rules(panel, params):
-        assert is_suitable(rule, panel, params, sigma=sigma, global_mean=gm)
+        n_act = int(activation_mask(rule.condition, panel.x).sum())
+        assert params.c_min <= n_act / panel.n <= params.c_max
+        threshold = gaussian_threshold(n_act, params.alpha, sigma)
+        assert abs(conditional_mean(rule.condition, panel) - gm) >= threshold
 
 
 def test_cp_max_1_equals_plain_enumeration():

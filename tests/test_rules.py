@@ -15,25 +15,19 @@ from rulescreen.errors import (
     SpecMismatch,
 )
 from rulescreen.panel import MISSING_CODE, DiscretizedPanel, FeatureSpec
+from rulescreen.rulegen import enumerate_complexity1, generate_complexity_c
 from rulescreen.rules import (
     Condition,
     Interval,
     Rule,
     RuleSet,
     SearchParams,
-    activates,
-    activation_count,
     activation_mask,
     conditional_mean,
-    coverage_ratio,
     gaussian_quantile,
     gaussian_threshold,
-    intersect,
-    is_suitable,
-    make_rule,
     sample_std,
     selection_criterion,
-    significance_threshold,
 )
 
 
@@ -56,31 +50,44 @@ def C(*ivs):
     return Condition(tuple(Interval(*iv) for iv in ivs))
 
 
+def activates_row(condition, codes):
+    """activation_mask on a one-row code matrix."""
+    return bool(activation_mask(condition, np.array([codes], dtype=np.int32))[0])
+
+
+def rule_on(condition, panel):
+    """A rule with its learning-set statistics on the panel."""
+    mu = conditional_mean(condition, panel)
+    gm = conditional_mean(Condition(), panel)
+    count = int(activation_mask(condition, panel.x).sum())
+    return Rule(condition, mu, count, int(np.sign(mu - gm)))
+
+
 # --- activation ---------------------------------------------------------
 
 
 def test_empty_condition_activates_everything():
-    assert activates(Condition(), [0, 1, 2])
-    assert activates(Condition(), [])
+    assert activates_row(Condition(), [0, 1, 2])
+    assert activates_row(Condition(), [])
 
 
 def test_interval_containment():
     cond = C((3, 5, 9))
-    assert activates(cond, [0, 0, 0, 7])
-    assert not activates(cond, [0, 0, 0, 4])
-    assert not activates(cond, [0, 0, 0, 10])
+    assert activates_row(cond, [0, 0, 0, 7])
+    assert not activates_row(cond, [0, 0, 0, 4])
+    assert not activates_row(cond, [0, 0, 0, 10])
 
 
 def test_missing_code_never_activates():
     cond = C((0, 0, 4))
-    assert not activates(cond, [MISSING_CODE])
+    assert not activates_row(cond, [MISSING_CODE])
     # but a condition silent on the missing feature still can
-    assert activates(C((1, 0, 4)), [MISSING_CODE, 2])
+    assert activates_row(C((1, 0, 4)), [MISSING_CODE, 2])
 
 
 def test_condition_on_feature_beyond_x_raises():
     with pytest.raises(DimensionMismatch):
-        activates(C((5, 0, 1)), [0, 1])
+        activates_row(C((5, 0, 1)), [0, 1])
 
 
 def test_interval_lo_above_hi_rejected():
@@ -100,7 +107,7 @@ def test_activation_mask_matches_row_loop():
     cond = C((0, 1, 3), (2, 0, 2))
     mask = activation_mask(cond, x)
     for i in range(60):
-        assert mask[i] == activates(cond, x[i])
+        assert mask[i] == all(iv.lo <= x[i, iv.feature_index] <= iv.hi for iv in cond.intervals)
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
@@ -145,9 +152,9 @@ def test_conditional_mean_full_space_is_sample_mean():
 
 def test_coverage_one_of_four():
     panel = toy_panel([[0], [1], [1], [2]], [0.0] * 4)
-    assert coverage_ratio(C((0, 0, 0)), panel) == 0.25
-    assert coverage_ratio(Condition(), panel) == 1.0
-    assert coverage_ratio(C((0, 4, 4)), panel) == 0.0
+    assert activation_mask(C((0, 0, 0)), panel.x).mean() == 0.25
+    assert activation_mask(Condition(), panel.x).mean() == 1.0
+    assert activation_mask(C((0, 4, 4)), panel.x).mean() == 0.0
 
 
 def test_gaussian_threshold_table_value():
@@ -211,7 +218,8 @@ def test_significance_threshold_uses_panel_dispersion():
     rng = np.random.default_rng(1)
     y = rng.normal(0, 0.1, 40)
     panel = toy_panel(np.zeros((40, 1)), y)
-    got = significance_threshold(C((0, 0, 0)), panel, alpha=0.05)
+    n_act = int(activation_mask(C((0, 0, 0)), panel.x).sum())
+    got = gaussian_threshold(n_act, 0.05, sample_std(panel))
     want = gaussian_threshold(40, 0.05, float(np.std(y, ddof=1)))
     assert got == pytest.approx(want)
 
@@ -233,28 +241,29 @@ def suitable_fixture():
     return toy_panel(x, y)
 
 
+def suitable_conditions(panel, params):
+    return [r.condition for r in enumerate_complexity1(panel, params)]
+
+
 def test_planted_strong_rule_is_suitable():
     panel = suitable_fixture()
     params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=10)
-    rule = make_rule(C((0, 0, 1)), panel)
-    assert is_suitable(rule, panel, params)
-    assert rule.sign == 1
+    found = {r.condition: r for r in enumerate_complexity1(panel, params)}
+    assert found[C((0, 0, 1))].sign == 1
 
 
 def test_coverage_bounds_veto_regardless_of_significance():
     panel = suitable_fixture()
-    rule = make_rule(C((0, 0, 1)), panel)
     too_high = SearchParams(alpha=0.05, c_min=0.0, c_max=0.1, cp_max=1, M=1)
     too_low = SearchParams(alpha=0.05, c_min=0.9, c_max=1.0, cp_max=1, M=1)
-    assert not is_suitable(rule, panel, too_high)
-    assert not is_suitable(rule, panel, too_low)
+    assert C((0, 0, 1)) not in suitable_conditions(panel, too_high)
+    assert C((0, 0, 1)) not in suitable_conditions(panel, too_low)
 
 
 def test_alpha_zero_rejects_every_finite_effect():
     panel = suitable_fixture()
     params = SearchParams(alpha=0.0, c_min=0.0, c_max=1.0, cp_max=1, M=1)
-    rule = make_rule(C((0, 0, 1)), panel)
-    assert not is_suitable(rule, panel, params)
+    assert suitable_conditions(panel, params) == []
 
 
 def test_selection_criterion_scale():
@@ -263,43 +272,43 @@ def test_selection_criterion_scale():
 
 
 # --- intersections ------------------------------------------------------
+# The level-2 search with every filter but the intersection conditions open
+# (alpha = 1 makes the significance threshold 0).
+
+OPEN = SearchParams(alpha=1.0, c_min=0.0, c_max=1.0, cp_max=2, M=50)
+
+
+def level2(panel, *conditions):
+    rules = [rule_on(c, panel) for c in conditions]
+    return [r.condition for r in generate_complexity_c(rules, rules, 2, OPEN, panel)]
 
 
 def test_intersection_disjoint_features_accepted():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 5, size=(300, 2)).astype(np.int32)
     panel = toy_panel(x, rng.normal(size=300))
-    a = make_rule(C((0, 0, 2)), panel)
-    b = make_rule(C((1, 1, 3)), panel)
-    cond, reason = intersect(a, b, panel)
-    assert reason is None
-    assert cond.complexity(panel.n_codes) == 2
+    assert level2(panel, C((0, 0, 2)), C((1, 1, 3))) == [C((0, 0, 2), (1, 1, 3))]
 
 
 def test_intersection_same_feature_rejected():
-    panel = toy_panel(np.zeros((10, 2)), np.zeros(10))
-    a = make_rule(C((0, 0, 2)), panel)
-    b = make_rule(C((0, 1, 3)), panel)
-    cond, reason = intersect(a, b, panel)
-    assert cond is None and reason == "complexity_condition"
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 5, size=(300, 2)).astype(np.int32)
+    panel = toy_panel(x, rng.normal(size=300))
+    # [1, 2] is a complexity-1 interval, not the sum of its parents' 1 + 1
+    assert level2(panel, C((0, 0, 2)), C((0, 1, 3))) == []
 
 
 def test_intersection_subset_activation_rejected():
     # every row activating a also activates b, so the intersection adds nothing
     x = np.array([[0, 0], [0, 1], [1, 2], [2, 3]], dtype=np.int32)
-    panel = toy_panel(x, np.zeros(4))
-    a = make_rule(C((0, 0, 0)), panel)
-    b = make_rule(C((1, 0, 1)), panel)
-    cond, reason = intersect(a, b, panel)
-    assert cond is None and reason == "intersection_condition"
+    panel = toy_panel(x, np.arange(4.0))
+    assert level2(panel, C((0, 0, 0)), C((1, 0, 1))) == []
 
 
 def test_intersection_geometrically_empty():
-    panel = toy_panel(np.zeros((10, 1)), np.zeros(10))
-    a = make_rule(C((0, 0, 1)), panel)
-    b = Rule(C((0, 3, 4)), 0.0, 1, 0)
-    cond, reason = intersect(a, b, panel)
-    assert cond is None and reason == "empty_intersection"
+    x = np.array([[0], [1], [3], [4]], dtype=np.int32)
+    panel = toy_panel(x, np.arange(4.0))
+    assert level2(panel, C((0, 0, 1)), C((0, 3, 4))) == []
 
 
 # --- serialization ------------------------------------------------------
@@ -367,4 +376,4 @@ def test_activation_matrix_shape_and_content():
 def test_activation_count_on_panel():
     x = np.array([[0], [1], [1], [3]], dtype=np.int32)
     panel = toy_panel(x, np.zeros(4))
-    assert activation_count(C((0, 1, 1)), panel) == 2
+    assert activation_mask(C((0, 1, 1)), panel.x).sum() == 2
