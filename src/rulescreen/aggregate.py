@@ -26,6 +26,11 @@ def squared_loss(p, y):
     return np.float_power(p - y, 2.0)
 
 
+# Every charged loss is clipped to [0, LOSS_CLIP]: the exponential-weights
+# regret bound that default_eta minimizes holds for losses in [0, 1]
+# (Cesa-Bianchi & Lugosi, Prediction, Learning, and Games, 2006, section 2.3).
+LOSS_CLIP = 1.0
+
 # An active block whose mass falls below the smallest normal float64 has
 # underflowed: rescaling it would divide by a subnormal and overflow to inf.
 TINY = np.finfo(np.float64).tiny
@@ -44,7 +49,6 @@ class AggregationState:
 
     weights: np.ndarray
     eta: float
-    loss_clip: float = 1.0
     epsilon: float = 0.0
     step: int = 0
 
@@ -82,7 +86,6 @@ class AggregationState:
 def init_state(
     n_rules: int,
     eta: float,
-    loss_clip: float = 1.0,
     epsilon: float = 0.0,
 ) -> AggregationState:
     """Uniform initial weights 1/R."""
@@ -91,7 +94,6 @@ def init_state(
     return AggregationState(
         weights=np.full(n_rules, 1.0 / n_rules, dtype=np.float64),
         eta=eta,
-        loss_clip=loss_clip,
         epsilon=epsilon,
     )
 
@@ -133,11 +135,11 @@ def update(
     and active, the rows' activation matrix, shape (k, R). The rows apply in
     order on one weight vector.
 
-    Active rules are charged their own (clipped) loss; inactive rules keep
-    exactly their current weight, so a rule that never activates retains its
-    initial relative weight bit for bit. A row that activates nothing leaves
-    the weights unchanged; so does one whose active mass underflows (falls
-    below the smallest normal float, TINY).
+    Active rules are charged their own loss, clipped at LOSS_CLIP; inactive
+    rules keep exactly their current weight, so a rule that never activates
+    retains its initial relative weight bit for bit. A row that activates
+    nothing leaves the weights unchanged; so does one whose active mass
+    underflows (falls below the smallest normal float, TINY).
     Every row advances the step count.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -153,7 +155,7 @@ def update(
         losses = squared_loss(preds, y[rows, None])
         if not np.all(np.isfinite(losses[active[rows]])):
             raise NonFiniteLoss("non-finite loss on an active rule")
-        factors = np.exp(-state.eta * np.minimum(losses, state.loss_clip))
+        factors = np.exp(-state.eta * np.minimum(losses, LOSS_CLIP))
         for f, i in zip(factors, rows):
             on = active[i]
             block = w[on] * f[on]

@@ -3,7 +3,7 @@
 The simulator is deliberately simple: portfolios rebalance to target weights at
 month-end review closes and buy-and-hold in between, so intra-month weights
 drift with prices. Review targets are computed from the universe snapshot dated
-`score_lag_days` trading days before the review (the data a manager would have
+SCORE_LAG_DAYS trading days before the review (the data a manager would have
 had when deciding).
 """
 
@@ -42,6 +42,7 @@ from .panel import (
     FeatureSpec,
     InputCsv,
     RawPanel,
+    SCORE_LAG_DAYS,
     apply_discretizer,
     fit_discretizer,
     float_cells,
@@ -61,11 +62,19 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_TOL = 1e-9
 
+# Daily levels are on a business-day grid (labels resolve with
+# np.busday_offset), so KPIs annualize over 252 periods.
+PERIODS_PER_YEAR = 252.0
+
+# The best-in-class leg drops the lowest BIC_X of each peer group's ratings;
+# its name is built from the same value, so the two cannot disagree.
+BIC_X = 0.30
+
 BENCHMARK = "Benchmark"
 POSITIVE = "Positive ML"
 POSITIVE_SM = "Positive Sector-Matched"
 NEGATIVE = "Negative ML"
-BEST_IN_CLASS = "Best-in-class 30%"
+BEST_IN_CLASS = f"Best-in-class {BIC_X:.0%}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +333,7 @@ def review_plan(
     review_schedule: Sequence[np.datetime64],
     prices: PriceTable,
     universe: UniverseTable,
-    score_lag_days: int = 4,
+    score_lag_days: int = SCORE_LAG_DAYS,
     scores: Optional[Scores] = None,
 ) -> ReviewPlan:
     """Resolve a review schedule against the prices and the universe. With
@@ -485,14 +494,10 @@ def kpis(
 _RANGES = {
     "m": (lambda v: v >= 2, ">= 2"),
     "eta": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
-    "loss_clip": (lambda v: v > 0.0, "> 0"),
     "epsilon": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
     "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
     "horizon_days": (lambda v: v >= 1, ">= 1"),
     "initial_train_years": (lambda v: v >= 1, ">= 1"),
-    "bic_x": (lambda v: 0.0 <= v < 1.0, "in [0,1)"),
-    "score_lag_days": (lambda v: v >= 0, ">= 0"),
-    "periods_per_year": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
 }
 
 
@@ -510,14 +515,10 @@ class WalkForwardConfig:
     top_m: int = 50
     z_kind: str = "gaussian"
     eta: Optional[float] = None  # None = auto
-    loss_clip: float = 1.0
     epsilon: Optional[float] = None  # None = auto
     learn_fraction: float = 0.25
     horizon_days: int = 63
     initial_train_years: int = 3
-    bic_x: float = 0.30
-    score_lag_days: int = 4
-    periods_per_year: float = 252.0
     workers: int = 1  # no effect; kept so callers that pass workers=1 still run
 
     def __post_init__(self):
@@ -583,7 +584,7 @@ def replay_state(
     cfg.epsilon None, the dead zone is the standard deviation of the replayed
     rows' predictions under the final weights."""
     eta = cfg.eta if cfg.eta is not None else default_eta(ruleset.R, max(1, replay.n))
-    state = init_state(ruleset.R, eta, loss_clip=cfg.loss_clip)
+    state = init_state(ruleset.R, eta)
     A = ruleset.activation_matrix(replay.x)
     state = update(state, ruleset, replay.y, A)
     epsilon = cfg.epsilon
@@ -847,13 +848,12 @@ def _scored_study(
         n_learn = sum(1 for L in learn_dates if _year(L) <= freeze_year)
     first_learning = learn_dates[0]
 
-    lag = cfg.score_lag_days
     reviews, score_rows = [], []
     for r in month_ends(grid):
-        i = prices.index_of(r)
-        if i - lag >= 0 and grid[i - lag] >= first_learning:
+        i = prices.index_of(r) - SCORE_LAG_DAYS
+        if i >= 0 and grid[i] >= first_learning:
             reviews.append(r)
-            score_rows.append(i - lag)
+            score_rows.append(i)
     if not reviews:
         raise InsufficientHistory("no out-of-sample review after the first learning")
     review_arr = np.array(reviews, dtype="datetime64[D]")
@@ -888,11 +888,11 @@ def _scored_study(
         tail, _ = engine.segment(last.learning, last.end_state, learn_dates[n_learn], None)
         scores.update(tail)
 
-    plan = review_plan(reviews, prices, universe, lag, scores)
+    plan = review_plan(reviews, prices, universe, scores=scores)
     return [e.learning for e in entries[:n_learn]], scores, review_arr, plan
 
 
-def _leg_weights(cfg: WalkForwardConfig) -> Dict[str, Callable[[UniverseSnapshot], np.ndarray]]:
+def _leg_weights() -> Dict[str, Callable[[UniverseSnapshot], np.ndarray]]:
     """Target weights of each strategy leg; the screened legs hold the
     benchmark (with a WARNING) on a review where their screen is empty."""
 
@@ -919,7 +919,7 @@ def _leg_weights(cfg: WalkForwardConfig) -> Dict[str, Callable[[UniverseSnapshot
         return ml_screen(snap, -1)
 
     def bic_fn(snap: UniverseSnapshot) -> np.ndarray:
-        return best_in_class(snap, cfg.bic_x)
+        return best_in_class(snap, BIC_X)
 
     return {
         BENCHMARK: benchmark_fn,
@@ -991,12 +991,12 @@ def run_study(
     )
     series = {
         name: simulate(plan, fn, prices, name)
-        for name, fn in _leg_weights(cfg).items()
+        for name, fn in _leg_weights().items()
     }
     bench = series[BENCHMARK]
     reports = {
         name: BacktestReport(
-            name=name, series=s, kpis=kpis(s, bench, cfg.periods_per_year)
+            name=name, series=s, kpis=kpis(s, bench, PERIODS_PER_YEAR)
         )
         for name, s in series.items()
     }
@@ -1032,12 +1032,12 @@ def learning_y(
     _, _, _, plan = _scored_study(
         raw_panel, specs, universe, prices, cfg, freeze_year=Y
     )
-    legs = _leg_weights(cfg)
+    legs = _leg_weights()
     name = f"Learning {Y}"
     bench = simulate(plan, legs[BENCHMARK], prices, BENCHMARK)
     series = simulate(plan, legs[POSITIVE], prices, name)
     return BacktestReport(
-        name=name, series=series, kpis=kpis(series, bench, cfg.periods_per_year)
+        name=name, series=series, kpis=kpis(series, bench, PERIODS_PER_YEAR)
     )
 
 
@@ -1049,9 +1049,10 @@ def load_universe_csv(path) -> UniverseTable:
     need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
     source = InputCsv(path, need.issubset, f"universe csv must have columns {sorted(need)}")
 
-    def nonempty(arrays, lines):
+    def checked(arrays, lines):
         if not lines:
             raise SpecMismatch("universe csv is empty")
+        record_keys(path, lines, arrays[0], arrays[1])
         return arrays
 
     at = source.index
@@ -1065,7 +1066,7 @@ def load_universe_csv(path) -> UniverseTable:
             (at["peer_group"], to_strings),
             (at["esg_rating"], to_floats),
         ],
-        nonempty,
+        checked,
     ))
 
 

@@ -137,13 +137,13 @@ class RunConfig:
 @functools.cache
 def _config_keys():
     """The config keys, built on first use, as they need WalkForwardConfig:
-    the field of each study key (its own name, except M for top_m and
-    best_in_class_x for bic_x; `workers` is not a key), the run's own keys,
-    and each key's value type as its dataclass declares it. Optional[float]
-    keys also take "auto" (None)."""
+    the field of each study key (its own name, except M for top_m;
+    `workers` is not a key), the run's own keys, and each key's value type
+    as its dataclass declares it. Optional[float] keys also take "auto"
+    (None)."""
     _bind("backtest")
     study_keys = {
-        {"top_m": "M", "bic_x": "best_in_class_x"}.get(f.name, f.name): f.name
+        "M" if f.name == "top_m" else f.name: f.name
         for f in fields(WalkForwardConfig)
         if f.name != "workers"
     }

@@ -270,6 +270,12 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
     )
 
 
+# A month-end review acts on the scores and the universe snapshot dated this
+# many trading days before it: the data a manager would have had when
+# deciding. The study reads it, and synth dates its snapshots by it.
+SCORE_LAG_DAYS = 4
+
+
 def month_ends(dates: np.ndarray) -> np.ndarray:
     """Last date of each calendar month present in a sorted daily grid."""
     months = dates.astype("datetime64[M]")
@@ -306,7 +312,7 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # input's bytes) matches; any other cache file is rewritten. The CSV is always
 # the source of truth, and deleting the directory is always safe.
 CACHE_DIR = ".rulescreen-cache"
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 # The sha256 of each CSV file an InputCsv has read, by the path it was read
 # from, so that manifest.json takes a CSV input's digest from here instead of
@@ -547,7 +553,8 @@ def record_keys(path, lines, dates: np.ndarray, stock_ids):
 
 
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
-    """Read features.csv (`date,stock_id,<feature_id>...`, empty cell = missing).
+    """Read features.csv (`date,stock_id,<feature_id>...`, empty cell = missing);
+    a (date, stock_id) key may appear only once.
 
     Returns (RawPanel without y, specs). Columns default to numeric unless
     specs say otherwise.
@@ -565,16 +572,17 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
         if [s.feature_id for s in specs] != feature_ids:
             raise SpecMismatch(f"{path}: header does not match provided specs")
 
-    def nonempty(arrays, lines):
+    def checked(arrays, lines):
         if not lines:
             raise EmptyPanel(f"{path}: no data rows")
+        record_keys(path, lines, arrays[0], arrays[1])
         return arrays
 
     convert = {NUMERIC: to_floats_or_nan, CATEGORICAL: to_labels}
     dates, stock_ids, *feature_columns = source.parsed(
         "features",
         list(enumerate([to_dates, to_strings] + [convert[spec.kind] for spec in specs])),
-        nonempty,
+        checked,
     )
     y = np.full(len(dates), np.nan, dtype=np.float64)
     return RawPanel(dates=dates, stock_ids=stock_ids, columns=feature_columns, y=y), specs

@@ -280,9 +280,14 @@ class RuleSet:
     ) -> "RuleSet":
         blob = json.loads(text)
         index = {f: k for k, f in enumerate(feature_ids)}
+        means = [float(entry["global_mean"]) for entry in blob if "global_mean" in entry]
+        # Files written before the learning-set mean was stored: the default
+        # (full-space) rule predicts it, when there is one.
+        global_mean = means[-1] if means else next(
+            (float(e["prediction"]) for e in blob if e.get("is_default", False)), 0.0
+        )
         rules = []
         learned_at = None
-        global_mean = None
         for entry in blob:
             intervals = []
             for iv in entry["intervals"]:
@@ -298,33 +303,18 @@ class RuleSet:
                     )
                 intervals.append(Interval(k, lo, hi))
             learned_at = np.datetime64(entry["learned_at"], "D")
-            if "global_mean" in entry:
-                global_mean = float(entry["global_mean"])
+            prediction = float(entry["prediction"])
             rules.append(
                 Rule(
                     condition=Condition(tuple(intervals)),
-                    prediction=float(entry["prediction"]),
+                    prediction=prediction,
                     activations=int(entry["activations"]),
-                    sign=0,
+                    # The schema does not carry signs; recover them against
+                    # the learning-set mean, as the search set them.
+                    sign=int(np.sign(prediction - global_mean)),
                     is_default=bool(entry.get("is_default", False)),
                 )
             )
-        if global_mean is None:
-            # Files written before the learning-set mean was stored: the
-            # default (full-space) rule predicts it, when there is one.
-            global_mean = next((r.prediction for r in rules if r.is_default), 0.0)
-        # The schema does not carry signs; recover them against the
-        # learning-set mean, as the search set them.
-        rules = [
-            Rule(
-                condition=r.condition,
-                prediction=r.prediction,
-                activations=r.activations,
-                sign=int(np.sign(r.prediction - global_mean)),
-                is_default=r.is_default,
-            )
-            for r in rules
-        ]
         return cls(
             rules=rules,
             learned_at=learned_at,

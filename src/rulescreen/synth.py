@@ -13,12 +13,13 @@ overlap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InconsistentSpec
 from .panel import (
+    SCORE_LAG_DAYS,
     FeatureSpec,
     RawPanel,
     float_cells,
@@ -26,9 +27,16 @@ from .panel import (
     str_cells,
     write_csv_columns,
 )
-from .rules import Condition, Interval
+from .rules import Condition, Interval, activation_mask
 
 DEFAULT_START = "2010-01-04"
+
+# Fixed shape of the generated market: stock i sits in peer group i mod
+# _N_PEER_GROUPS, and the common benchmark's daily log return is
+# log1p(_BENCH_DRIFT_DAILY + _BENCH_SIGMA_DAILY * N(0, 1)).
+_N_PEER_GROUPS = 4
+_BENCH_DRIFT_DAILY = 0.0002
+_BENCH_SIGMA_DAILY = 0.004
 
 
 @dataclass(frozen=True)
@@ -54,11 +62,6 @@ class SynthSpec:
     start: str = DEFAULT_START
     horizon_days: int = 63
     sector_feature: Optional[int] = 0
-    n_sectors: Optional[int] = None
-    n_peer_groups: int = 4
-    snapshot_lag_days: int = 4
-    bench_drift_daily: float = 0.0002
-    bench_sigma_daily: float = 0.004
 
     def validate(self) -> None:
         if min(self.n_stocks, self.n_dates, self.d, self.m) < 1:
@@ -156,22 +159,6 @@ def true_modality(raw: np.ndarray, m: int) -> np.ndarray:
     return np.minimum((raw * m).astype(np.int64), m - 1)
 
 
-def _planted_activation(
-    modalities: np.ndarray, planted: Sequence[PlantedRule]
-) -> np.ndarray:
-    """(rows, n_planted) activation of ground-truth conditions."""
-    cols = []
-    for rule in planted:
-        mask = np.ones(len(modalities), dtype=bool)
-        for iv in rule.condition.intervals:
-            col = modalities[:, iv.feature_index]
-            mask &= (col >= iv.lo) & (col <= iv.hi)
-        cols.append(mask)
-    if not cols:
-        return np.zeros((len(modalities), 0), dtype=bool)
-    return np.stack(cols, axis=1)
-
-
 def generate(spec: SynthSpec) -> SynthData:
     """Build one synthetic dataset; identical spec (including seed) gives
     identical output arrays."""
@@ -205,7 +192,8 @@ def generate(spec: SynthSpec) -> SynthData:
         if shift_date is not None and block_date >= shift_date:
             planted = post_planted
         if planted:
-            act = _planted_activation(mod_blocks[:, b, :], planted)
+            mods = mod_blocks[:, b, :]
+            act = np.stack([activation_mask(p.condition, mods) for p in planted], axis=1)
             effects[:, b] = act @ np.array([p.effect for p in planted])
 
     noise = rng.normal(0.0, spec.noise_sigma, size=(S, n_blocks))
@@ -216,9 +204,7 @@ def generate(spec: SynthSpec) -> SynthData:
         )
 
     # Daily returns: common benchmark path plus each stock's block drift.
-    bench_log = np.log1p(
-        spec.bench_drift_daily + spec.bench_sigma_daily * rng.standard_normal(D)
-    )
+    bench_log = np.log1p(_BENCH_DRIFT_DAILY + _BENCH_SIGMA_DAILY * rng.standard_normal(D))
     block_of_day = np.minimum(np.arange(D) // H, n_blocks - 1)
     # Day i's return belongs to the window opened at its block start: the
     # window of block b covers days (i0, i0+H], i.e. block days shifted by one.
@@ -249,16 +235,15 @@ def generate(spec: SynthSpec) -> SynthData:
             y_rows[i0 * S : i0 * S + S] = y_blocks[:, b]
     panel = RawPanel(dates=rows_dates, stock_ids=rows_stocks, columns=columns, y=y_rows)
 
-    # Universe snapshots live at score dates: snapshot_lag_days grid days
+    # Universe snapshots live at score dates: SCORE_LAG_DAYS grid days
     # before each month-end review, which is where the backtester looks.
     review_dates = month_ends(dates)
     base_caps = rng.uniform(0.5, 1.5, size=S)
     base_caps = base_caps / base_caps.sum()
-    n_sectors = spec.n_sectors if spec.n_sectors is not None else m
     universe: List[UniverseRow] = []
     date_index = {d: i for i, d in enumerate(dates)}
     for review in review_dates:
-        di = date_index[review] - spec.snapshot_lag_days
+        di = date_index[review] - SCORE_LAG_DAYS
         if di < 0:
             continue
         rd = dates[di]
@@ -266,16 +251,16 @@ def generate(spec: SynthSpec) -> SynthData:
         ratings = rng.uniform(0.0, 100.0, size=S)
         for si, sid in enumerate(stock_ids):
             if spec.sector_feature is not None:
-                sec_code = int(mod_blocks[si, b, spec.sector_feature]) % n_sectors
+                sec_code = int(mod_blocks[si, b, spec.sector_feature])
             else:
-                sec_code = si % n_sectors
+                sec_code = si % m
             universe.append(
                 UniverseRow(
                     date=rd,
                     stock_id=sid,
                     cap_weight=float(base_caps[si]),
                     sector=f"SEC{sec_code}",
-                    peer_group=f"PG{si % spec.n_peer_groups}",
+                    peer_group=f"PG{si % _N_PEER_GROUPS}",
                     esg_rating=float(ratings[si]),
                 )
             )

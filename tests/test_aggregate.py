@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rulescreen.errors import NonFiniteLoss, SpecMismatch
 from rulescreen.aggregate import (
+    LOSS_CLIP,
     AggregationState,
     default_eta,
     init_state,
@@ -122,9 +123,8 @@ def test_update_rejects_non_finite_outcome():
 
 def test_loss_clip_caps_the_charge():
     rs = ruleset_of([10.0, 0.0], [Condition(), Condition()])
-    st_clip = init_state(2, eta=1.0, loss_clip=1.0)
-    st1 = update_row(st_clip, rs, 0, 0.0)
-    # squared loss of the far rule is 100 but gets clipped to 1
+    st1 = update_row(init_state(2, eta=1.0), rs, 0, 0.0)
+    # squared loss of the far rule is 100 but gets clipped to LOSS_CLIP = 1
     f = np.exp(-np.array([1.0, 0.0]))
     want = 0.5 * f / (0.5 * f).sum()
     assert st1.weights == pytest.approx(want, rel=1e-14)
@@ -186,14 +186,14 @@ def test_state_json_round_trip():
 # --- block updates ------------------------------------------------------------
 
 
-def reference_update(weights, preds, y, active, eta, clip):
+def reference_update(weights, preds, y, active, eta):
     """One row of the update as a plain per-row loop: scalar losses, the
     active block rescaled to keep its mass, nothing done when no rule is
     active or the active mass underflows."""
     w = weights.copy()
     if not active.any():
         return w
-    losses = np.minimum(np.array([(p - y) ** 2 for p in preds[active]]), clip)
+    losses = np.minimum(np.array([(p - y) ** 2 for p in preds[active]]), LOSS_CLIP)
     block = w[active] * np.exp(-eta * losses)
     block_sum = block.sum()
     target = 1.0 - w[~active].sum()
@@ -211,28 +211,28 @@ def update_blocks(draw):
     ys = draw(st.lists(value, min_size=k, max_size=k))
     bits = draw(st.lists(st.booleans(), min_size=k * R, max_size=k * R))
     eta = draw(st.sampled_from([0.0, 0.3, 5.0, 1e4]))
-    clip = draw(st.sampled_from([1.0, 0.05]))
-    return preds, np.array(ys), np.array(bits).reshape(k, R), eta, clip
+    return preds, np.array(ys), np.array(bits).reshape(k, R), eta
 
 
 @given(update_blocks())
-@example(([0.26953125], np.array([0.0, 0.0]), np.array([[True], [True]]), 1e4, 1.0))
+@example(([0.26953125], np.array([0.0, 0.0]), np.array([[True], [True]]), 1e4))
 @settings(max_examples=80, deadline=None)
 def test_block_update_equals_row_by_row(case):
     """A block update gives exactly (==) the weights of k one-row blocks
     and of the per-row reference loop, through all-inactive rows, clipped
-    losses (|p - y| up to 4 against clips of 1 and 0.05) and blocks whose
-    active mass underflows (eta = 1e4), to zero or to a subnormal."""
-    preds, ys, active, eta, clip = case
+    losses (|p - y| up to 4, so squared losses up to 16, against
+    LOSS_CLIP = 1) and blocks whose active mass underflows (eta = 1e4), to
+    zero or to a subnormal."""
+    preds, ys, active, eta = case
     rs = ruleset_of(preds)
-    st0 = init_state(len(preds), eta, loss_clip=clip)
+    st0 = init_state(len(preds), eta)
 
     block = update(st0, rs, ys, active)
     rows = st0
     want = st0.weights
     for i, (y, on) in enumerate(zip(ys, active)):
         rows = update(rows, rs, ys[i : i + 1], active[i : i + 1])
-        want = reference_update(want, np.array(preds), float(y), on, eta, clip)
+        want = reference_update(want, np.array(preds), float(y), on, eta)
     assert block.weights.tolist() == rows.weights.tolist()
     assert block.weights.tolist() == want.tolist()
     assert block.step == rows.step == len(ys)
@@ -250,7 +250,7 @@ def test_block_update_equals_reference_on_random_returns():
     st0 = init_state(R, eta=eta)
     want = st0.weights
     for y, on in zip(ys, active):
-        want = reference_update(want, preds, float(y), on, eta, 1.0)
+        want = reference_update(want, preds, float(y), on, eta)
     got = update(st0, rs, ys, active)
     assert got.weights.tolist() == want.tolist()
 

@@ -47,7 +47,7 @@ from rulescreen.backtest import (
 from rulescreen import backtest
 from rulescreen.aggregate import predict_many, score_many, update
 from rulescreen.backtest import _rows_by_key
-from rulescreen.panel import CATEGORICAL, FeatureSpec, apply_discretizer
+from rulescreen.panel import CATEGORICAL, SCORE_LAG_DAYS, FeatureSpec, apply_discretizer
 from rulescreen.synth import PlantedRule, SynthSpec, generate
 from rulescreen.rules import Condition, Interval, RuleSet
 from test_acceptance import REGIME_CFG, regime_spec
@@ -1097,7 +1097,7 @@ def test_study_legs_equal_independent_simulations():
     universe scored from the study's scores, bit for bit."""
     data, universe, prices, cfg = small_study(seed=1)
     res = run_study(data.panel, data.specs, universe, prices, cfg)
-    lag = cfg.score_lag_days
+    lag = SCORE_LAG_DAYS
     scored = {}
     for r in res.reviews:
         day = prices.dates[prices.index_of(r) - lag]
@@ -1106,7 +1106,7 @@ def test_study_legs_equal_independent_simulations():
         scored[day] = snap.with_scores(
             [per_stock.get(sid, (0.0, 0))[1] for sid in snap.stock_ids])
     plan = review_plan(res.reviews, prices, UniverseTable(scored), lag)
-    for name, fn in backtest._leg_weights(cfg).items():
+    for name, fn in backtest._leg_weights().items():
         want = simulate(plan, fn, prices, name)
         got = res.series[name]
         assert got.values.tobytes() == want.values.tobytes()
@@ -1120,7 +1120,7 @@ def test_no_leg_changes_the_snapshot_another_leg_sees(monkeypatch):
     data, universe, prices, cfg = small_study(seed=1)
     args = (data.panel, data.specs, universe, prices, cfg)
     want = run_study(*args)
-    legs = backtest._leg_weights(cfg)
+    legs = backtest._leg_weights()
     refused = []
     names = ["stock_ids", "cap_weight", "sector", "peer_group", "esg_rating", "score"]
 
@@ -1137,7 +1137,7 @@ def test_no_leg_changes_the_snapshot_another_leg_sees(monkeypatch):
                 refused.append(name)
         return legs[BENCHMARK](snap)
 
-    monkeypatch.setattr(backtest, "_leg_weights", lambda cfg: {"Vandal": vandal, **legs})
+    monkeypatch.setattr(backtest, "_leg_weights", lambda: {"Vandal": vandal, **legs})
     got = run_study(*args)
     assert len(refused) == 2 * len(names) * len(got.reviews)
     for name in legs:

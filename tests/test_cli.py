@@ -28,7 +28,13 @@ from rulescreen.cli import (
     run,
 )
 from rulescreen.errors import ConfigError, InconsistentSpec, SpecMismatch
-from rulescreen.panel import CACHE_DIR, attach_returns, load_features_csv, load_returns_csv
+from rulescreen.panel import (
+    CACHE_DIR,
+    SCORE_LAG_DAYS,
+    attach_returns,
+    load_features_csv,
+    load_returns_csv,
+)
 from rulescreen.synth import business_day_grid
 
 
@@ -109,16 +115,9 @@ STUDY_OUT_OF_RANGE = [
     ("eta", float("inf")),
     ("epsilon", -1),
     ("epsilon", float("inf")),
-    ("loss_clip", -1),
-    ("loss_clip", 0),
-    ("score_lag_days", -3),
     ("initial_train_years", 0),
-    ("best_in_class_x", 1.5),
-    ("best_in_class_x", -0.1),
-    ("periods_per_year", 0),
-    ("periods_per_year", float("inf")),
 ]
-STUDY_FIELD = {"M": "top_m", "best_in_class_x": "bic_x"}
+STUDY_FIELD = {"M": "top_m"}
 
 
 @pytest.mark.parametrize("line", [f"{key} = {value}" for key, value in STUDY_OUT_OF_RANGE] + [
@@ -177,8 +176,12 @@ def test_parse_synth_spec_round_trip():
 
 
 def test_parse_synth_spec_rejects_unknown_keys():
-    with pytest.raises(InconsistentSpec, match="n_stonks"):
-        parse_synth_spec({"n_stonks": 5, "n_dates": 10, "d": 1, "m": 2})
+    """A misspelt key, and each key the spec no longer has (its value is
+    fixed by the generator), is named in the error."""
+    for key in ("n_stonks", "n_sectors", "n_peer_groups", "snapshot_lag_days",
+                "bench_drift_daily", "bench_sigma_daily"):
+        with pytest.raises(InconsistentSpec, match=key):
+            parse_synth_spec({key: 5, "n_stocks": 5, "n_dates": 10, "d": 1, "m": 2})
 
 
 def test_parse_synth_spec_names_missing_interval_key():
@@ -213,14 +216,16 @@ def test_print_config_prints_every_key_once(capsys):
     keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
     assert keys == [
         "m", "alpha", "c_min", "c_max", "cp_max", "M", "z_kind", "eta",
-        "loss_clip", "epsilon", "learn_fraction", "horizon_days",
-        "initial_train_years", "best_in_class_x", "score_lag_days",
-        "periods_per_year", "start_date", "end_date", "learning_years",
+        "epsilon", "learn_fraction", "horizon_days", "initial_train_years",
+        "start_date", "end_date", "learning_years",
         "features", "returns", "universe", "prices", "worker_count",
     ]
 
 
-@pytest.mark.parametrize("line", ["seed = 0", "loss_kind = squared"])
+@pytest.mark.parametrize("line", [
+    "seed = 0", "loss_kind = squared", "loss_clip = 1.0", "best_in_class_x = 0.3",
+    "score_lag_days = 4", "periods_per_year = 252",
+])
 def test_deleted_config_keys_exit_one_as_unknown(tmp_path, caplog, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -385,8 +390,8 @@ def test_manifest_hashes_inputs(pipeline):
     # every --print-config key, spelled as in the file, with None as "auto"
     assert sorted(blob["config"]) == sorted(
         line.split(" = ")[0] for line in default_config_text().splitlines())
-    assert len(blob["config"]) == 24
-    assert (blob["config"]["M"], blob["config"]["best_in_class_x"]) == (20, 0.3)
+    assert len(blob["config"]) == 20
+    assert blob["config"]["M"] == 20
     assert blob["config"]["eta"] == blob["config"]["epsilon"] == "auto"
     features = str(pipeline["data"] / "features.csv")
     digest = hashlib.sha256(
@@ -693,7 +698,7 @@ def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     assert "Traceback" not in caplog.text
 
 
-@pytest.mark.parametrize("name", ["returns", "prices"])
+@pytest.mark.parametrize("name", ["features", "returns", "universe", "prices"])
 def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -712,10 +717,31 @@ def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
     assert "Traceback" not in caplog.text
 
 
+def test_score_duplicate_features_row_exits_two(pipeline, tmp_path, caplog):
+    """score reads features.csv through the same key check: a repeated
+    (date, stock_id) on the scored date exits 2 and writes no scores."""
+    path = tmp_path / "features.csv"
+    lines = (pipeline["data"] / "features.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(pipeline["asof"]))
+    lines.insert(row + 1, lines[row])
+    path.write_text("".join(lines))
+    learn = pipeline["learn"]
+    out = tmp_path / "scores.csv"
+    assert run(["score", "--rules", str(learn / "rules.json"),
+                "--state", str(learn / "state.json"),
+                "--discretizer", str(learn / "discretizer.json"),
+                "--panel", str(path), "--asof", pipeline["asof"], "--out", str(out)]) == 2
+    stock_id = lines[row].split(",")[1]
+    assert (f"DuplicateRow: {path}, line {row + 2}: repeated (date, stock_id) key "
+            f"({pipeline['asof']}, {stock_id})") in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("name,fault", [
     ("features", "bad cell"), ("returns", "bad cell"), ("universe", "bad cell"),
-    ("prices", "bad cell"), ("returns", "repeated key"), ("prices", "repeated key"),
+    ("prices", "bad cell"), ("features", "repeated key"), ("returns", "repeated key"),
+    ("universe", "repeated key"), ("prices", "repeated key"),
 ])
 def test_bad_input_writes_no_cache(pipeline, tmp_path, caplog, name, fault, warm):
     """A malformed or duplicate-key file exits 2 with file and line, cold or
@@ -765,7 +791,7 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     grid = load_prices_csv(data / "prices.csv").dates
     # three training years from 2010: the first learning is 2012's last day
     first_learning = grid[grid < np.datetime64("2013-01-01")][-1]
-    lag = RunConfig().study.score_lag_days
+    lag = SCORE_LAG_DAYS
     review = next(r for r in month_ends(grid)
                   if grid[np.searchsorted(grid, r) - lag] >= first_learning)
     day = str(grid[np.searchsorted(grid, review) - lag])
@@ -845,15 +871,15 @@ def test_learn_on_cut_inputs_writes_the_studys_last_learning(pipeline, tmp_path)
             == study.learnings[-1].ruleset.to_json() + "\n")
 
 
-def test_backtest_negative_score_lag_exits_one(pipeline, tmp_path, caplog):
+def test_backtest_out_of_range_study_key_exits_one(pipeline, tmp_path, caplog):
     """An out-of-range config value exits 1 before any input is read, not
     with a traceback from inside the study."""
-    lines = [CFG_TEXT, "score_lag_days = -3"]
+    lines = [CFG_TEXT, "initial_train_years = 0"]
     for key in ("features", "returns", "universe", "prices"):
         lines.append(f"{key} = {pipeline['data'] / (key + '.csv')}")
     cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
     assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "ConfigError: score_lag_days must be >= 0, got -3" in caplog.text
+    assert "ConfigError: initial_train_years must be >= 1, got 0" in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "o").exists()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rulescreen.backtest import month_ends
+from rulescreen.panel import SCORE_LAG_DAYS
 from rulescreen.errors import InconsistentSpec
 from rulescreen.rules import Condition, Interval
 from rulescreen.synth import (
@@ -151,7 +152,7 @@ def test_day_zero_carries_no_return():
 def test_universe_snapshots_sit_score_lag_before_reviews():
     spec = base_spec(n_stocks=10, n_dates=260)
     data = generate(spec)
-    lag = spec.snapshot_lag_days
+    lag = SCORE_LAG_DAYS
     date_index = {d: i for i, d in enumerate(data.price_dates)}
     snap_idx = sorted({date_index[r.date] for r in data.universe})
     review_idx = sorted(date_index[r] for r in data.review_dates
