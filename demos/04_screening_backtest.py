@@ -11,6 +11,8 @@ construction.
 Run: python3 demos/04_screening_backtest.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from rulescreen.backtest import (
@@ -68,7 +70,7 @@ def oracle_scores(snapshot):
 
 plain = UniverseTable.from_rows(data.universe)
 universe = UniverseTable(
-    {d: snap.with_scores(oracle_scores(snap)) for d, snap in plain.snapshots.items()}
+    {d: replace(snap, score=oracle_scores(snap)) for d, snap in plain.snapshots.items()}
 )
 
 reviews = [r for r in data.review_dates if prices.index_of(r) >= 4]

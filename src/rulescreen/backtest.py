@@ -97,7 +97,15 @@ class UniverseSnapshot:
     def __post_init__(self):
         if len(set(self.stock_ids)) != len(self.stock_ids):
             raise SpecMismatch(f"duplicate stock_id in snapshot {self.date}")
-        total = float(self.cap_weight.sum())
+        caps, ratings = self.cap_weight, self.esg_rating
+        bad = np.flatnonzero(~(np.isfinite(caps) & (caps >= 0.0) & np.isfinite(ratings)))
+        if len(bad):
+            i = bad[0]
+            raise SpecMismatch(
+                f"{self.stock_ids[i]} at {self.date} has cap weight {float(caps[i])!r} and "
+                f"ESG rating {float(ratings[i])!r}; both must be finite, the weight >= 0"
+            )
+        total = float(caps.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise SpecMismatch(
                 f"cap weights at {self.date} sum to {total!r}, expected 1"
@@ -106,9 +114,6 @@ class UniverseSnapshot:
     @property
     def n(self) -> int:
         return len(self.stock_ids)
-
-    def with_scores(self, score: np.ndarray) -> "UniverseSnapshot":
-        return replace(self, score=np.asarray(score, dtype=np.int64))
 
 
 class UniverseTable:
@@ -219,14 +224,8 @@ class KpiReport:
     calendar_excess: Dict[int, float]
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "ann_performance": self.ann_performance,
-            "ann_volatility": self.ann_volatility,
-            "sharpe": self.sharpe,
-            "max_drawdown": self.max_drawdown,
-            "information_ratio": self.information_ratio,
-            "ann_alpha": self.ann_alpha,
-        }
+        """Every KPI but the calendar-year excesses."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "calendar_excess"}
 
 
 @dataclass
@@ -268,12 +267,7 @@ def ml_screen(snapshot: UniverseSnapshot, sign: int) -> np.ndarray:
     cap proportions, renormalized to 1. Unscored stocks count as 0."""
     if sign not in (1, -1):
         raise SpecMismatch(f"screen sign must be +1 or -1, got {sign}")
-    scores = (
-        snapshot.score
-        if snapshot.score is not None
-        else np.zeros(snapshot.n, dtype=np.int64)
-    )
-    keep = scores == sign
+    keep = np.zeros(snapshot.n, dtype=bool) if snapshot.score is None else snapshot.score == sign
     if not keep.any():
         raise EmptyAfterFilter(f"no stock scored {sign:+d} on {snapshot.date}")
     weights = np.where(keep, snapshot.cap_weight, 0.0)
@@ -338,7 +332,8 @@ def review_plan(
 ) -> ReviewPlan:
     """Resolve a review schedule against the prices and the universe. With
     `scores`, each snapshot carries the ternary score of each of its stocks
-    on its date (0 for a stock or a date that has none)."""
+    from its date's rows of the table: 0 for a stock with no row there, the
+    later row's for a stock with two."""
     reviews = list(np.unique(np.array(review_schedule, dtype="datetime64[D]")))
     if not reviews:
         raise SpecMismatch("empty review schedule")
@@ -350,17 +345,18 @@ def review_plan(
                 f"review {r} has no data {score_lag_days} trading days earlier"
             )
         rows.append(i)
+    snap_days = prices.dates[np.array(rows) - score_lag_days]
+    if scores is not None:
+        starts = np.searchsorted(scores.dates, snap_days).tolist()
+        stops = np.searchsorted(scores.dates, snap_days, side="right").tolist()
+        ids, ternary = scores.stock_ids.tolist(), scores.ternary.tolist()
     snapshots, columns = [], []
-    for i in rows:
-        snap_date = prices.dates[i - score_lag_days]
-        snap = universe.at(snap_date)
+    for k, day in enumerate(snap_days):
+        snap = universe.at(day)
         arrays = {f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "date"}
         if scores is not None:
-            per_stock = scores.get(snap_date, {})
-            arrays["score"] = np.array(
-                [per_stock.get(str(sid), (0.0, 0))[1] for sid in snap.stock_ids],
-                dtype=np.int64,
-            )
+            by_id = dict(zip(ids[starts[k] : stops[k]], ternary[starts[k] : stops[k]]))
+            arrays["score"] = np.array([by_id.get(sid, 0) for sid in snap.stock_ids], np.int64)
         snapshots.append(replace(snap, **{
             name: None if a is None else _read_only(a) for name, a in arrays.items()
         }))
@@ -555,7 +551,14 @@ class LearningRecord:
     state: AggregationState
 
 
-Scores = Dict[np.datetime64, Dict[str, Tuple[float, int]]]  # score date -> stock
+class Scores(NamedTuple):
+    """A study's scores as the columns of scores.csv: one row per scored
+    panel row, sorted by date and in panel row order within a date."""
+
+    dates: np.ndarray
+    stock_ids: np.ndarray
+    y_hat: np.ndarray
+    ternary: np.ndarray
 
 
 @dataclass
@@ -759,10 +762,10 @@ class _Engine:
         every score day in it is scored with the weights of its close.
         Returns the scores and the state at the segment's end.
 
-        The discretizer and rules are fixed within a segment, so its pending
-        labels are discretized and activated once, and so are the panel rows
-        of all its score days; only the prediction under the day's weights
-        runs per score day, on that day's rows of the one matrix."""
+        The discretizer, rules and dead zone are fixed within a segment, so
+        its pending labels and its score days' panel rows are discretized and
+        activated once, and its ternary scores taken at once; only the
+        prediction under each score day's weights runs per day."""
         raw_panel, grid = self.raw_panel, self.grid
         ruleset, discretizer = step.ruleset, step.discretizer
         pending = self.labeled & (self.resolution > L)
@@ -783,8 +786,9 @@ class _Engine:
         t_start = int(np.searchsorted(grid, L)) + 1
         t_stop = int(np.searchsorted(grid, next_L)) + 1 if next_L is not None else len(grid)
         score_t = self.score_rows[(self.score_rows >= t_start) & (self.score_rows < t_stop)]
-        # Score day t -> its rows of panel_score (sorted by date, then stock).
+        # Score day t -> its slice of row_ix (sorted by date, then panel row).
         rows_at: Dict[int, slice] = {}
+        row_ix = np.empty(0, dtype=np.intp)
         if len(score_t):
             days = grid[score_t]
             lo = np.searchsorted(self.sorted_dates, days)
@@ -793,28 +797,25 @@ class _Engine:
             if len(empty):
                 raise SpecMismatch(f"no panel rows to score on {days[empty[0]]}")
             row_ix = np.concatenate([self.by_date[a:b] for a, b in zip(lo, hi)])
-            panel_score = apply_discretizer(raw_panel.take(row_ix), discretizer)
-            A_score = ruleset.activation_matrix(panel_score.x)
-            ids = [str(sid) for sid in panel_score.stock_ids]
+            x_score = apply_discretizer(raw_panel.take(row_ix), discretizer).x
+            A_score = ruleset.activation_matrix(x_score)
             ends = np.cumsum(hi - lo).tolist()
             rows_at = {
                 t: slice(a, b) for t, a, b in zip(score_t.tolist(), [0] + ends[:-1], ends)
             }
 
-        scores: Scores = {}
+        y_hat = np.empty(len(row_ix), dtype=np.float64)
         for t in range(t_start, t_stop):
-            day = grid[t]
             todo = due_at.get(t)
             if todo is not None:
                 state = update(state, ruleset, panel_pend.y[todo], A_pend[todo])
             rows = rows_at.get(t)
             if rows is not None:
-                y_hat = predict_many(
-                    state, ruleset, panel_score.x[rows], activation=A_score[rows]
+                y_hat[rows] = predict_many(
+                    state, ruleset, x_score[rows], activation=A_score[rows]
                 )
-                ternary = score_many(y_hat, state.epsilon)
-                scores[day] = dict(zip(ids[rows], zip(y_hat.tolist(), ternary.tolist())))
-        return scores, state
+        ternary = score_many(y_hat, state.epsilon)
+        return Scores(raw_panel.dates[row_ix], raw_panel.stock_ids[row_ix], y_hat, ternary), state
 
 
 def _scored_study(
@@ -878,15 +879,13 @@ def _scored_study(
     if len(entries) != n_read:
         _last_schedule = _Schedule(engine, tuple(entries))
 
-    scores: Scores = {}
-    for entry in entries[:n_learn]:
-        scores.update((day, dict(per_stock)) for day, per_stock in entry.scores.items())
+    parts = [entry.scores for entry in entries[:n_learn]]
     if n_learn < len(learn_dates):
         # The frozen tail: learning n_learn - 1 kept from the next learning
         # date on, its weights continuing from where its segment ended.
         last = entries[n_learn - 1]
-        tail, _ = engine.segment(last.learning, last.end_state, learn_dates[n_learn], None)
-        scores.update(tail)
+        parts.append(engine.segment(last.learning, last.end_state, learn_dates[n_learn], None)[0])
+    scores = Scores(*map(np.concatenate, zip(*parts)))
 
     plan = review_plan(reviews, prices, universe, scores=scores)
     return [e.learning for e in entries[:n_learn]], scores, review_arr, plan
@@ -983,7 +982,7 @@ def run_study(
     engine's copies (byte for byte; object arrays by their pickles), and
     computes only the rest, so its result is bit-identical to a cold run.
     On a mismatch it drops the memo before it copies the inputs, so at most
-    one engine's copies are alive. The returned learnings and score dicts
+    one engine's copies are alive. The returned learnings and score columns
     are copies the memo does not share.
     """
     learnings, scores, reviews, plan = _scored_study(

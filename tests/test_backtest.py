@@ -47,7 +47,13 @@ from rulescreen.backtest import (
 from rulescreen import backtest
 from rulescreen.aggregate import predict_many, score_many, update
 from rulescreen.backtest import _rows_by_key
-from rulescreen.panel import CATEGORICAL, SCORE_LAG_DAYS, FeatureSpec, apply_discretizer
+from rulescreen.panel import (
+    CATEGORICAL,
+    SCORE_LAG_DAYS,
+    FeatureSpec,
+    RawPanel,
+    apply_discretizer,
+)
 from rulescreen.synth import PlantedRule, SynthSpec, generate
 from rulescreen.rules import Condition, Interval, RuleSet
 from test_acceptance import REGIME_CFG, regime_spec
@@ -83,6 +89,21 @@ def snapshot(date="2020-01-31", caps=None, sectors=None, groups=None,
 def test_cap_weights_must_sum_to_one():
     with pytest.raises(SpecMismatch):
         snapshot(caps=[0.5, 0.4])
+
+
+@pytest.mark.parametrize("caps,ratings,bad", [
+    ([0.5, np.nan, 0.5], None, "S1 at 2020-01-31 has cap weight nan and ESG rating 1.0"),
+    ([np.inf, 0.5, 0.5], None, "S0 at 2020-01-31 has cap weight inf and ESG rating 0.0"),
+    ([0.6, 0.6, -0.2], None, "S2 at 2020-01-31 has cap weight -0.2 and ESG rating 2.0"),
+    ([0.5, 0.25, 0.25], [1.0, 2.0, np.nan], "S2 at 2020-01-31 has cap weight 0.25 and ESG rating nan"),
+])
+def test_cap_weights_and_ratings_must_be_finite(caps, ratings, bad):
+    """A NaN sum passes a tolerance check and negative weights can sum to 1,
+    so each cap weight is checked on its own; a NaN rating would survive
+    best_in_class as if it were top-rated. The error names date and stock."""
+    with pytest.raises(SpecMismatch) as err:
+        snapshot(caps=caps, ratings=ratings)
+    assert str(err.value) == f"{bad}; both must be finite, the weight >= 0"
 
 
 def test_duplicate_ids_rejected():
@@ -568,7 +589,7 @@ def test_first_out_of_sample_scores_in_january_of_year_4():
     res = run_study(data.panel, data.specs, universe, prices, cfg)
     first_review = res.reviews[0]
     assert str(first_review).startswith("2013-01")
-    assert min(res.scores) < first_review  # score day precedes the review
+    assert res.scores.dates[0] < first_review  # score day precedes the review
 
 
 def test_planted_panel_positive_beats_negative():
@@ -694,7 +715,7 @@ def test_walk_forward_study_never_reads_the_memo(learn_calls):
     second = run_study(*args)
     dates = [rec.date for rec in first.learnings]
     assert learn_calls == dates + dates
-    assert second.scores == first.scores
+    assert score_bits(second.scores) == score_bits(first.scores)
 
 
 def test_panel_changed_in_place_misses_the_memo(learn_calls):
@@ -802,9 +823,9 @@ def test_returned_scores_and_learnings_are_not_the_memo(learn_calls):
     res = run_study(*args)
     years = [rec.year for rec in res.learnings]
     want = [frozen_bytes(learning_y(*args, year)) for year in years]
-    for per_stock in res.scores.values():
-        for sid in per_stock:
-            per_stock[sid] = (0.0, -per_stock[sid][1])
+    res.scores.stock_ids[:] = res.scores.stock_ids[::-1]
+    res.scores.y_hat[:] = 0.0
+    res.scores.ternary[:] = -res.scores.ternary
     res.learnings[0].ruleset.rules.clear()
     res.learnings[0].epsilon = 1e9
     assert [frozen_bytes(learning_y(*args, year)) for year in years] == want
@@ -826,7 +847,7 @@ def test_frozen_study_after_walk_forward_scores_only_its_tail(monkeypatch):
 
     def recording(self, *a, **kw):
         scores, end_state = original(self, *a, **kw)
-        scored.extend(scores)
+        scored.extend(scores.dates)
         return scores, end_state
 
     monkeypatch.setattr(backtest._Engine, "segment", recording)
@@ -898,7 +919,7 @@ def reference_segment(engine, step, state, L, next_L):
     score_rows = set(engine.score_rows.tolist())
     t_start = int(np.flatnonzero(grid == L)[0]) + 1
     t_stop = int(np.flatnonzero(grid == next_L)[0]) + 1 if next_L is not None else len(grid)
-    scores = {}
+    scores = []
     for t in range(t_start, t_stop):
         day = grid[t]
         due = np.flatnonzero(
@@ -914,16 +935,20 @@ def reference_segment(engine, step, state, L, next_L):
             panel = apply_discretizer(raw.take(rows), step.discretizer)
             y_hat = predict_many(state, ruleset, panel.x)
             ternary = score_many(y_hat, state.epsilon)
-            scores[day] = {str(sid): (float(y_hat[j]), int(ternary[j]))
-                           for j, sid in enumerate(panel.stock_ids)}
-    return scores, state
+            scores += [(day, sid, float(y), int(s))
+                       for sid, y, s in zip(panel.stock_ids, y_hat, ternary)]
+    dates, ids, y_hat, ternary = zip(*scores) if scores else ([], [], [], [])
+    return backtest.Scores(
+        np.array(dates, dtype="datetime64[D]"), np.array(ids, dtype=object),
+        np.array(y_hat, dtype=np.float64), np.array(ternary, dtype=np.int64),
+    ), state
 
 
 def score_bits(scores):
-    """Every (day, stock, y_hat bits, ternary) of a score dict, in order."""
+    """Every (day, stock, y_hat bits, ternary) row of a score table, in order."""
     return [(str(day), sid, y.hex(), s)
-            for day, per_stock in sorted(scores.items())
-            for sid, (y, s) in per_stock.items()]
+            for day, sid, y, s in zip(scores.dates, scores.stock_ids,
+                                      scores.y_hat.tolist(), scores.ternary.tolist())]
 
 
 def regime_market(seed):
@@ -937,7 +962,7 @@ def thinned_market():
     """A small market without the panel rows of one to four stocks on every
     other score day: those days have fewer rows than universe stocks."""
     data, universe, prices, cfg = small_study(seed=4)
-    days = sorted(run_study(data.panel, data.specs, universe, prices, cfg).scores)
+    days = np.unique(run_study(data.panel, data.specs, universe, prices, cfg).scores.dates)
     stocks = np.unique(data.panel.stock_ids)
     drop = np.zeros(data.panel.n, dtype=bool)
     for k, day in enumerate(days[::2]):
@@ -970,9 +995,9 @@ def test_segment_scores_equal_per_day_reference(monkeypatch, market):
         for name in w.series:
             assert g.series[name].values.tobytes() == w.series[name].values.tobytes()
     if market == "thinned":
-        first = got[0]
-        sizes = [len(per_stock) for per_stock in first.scores.values()]
-        assert min(sizes) < max(sizes) == universe.at(min(first.scores)).n
+        dates = got[0].scores.dates
+        sizes = np.unique(dates, return_counts=True)[1]
+        assert min(sizes) < max(sizes) == universe.at(dates[0]).n
 
 
 HOLIDAY = D("2013-11-14")
@@ -1063,15 +1088,15 @@ def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
     for rec in run_study(*args).learnings:
         learning_y(*args, rec.year)
 
-    assert max(len(scores) for scores, _ in segments) > 1
+    assert max(len(np.unique(scores.dates)) for scores, _ in segments) > 1
     for scores, seg_calls in segments:
         applies = [c for c in seg_calls if c[0] == "apply"]
         matrices = [c for c in seg_calls if c[0] == "matrix"]
         assert [c[2] for c in matrices] == [c[2] for c in applies]
-        days = np.array(sorted(scores), dtype="datetime64[D]").tolist()
-        n_rows = sum(len(per_stock) for per_stock in scores.values())
+        days = np.unique(scores.dates).tolist()
+        n_rows = len(scores.dates)
         of_scores = [c for c in applies if c[1] == days and c[2] == n_rows]
-        assert len(of_scores) == (1 if scores else 0)
+        assert len(of_scores) == (1 if n_rows else 0)
         assert len(applies) - len(of_scores) <= 1  # the pending labels
 
 
@@ -1079,7 +1104,7 @@ def test_score_day_without_panel_rows_is_a_typed_error():
     """A score day with no feature rows raises SpecMismatch naming the first
     such day, though a later day of the same segment has none either."""
     data, universe, prices, cfg = small_study(seed=4)
-    days = sorted(run_study(data.panel, data.specs, universe, prices, cfg).scores)
+    days = np.unique(run_study(data.panel, data.specs, universe, prices, cfg).scores.dates)
     keep = ~np.isin(data.panel.dates, np.array([days[3], days[1]]))
     with pytest.raises(SpecMismatch, match=f"^no panel rows to score on {days[1]}$"):
         run_study(data.panel.take(np.flatnonzero(keep)), data.specs, universe, prices, cfg)
@@ -1092,25 +1117,90 @@ def history_bytes(series):
     return [(str(d), list(ids), w.tobytes()) for d, ids, w in series.weights_history]
 
 
-def test_study_legs_equal_independent_simulations():
-    """Each leg of a study equals simulate on the study's reviews with a
-    universe scored from the study's scores, bit for bit."""
+EXTRA = "X0001"
+
+
+def appended(panel, rows):
+    """The panel with the rows of another panel after its own."""
+    return RawPanel(
+        dates=np.concatenate([panel.dates, rows.dates]),
+        stock_ids=np.concatenate([panel.stock_ids, rows.stock_ids]),
+        columns=[np.concatenate(pair) for pair in zip(panel.columns, rows.columns)],
+        y=np.concatenate([panel.y, rows.y]),
+    )
+
+
+def extra_stock_market():
+    """small_study(seed=1) with the panel rows of one more stock, EXTRA, on
+    every date: a stock that the universe and the prices lack."""
     data, universe, prices, cfg = small_study(seed=1)
+    panel = data.panel
+    rows = panel.take(np.flatnonzero(panel.stock_ids == panel.stock_ids[0]))
+    data.panel = appended(panel, replace(rows, stock_ids=np.full(rows.n, EXTRA, dtype=object)))
+    return data, universe, prices, cfg
+
+
+def assert_legs_equal_independent_simulations(data, universe, prices, cfg):
+    """Each leg of a study equals simulate on the study's reviews with a
+    universe scored from the study's scores by a per-stock lookup, bit for
+    bit. Returns the study."""
     res = run_study(data.panel, data.specs, universe, prices, cfg)
     lag = SCORE_LAG_DAYS
     scored = {}
     for r in res.reviews:
         day = prices.dates[prices.index_of(r) - lag]
-        per_stock = res.scores.get(day, {})
+        on_day = res.scores.dates == day
+        per_stock = dict(zip(res.scores.stock_ids[on_day], res.scores.ternary[on_day]))
         snap = universe.at(day)
-        scored[day] = snap.with_scores(
-            [per_stock.get(sid, (0.0, 0))[1] for sid in snap.stock_ids])
+        scored[day] = replace(snap, score=np.array(
+            [per_stock.get(sid, 0) for sid in snap.stock_ids], dtype=np.int64))
     plan = review_plan(res.reviews, prices, UniverseTable(scored), lag)
     for name, fn in backtest._leg_weights().items():
         want = simulate(plan, fn, prices, name)
         got = res.series[name]
         assert got.values.tobytes() == want.values.tobytes()
         assert history_bytes(got) == history_bytes(want)
+    return res
+
+
+def test_study_legs_equal_independent_simulations():
+    assert_legs_equal_independent_simulations(*small_study(seed=1))
+
+
+@pytest.mark.parametrize("market", ["extra stock", "thinned"])
+def test_study_legs_equal_independent_simulations_on_uneven_markets(market):
+    """The same on a market whose panel holds a stock the universe lacks,
+    and on one whose panel lacks universe stocks on some score days."""
+    uneven = extra_stock_market() if market == "extra stock" else thinned_market()
+    res = assert_legs_equal_independent_simulations(*uneven)
+    assert (EXTRA in res.scores.stock_ids) == (market == "extra stock")
+
+
+def test_repeated_panel_key_is_scored_twice_and_the_later_row_counts():
+    """A library panel may repeat a (date, stock_id) key (the CSV loaders
+    refuse one). Both rows are scored, in panel order, and the review
+    snapshot of that date takes the later row's score."""
+    data, universe, prices, cfg = small_study(seed=1)
+    panel = data.panel
+    first = run_study(panel, data.specs, universe, prices, cfg).scores
+    # A score day with two stocks of different ternary scores, rows a and
+    # b: a's key is repeated, unlabeled, with b's features.
+    for day in np.unique(first.dates):
+        on_day = np.flatnonzero(first.dates == day)
+        differ = on_day[first.ternary[on_day] != first.ternary[on_day[0]]]
+        if len(differ):
+            a, b = on_day[0], differ[0]
+            break
+    sid = first.stock_ids[a]
+    donor = panel.take(np.flatnonzero((panel.dates == day) & (panel.stock_ids == first.stock_ids[b])))
+    repeat = replace(donor, stock_ids=np.array([sid], dtype=object), y=np.array([np.nan]))
+    res = run_study(appended(panel, repeat), data.specs, universe, prices, cfg)
+
+    twice = np.flatnonzero((res.scores.dates == day) & (res.scores.stock_ids == sid))
+    assert res.scores.ternary[twice].tolist() == [first.ternary[a], first.ternary[b]]
+    plan = review_plan(res.reviews, prices, universe, scores=res.scores)
+    snap = next(s for s in plan.snapshots if s.date == day)
+    assert snap.score[np.flatnonzero(snap.stock_ids == sid)[0]] == first.ternary[b]
 
 
 def test_no_leg_changes_the_snapshot_another_leg_sees(monkeypatch):

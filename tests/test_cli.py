@@ -806,6 +806,30 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("column,value", [("cap_weight", "nan"), ("esg_rating", "inf")])
+def test_backtest_non_finite_universe_value_exits_two(pipeline, tmp_path, caplog, column, value):
+    """A NaN cap weight would pass the sum-to-one check and turn every KPI
+    NaN; a non-finite rating would pass best-in-class unranked. Either exits
+    2 naming the date and the stock."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "universe.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    cells = lines[1].rstrip("\n").split(",")
+    cells[header.index(column)] = value
+    lines[1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + [
+        f"{k} = {data / (k + '.csv')}" for k in ("features", "returns", "universe", "prices")
+    ]) + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cap, rating = (float(cells[header.index(name)]) for name in ("cap_weight", "esg_rating"))
+    assert (f"SpecMismatch: {cells[1]} at {cells[0]} has cap weight {cap!r} and ESG rating "
+            f"{rating!r}; both must be finite, the weight >= 0") in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # no look-ahead
 

@@ -9,8 +9,11 @@ byte for byte keeps every digest. The CLI digests cover the four CSV files
 write on the acceptance suite's criterion-10 market, so they pin the
 CSV writer and the CSV loaders. That market's `features.csv` and
 `prices.csv` have 12,096 records each, more than one block of the writer.
-The pinned values were computed with numpy 2.4 on x86-64; a change of
-platform or numpy that moves a float's last bit moves them too.
+The pinned values were computed with numpy 2.4 on an x86-64 CPU with
+AVX-512. They pin last bits, and the same numpy moves those on another
+x86-64 CPU: without AVX-512, or with a pre-Haswell OpenBLAS kernel, one to
+three of the golden tests fail (numpy's exp, log1p and expm1 and
+OpenBLAS's gemv give different last bits there).
 """
 
 import hashlib
@@ -99,8 +102,14 @@ def kpi_bytes(kpis) -> bytes:
 
 
 def score_bytes(scores) -> bytes:
+    """The score columns as JSON: each date with its (stock_id, (y_hat,
+    ternary)) pairs in stock id order."""
+    by_day = {}
+    for day, sid, y, s in zip(scores.dates.tolist(), scores.stock_ids.tolist(),
+                              scores.y_hat.tolist(), scores.ternary.tolist()):
+        by_day.setdefault(str(day), {})[sid] = (y, s)
     return json.dumps(
-        [[str(day), sorted(per_stock.items())] for day, per_stock in sorted(scores.items())]
+        [[day, sorted(per_stock.items())] for day, per_stock in sorted(by_day.items())]
     ).encode()
 
 
