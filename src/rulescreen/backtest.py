@@ -115,6 +115,20 @@ class UniverseSnapshot:
     def n(self) -> int:
         return len(self.stock_ids)
 
+    def read_only(self, score: Optional[np.ndarray] = None) -> "UniverseSnapshot":
+        """This snapshot with read-only views of its arrays, and `score` in
+        place of its own when given. The arrays passed __post_init__ when
+        this snapshot was built, so the copy does not check them again."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        if score is not None:
+            arrays["score"] = score
+        view = object.__new__(UniverseSnapshot)
+        view.__dict__.update({
+            name: a if name == "date" or a is None else _read_only(a)
+            for name, a in arrays.items()
+        })
+        return view
+
 
 class UniverseTable:
     """All universe snapshots of a study, keyed by snapshot date."""
@@ -353,13 +367,11 @@ def review_plan(
     snapshots, columns = [], []
     for k, day in enumerate(snap_days):
         snap = universe.at(day)
-        arrays = {f.name: getattr(snap, f.name) for f in fields(snap) if f.name != "date"}
+        score = None
         if scores is not None:
             by_id = dict(zip(ids[starts[k] : stops[k]], ternary[starts[k] : stops[k]]))
-            arrays["score"] = np.array([by_id.get(sid, 0) for sid in snap.stock_ids], np.int64)
-        snapshots.append(replace(snap, **{
-            name: None if a is None else _read_only(a) for name, a in arrays.items()
-        }))
+            score = np.array([by_id.get(sid, 0) for sid in snap.stock_ids], np.int64)
+        snapshots.append(snap.read_only(score))
         columns.append(prices.columns_of(snap.stock_ids))
     return ReviewPlan(reviews, rows, snapshots, columns)
 

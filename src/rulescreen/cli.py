@@ -450,13 +450,13 @@ def cmd_report(args) -> int:
             cal_path, lambda h: h[:1] == ["year"], "calendar csv must start with a year column"
         )
         header = calendar.header
-        columns, records = calendar.records()
-        excess = parse_columns(cal_path, records, *[(cells, to_floats) for cells in columns[1:]])
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
-        for i, year in enumerate(columns[0]):
-            cells = [year] + [f"{col[i]:.2%}" for col in excess]
-            lines.append("| " + " | ".join(cells) + " |")
+        for columns, records in calendar.records():
+            excess = parse_columns(cal_path, records, *[(cells, to_floats) for cells in columns[1:]])
+            for i, year in enumerate(columns[0]):
+                cells = [year] + [f"{col[i]:.2%}" for col in excess]
+                lines.append("| " + " | ".join(cells) + " |")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

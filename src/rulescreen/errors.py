@@ -40,6 +40,10 @@ class DuplicateRow(DataError):
     """A CSV record whose (date, stock_id) key an earlier record holds."""
 
 
+class InputChanged(DataError):
+    """An input file whose bytes changed between its hash and its parse."""
+
+
 class BadSplitPoint(ValidationError):
     pass
 

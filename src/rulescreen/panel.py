@@ -12,12 +12,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     BadSplitPoint,
     DuplicateRow,
     EmptyPanel,
+    InputChanged,
     MalformedRow,
     NonPositiveModalities,
     SpecMismatch,
@@ -319,15 +321,42 @@ CACHE_FORMAT = 2
 # reading and hashing the file again. cli.run clears it before each run.
 read_digests: Dict[str, str] = {}
 
+# Records per block: InputCsv converts, and write_csv_columns formats, this
+# many records at a time, so only one block of cell strings is alive at once.
+BLOCK_ROWS = 4096
+
+# Bytes per read when sha256_of hashes an input file.
+READ_CHUNK = 1 << 20
+
 
 def sha256_of(fh) -> str:
     """The one hash of an input file: the sha256 hex digest of the binary
-    stream fh, read 1 MiB at a time. It keys the parse cache and fills
-    manifest.json's inputs."""
+    stream fh, read READ_CHUNK bytes at a time. It keys the parse cache and
+    fills manifest.json's inputs; a cache miss checks the bytes it parses
+    against it (InputCsv.records)."""
     digest = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(1 << 20), b""):
+    for chunk in iter(lambda: fh.read(READ_CHUNK), b""):
         digest.update(chunk)
     return digest.hexdigest()
+
+
+class _Tap(io.RawIOBase):
+    """The binary file fh, read through: notes whether any byte read is NUL
+    and, given a hashlib `digest`, feeds it every byte read."""
+
+    def __init__(self, fh, digest=None):
+        self.fh, self.digest, self.nul = fh, digest, False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.fh.readinto(buffer)
+        chunk = bytes(memoryview(buffer)[:n])
+        self.nul = self.nul or b"\0" in chunk
+        if self.digest is not None:
+            self.digest.update(chunk)
+        return n
 
 
 def cache_path(path) -> Path:
@@ -383,46 +412,74 @@ Converter = Callable[[List[str]], np.ndarray]
 
 
 class InputCsv:
-    """The one reader of the CSV files the program reads. A file is read
-    once: its bytes, their sha256 and its header.
+    """The one reader of the CSV files the program reads, in bounded memory.
 
-    A header that header_ok rejects raises SpecMismatch(header_error).
+    The constructor streams the file through sha256_of, READ_CHUNK bytes at
+    a time, noting whether any byte is NUL (a unicode array drops trailing
+    NULs, so such a file is not cached), and then reads the header record
+    alone; it never holds the file's bytes. A header that header_ok rejects
+    raises SpecMismatch(header_error).
+
+    `records` reads the file again, BLOCK_ROWS records at a time, and hashes
+    the bytes as they stream: the digest that keys the cache and fills
+    manifest.json is that of the bytes parsed, or InputChanged is raised.
     `parsed` gives the arrays a loader makes of the file, from the cache
-    beside it when the key matches; `records` gives its cells.
+    beside it when the key matches, else by converting each block as it is
+    read, so a cache miss holds one block of cells at a time.
     """
 
     def __init__(self, path, header_ok: Callable[[List[str]], bool], header_error: str):
         self.path = path
-        data = Path(path).read_bytes()
-        self.sha256 = read_digests[str(path)] = sha256_of(io.BytesIO(data))
-        # A unicode array drops trailing NULs, so such a file is not cached.
-        self.cacheable = b"\0" not in data
-        self._reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
-        self.header = next(self._reader, None)
+        with open(path, "rb") as fh:
+            tap = _Tap(fh)
+            self.sha256 = read_digests[str(path)] = sha256_of(tap)
+        self.cacheable = not tap.nul
+        with open(path, newline="") as fh:
+            self.header = next(csv.reader(fh), None)
         if self.header is None or not header_ok(self.header):
             raise SpecMismatch(header_error)
         # The column of each name; a repeated name means its last column.
         self.index = {name: i for i, name in enumerate(self.header)}
 
-    def records(self) -> Tuple[List[List[str]], List[int]]:
-        """One list of cells per header column and the line number of each
-        record. Every record must have exactly the header's cell count: a
-        short, long or blank record raises MalformedRow naming the file and
-        line. Cells go straight into their columns, so no list of row lists
-        is held, and the file's bytes are let go once read."""
-        reader, self._reader = self._reader, None
+    def records(self) -> Iterator[Tuple[List[List[str]], List[int]]]:
+        """The file's records a block at a time: for each block of at most
+        BLOCK_ROWS records, one list of cells per header column and the line
+        number of each record. At least one block comes, and a block shorter
+        than BLOCK_ROWS is the last.
+
+        Every record must have exactly the header's cell count: a short, long
+        or blank record raises MalformedRow naming the file and line, once
+        the records before it in its block have been yielded, so a consumer
+        that converts each block in turn meets the earliest fault first.
+        Read to its end, a file whose bytes do not hash to self.sha256
+        raises InputChanged."""
         width = len(self.header)
-        columns, lines = [[] for _ in self.header], []
-        appends = [column.append for column in columns]
-        for row in reader:
-            if len(row) != width:
-                raise MalformedRow(
-                    f"{self.path}, line {reader.line_num}: {len(row)} cells, header has {width}"
-                )
-            for append, cell in zip(appends, row):
-                append(cell)
-            lines.append(reader.line_num)
-        return columns, lines
+        with open(self.path, "rb", buffering=0) as fh:
+            tap = _Tap(fh, hashlib.sha256())
+            reader = csv.reader(io.TextIOWrapper(io.BufferedReader(tap), newline=""))
+            next(reader, None)  # the header
+            while True:
+                columns, lines = [[] for _ in self.header], []
+                appends = [column.append for column in columns]
+                for row in itertools.islice(reader, BLOCK_ROWS):
+                    if len(row) != width:
+                        error = MalformedRow(
+                            f"{self.path}, line {reader.line_num}: "
+                            f"{len(row)} cells, header has {width}"
+                        )
+                        yield columns, lines
+                        raise error
+                    for append, cell in zip(appends, row):
+                        append(cell)
+                    lines.append(reader.line_num)
+                yield columns, lines
+                if len(lines) < BLOCK_ROWS:
+                    break
+        if tap.digest.hexdigest() != self.sha256:
+            raise InputChanged(
+                f"{self.path}: changed while it was read (sha256 {self.sha256} "
+                f"when looked up, {tap.digest.hexdigest()} when parsed)"
+            )
 
     def parsed(
         self,
@@ -431,9 +488,10 @@ class InputCsv:
         finish: Callable[[List[np.ndarray], List[int]], List[np.ndarray]],
     ) -> List[np.ndarray]:
         """The arrays `loader` makes of this file: each (column, converter)
-        pair converted by parse_columns, then passed with the record line
-        numbers to `finish`, which checks the records and returns the arrays
-        to keep. They are cached only once `finish` has returned."""
+        pair converted by parse_columns one block of records at a time, the
+        blocks joined and passed with the record line numbers to `finish`,
+        which checks the records and returns the arrays to keep. They are
+        cached only once `finish` has returned."""
         key = " ".join(
             [f"rulescreen-cache-{CACHE_FORMAT}", loader]
             + [convert.__name__ for _, convert in columns]
@@ -442,10 +500,16 @@ class InputCsv:
         cache = cache_path(self.path)
         arrays = _read_cache(cache, key) if self.cacheable else None
         if arrays is None:
-            cells, lines = self.records()
-            converted = parse_columns(self.path, lines, *[(cells[i], f) for i, f in columns])
-            del cells  # the cells are the largest part of a parse
-            arrays = finish(converted, lines)
+            parts, lines = [[] for _ in columns], []
+            for cells, block_lines in self.records():
+                converted = parse_columns(
+                    self.path, block_lines, *[(cells[i], f) for i, f in columns]
+                )
+                for part, array in zip(parts, converted):
+                    part.append(array)
+                lines += block_lines
+            # Each column's blocks are let go as soon as they are joined.
+            arrays = finish([np.concatenate(parts.pop(0)) for _ in columns], lines)
             if self.cacheable:
                 _write_cache(cache, key, arrays)
         return arrays
@@ -637,11 +701,6 @@ def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
     )
 
 
-# Records per writerows call of write_csv_columns. Formatting whole columns at once
-# would hold every cell string of a file in memory at the same time.
-WRITE_BLOCK_ROWS = 4096
-
-
 def float_cells(values) -> List[str]:
     """Each value as its shortest round-trip decimal (repr)."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
@@ -660,14 +719,14 @@ def str_cells(values) -> List[str]:
 def write_csv_columns(path, header: Sequence[str], *columns) -> None:
     """The one writer of the CSV outputs, the counterpart of InputCsv.records
     and parse_columns: write `header`, then one record per position of the
-    (values, to_cells) columns, formatted and written a block of
-    WRITE_BLOCK_ROWS records at a time."""
+    (values, to_cells) columns, formatted and written a block of BLOCK_ROWS
+    records at a time, as InputCsv reads them."""
     n = len(columns[0][0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for start in range(0, n, WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
+        for start in range(0, n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
             writer.writerows(zip(*[to_cells(values[block]) for values, to_cells in columns]))
 
 

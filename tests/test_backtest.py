@@ -382,6 +382,29 @@ def test_simulate_rejects_stock_without_prices():
         review_plan([dates[0]], prices, UniverseTable(snaps), score_lag_days=0)
 
 
+def test_review_plan_snapshots_are_read_only_and_not_checked_again(monkeypatch):
+    """A plan snapshot is a read-only view of the universe's, with the
+    scores of its date. Its arrays were checked when the universe was
+    built, so resolving the plan runs no snapshot check."""
+    dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
+    checked = []
+    check = UniverseSnapshot.__post_init__
+    monkeypatch.setattr(UniverseSnapshot, "__post_init__",
+                        lambda snap: checked.append(snap.date) or check(snap))
+    scores = backtest.Scores(dates[:1], np.array(["A"], dtype=object),
+                             np.array([0.1]), np.array([1]))
+    snap = review_plan([dates[0]], prices, universe, score_lag_days=0, scores=scores).snapshots[0]
+    assert checked == []
+    source = universe.at(dates[0])
+    assert snap.date == source.date and snap.score.tolist() == [1]
+    for name in ("stock_ids", "cap_weight", "sector", "peer_group", "esg_rating", "score"):
+        assert not getattr(snap, name).flags.writeable
+    assert snap.cap_weight.tolist() == source.cap_weight.tolist()
+    assert source.cap_weight.flags.writeable and source.score is None
+    with pytest.raises(FrozenInstanceError):
+        snap.score = None
+
+
 def test_simulate_validates_weights():
     dates, prices, universe = one_stock_world([0.0, 0.01, 0.01])
     plan = review_plan([dates[0]], prices, universe, score_lag_days=0)

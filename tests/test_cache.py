@@ -2,6 +2,7 @@
 read as from a parse of the CSV."""
 
 import os
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -216,3 +217,123 @@ def test_input_with_nul_is_parsed_every_time(tmp_path):
         raw, _ = load_features_csv(path, specs=SPECS)
         assert raw.stock_ids[3] == "Ω\0"
     assert not (tmp_path / CACHE_DIR).exists()
+
+
+# ---------------------------------------------------------------------------
+# files that span several blocks of records and several read chunks
+
+
+def small_blocks(monkeypatch, rows):
+    """Blocks of `rows` records, and files hashed 16 bytes at a time, so
+    that the small files here span several blocks and many hash chunks."""
+    monkeypatch.setattr(panel, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(panel, "READ_CHUNK", 16)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("name", LOADERS)
+def test_blocks_parse_as_one(tmp_path, monkeypatch, name, rows):
+    """Each loader returns, from a file read in blocks, the arrays of a
+    one-block parse, and caches them for a hit that returns them too."""
+    text, load = LOADERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text, encoding="utf-8")
+    whole = load(path)
+    os.remove(cache_path(path))
+    small_blocks(monkeypatch, rows)
+    assert_same(load(path), whole)
+    assert cache_path(path).is_file()
+    no_parse(monkeypatch)
+    assert_same(load(path), whole)
+
+
+def test_records_come_in_blocks(tmp_path, monkeypatch):
+    """Blocks of at most BLOCK_ROWS records, with the line of each record
+    (a quoted newline makes a record two lines long); a block of
+    BLOCK_ROWS records is followed by another, empty if the file ends."""
+    small_blocks(monkeypatch, 2)
+    path = tmp_path / "calendar.csv"
+    path.write_text('year,a\n2010,"1\n2"\n2011,3\n2012,4\n2013,5\n')
+    source = panel.InputCsv(path, lambda h: True, "")
+    assert list(source.records()) == [
+        ([["2010", "2011"], ["1\n2", "3"]], [3, 4]),
+        ([["2012", "2013"], ["4", "5"]], [5, 6]),
+        ([[], []], []),
+    ]
+
+
+# Six records of features.csv; with blocks of three, lines 2-4 are block 1
+# and lines 5-7 are block 2.
+SIX = (
+    "date,stock_id,f0,f1\n"
+    + "".join(f"2020-01-0{day},S{sid},0.5,1.5\n" for day in (1, 2, 3) for sid in (1, 2))
+)
+
+
+@pytest.mark.parametrize("cell_line,short_line", [(3, 6), (6, 3), (3, 4), (4, 3), (2, 7)])
+def test_earliest_fault_is_reported_across_blocks(tmp_path, monkeypatch, cell_line, short_line):
+    """With a bad cell and a short row, the error names the earlier line,
+    whichever block each falls in and whichever kind comes first."""
+    small_blocks(monkeypatch, 3)
+    lines = SIX.splitlines(keepends=True)
+    lines[cell_line - 1] = lines[cell_line - 1].replace("0.5", "n/a")
+    lines[short_line - 1] = lines[short_line - 1].replace(",1.5", "")
+    path = tmp_path / "features.csv"
+    path.write_text("".join(lines))
+    line = min(cell_line, short_line)
+    fault = "n/a" if line == cell_line else "3 cells, header has 4"
+    with pytest.raises(panel.MalformedRow, match=f"^{path}, line {line}: .*{fault}"):
+        load_features_csv(path)
+    assert not (tmp_path / CACHE_DIR).exists()
+
+
+def test_repeated_key_across_blocks_names_the_later_line(tmp_path, monkeypatch):
+    small_blocks(monkeypatch, 2)
+    path = tmp_path / "returns.csv"
+    path.write_text(
+        "date,stock_id,fwd_excess_return_3m\n"
+        "2020-01-01,A,0.1\n2020-01-01,B,0.2\n2020-01-02,A,0.3\n2020-01-01,A,0.4\n"
+    )
+    with pytest.raises(panel.DuplicateRow, match=f"^{path}, line 5: .*2020-01-01, A"):
+        load_returns_csv(path)
+    assert not (tmp_path / CACHE_DIR).exists()
+
+
+def test_nul_in_a_later_block_disables_the_cache(tmp_path, monkeypatch):
+    small_blocks(monkeypatch, 2)
+    path = tmp_path / "features.csv"
+    path.write_text(FEATURES.replace("Ωmega", "Ω\0"), encoding="utf-8")
+    assert path.read_bytes().index(b"\0") > 4 * panel.READ_CHUNK
+    for _ in range(2):
+        raw, _ = load_features_csv(path, specs=SPECS)
+        assert raw.stock_ids.tolist() == ["A,1", 'B "q"', "A,1", "Ω\0"]
+    assert not (tmp_path / CACHE_DIR).exists()
+
+
+def test_cold_load_memory_grows_with_one_block_not_the_file(tmp_path):
+    """A cold load converts a block of records at a time, so doubling the
+    file adds about its arrays to the traced peak, not its bytes and cells.
+    The bound is fixed at 2.0 times the growth of the file; a parse that
+    holds every cell until the end grows about 5.5 times."""
+    n = 2 * panel.BLOCK_ROWS
+    rng = np.random.default_rng(0)
+    peaks, sizes = [], []
+    for records in (n, 2 * n):
+        raw = panel.RawPanel(
+            dates=np.datetime64("2020-01-01") + np.arange(records) // 20,
+            stock_ids=np.array([f"S{i % 20:03d}" for i in range(records)], dtype=object),
+            columns=[rng.normal(size=records) for _ in range(8)],
+            y=np.full(records, np.nan),
+        )
+        path = tmp_path / f"features{records}.csv"
+        panel.write_features_csv(path, raw, [FeatureSpec(f"f{k}") for k in range(8)])
+        tracemalloc.start()
+        try:
+            load_features_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+    assert cache_path(path).is_file()
+    ratio = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert ratio < 2.0, f"traced peak grew {ratio:.2f} times the file"

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,7 +424,79 @@ def test_learn_hashes_each_input_once(pipeline, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "manifest.json").read_text())["inputs"] == digests
 
 
-CLI_MODULES = {"rulescreen", "rulescreen.cli", "rulescreen.errors", "rulescreen.panel"}
+def test_cold_learn_hashes_each_csv_again_as_it_parses(pipeline, tmp_path, monkeypatch):
+    """On a cache miss each CSV input is hashed twice: once through
+    sha256_of, for the cache key and the manifest, and once as its records
+    stream through the parse, which checks that the bytes parsed are the
+    bytes looked up. The config is hashed once, through sha256_of."""
+    from rulescreen import cli, panel
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    shutil.rmtree(data / CACHE_DIR)
+    through_sha256_of, hashers = [], []
+
+    def counted(fh, sha256_of=panel.sha256_of):
+        through_sha256_of.append(sha256_of(fh))
+        return through_sha256_of[-1]
+
+    def sha256():
+        hashers.append(hashlib.sha256())
+        return hashers[-1]
+
+    monkeypatch.setattr(panel, "sha256_of", counted)
+    monkeypatch.setattr(cli, "sha256_of", counted)
+    monkeypatch.setattr(panel, "hashlib", SimpleNamespace(sha256=sha256))
+    features, returns = data / "features.csv", data / "returns.csv"
+    assert run([
+        "learn", "--panel", str(features), "--returns", str(returns),
+        "--config", str(pipeline["cfg"]), "--out", str(tmp_path / "rules.json"),
+    ]) == 0
+    digest = {p: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in (features, returns, pipeline["cfg"])}
+    assert sorted(through_sha256_of) == sorted(digest.values())
+    assert sorted(h.hexdigest() for h in hashers) == sorted(
+        list(digest.values()) + [digest[features], digest[returns]])
+    assert {p.name for p in (data / CACHE_DIR).iterdir()} == {
+        "features.csv.npz", "returns.csv.npz"}
+
+
+def test_input_changed_between_hash_and_parse_exits_two(pipeline, tmp_path, monkeypatch,
+                                                       caplog):
+    """The digest that keys the cache and fills manifest.json is that of the
+    bytes parsed: a features.csv rewritten after its lookup hash exits 2
+    with InputChanged and leaves no cache and no temporary file."""
+    from rulescreen import panel
+
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    shutil.rmtree(data / CACHE_DIR)
+    features = data / "features.csv"
+    lines = features.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[2] = "0.0"  # a well-formed record of another value
+    changed = "".join(lines[:1] + [",".join(cells)] + lines[2:])
+
+    def then_rewrite(fh, sha256_of=panel.sha256_of):
+        digest = sha256_of(fh)
+        if fh.fh.name == str(features):
+            features.write_text(changed)
+        return digest
+
+    monkeypatch.setattr(panel, "sha256_of", then_rewrite)
+    out = tmp_path / "learn"
+    assert run([
+        "learn", "--panel", str(features), "--returns", str(data / "returns.csv"),
+        "--config", str(pipeline["cfg"]), "--out", str(out / "rules.json"),
+    ]) == 2
+    assert f"InputChanged: {features}: changed while it was read" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (data / CACHE_DIR).exists() or not list((data / CACHE_DIR).iterdir())
+    assert not list(data.rglob("*.tmp"))
+    assert not (out / "manifest.json").exists()
+
+
+CLI_MODULES ={"rulescreen", "rulescreen.cli", "rulescreen.errors", "rulescreen.panel"}
 ENGINE_MODULES = {"rulescreen.aggregate", "rulescreen.rules", "rulescreen.rulegen",
                   "rulescreen.backtest"}
 # The rulescreen modules a fresh process loads: for `import rulescreen`, for
