@@ -168,7 +168,7 @@ class UniverseTable:
 
 @dataclass
 class PriceTable:
-    """Daily total returns on a complete (date x stock) grid."""
+    """Daily total returns on a complete (date x stock) grid, dates strictly ascending."""
 
     dates: np.ndarray
     stock_ids: List[str]
@@ -187,6 +187,11 @@ class PriceTable:
                 f"missing return for {self.stock_ids[j]} on {self.dates[i]} "
                 f"({len(missing)} gaps total)"
             )
+        rises = self.dates[1:] > self.dates[:-1]
+        if not rises.all():
+            i = int(np.argmin(rises))
+            raise GridMismatch(f"price dates must strictly increase: "
+                               f"{self.dates[i]} is followed by {self.dates[i + 1]}")
         self.date_index = {d: i for i, d in enumerate(self.dates)}
         self.col = {sid: j for j, sid in enumerate(self.stock_ids)}
 
@@ -565,7 +570,7 @@ class LearningRecord:
 
 class Scores(NamedTuple):
     """A study's scores as the columns of scores.csv: one row per scored
-    panel row, sorted by date and in panel row order within a date."""
+    panel row, in (date, stock_id) order, a repeated key's later row later."""
 
     dates: np.ndarray
     stock_ids: np.ndarray
@@ -695,7 +700,9 @@ class _Engine:
     segments read: the panel's arrays, the feature specs, the config and the
     trading-day grid. Numeric arrays are copied; an object array's copy
     shares its (immutable) elements, and is pickled once so that
-    same_inputs can tell a changed element type or value."""
+    same_inputs can tell a changed element type or value. The copies keep
+    the caller's row order; learnings and segments read rows only in
+    (date, stock_id) order, a repeated key's later row later."""
 
     def __init__(self, raw_panel, specs, grid, cfg, score_rows):
         self.raw_panel = RawPanel(
@@ -714,9 +721,10 @@ class _Engine:
         self.score_rows = np.sort(np.asarray(score_rows, dtype=np.intp))
         self.labeled = np.isfinite(self.raw_panel.y)
         self.resolution = np.busday_offset(self.raw_panel.dates, self.cfg.horizon_days)
-        # Row indices by date, ascending within a date, for a binary search.
-        self.by_date = np.argsort(self.raw_panel.dates, kind="stable")
-        self.sorted_dates = self.raw_panel.dates[self.by_date]
+        # As day numbers (busday_offset took the dates as datetime64[D]),
+        # which np.isin matches through a lookup table.
+        score_days = self.grid[self.score_rows].astype("datetime64[D]")
+        self.on_score_day = np.isin(self.raw_panel.dates.view(np.int64), score_days.view(np.int64))
 
     def same_inputs(
         self,
@@ -775,59 +783,49 @@ class _Engine:
         Returns the scores and the state at the segment's end.
 
         The discretizer, rules and dead zone are fixed within a segment, so
-        its pending labels and its score days' panel rows are discretized and
-        activated once, and its ternary scores taken at once; only the
-        prediction under each score day's weights runs per day."""
-        raw_panel, grid = self.raw_panel, self.grid
-        ruleset, discretizer = step.ruleset, step.discretizer
-        pending = self.labeled & (self.resolution > L)
-        if next_L is not None:
-            pending &= self.resolution <= next_L
-        pend_idx = np.flatnonzero(pending)
-        due_at: Dict[int, np.ndarray] = {}
-        if len(pend_idx):
-            panel_pend = apply_discretizer(raw_panel.take(pend_idx), discretizer)
-            A_pend = ruleset.activation_matrix(panel_pend.x)
-            # Grid day t gets the labels resolving in (grid[t-1], grid[t]]:
-            # one that resolves on a day without prices (a market holiday)
-            # updates the weights at the next close.
-            due_at = _rows_by_key(
-                np.searchsorted(grid, np.busday_offset(panel_pend.dates, self.cfg.horizon_days))
-            )
+        its rows (the pending labels and every panel row of its score days)
+        are discretized and activated once, into one panel in (date,
+        stock_id) order, and the label updates, the predictions and the
+        Scores rows all read that panel; only the predictions run per day."""
+        raw_panel, grid, ruleset = self.raw_panel, self.grid, step.ruleset
+        end = grid[-1] if next_L is None else next_L
+        pending = self.labeled & (self.resolution > L) & (self.resolution <= end)
+        scored = self.on_score_day & (raw_panel.dates > L) & (raw_panel.dates <= end)
+        rows = np.flatnonzero(pending | scored)
+        # Sorted as apply_discretizer sorts them (stably), so that the masks
+        # read at `rows` line up with the rows of its panel.
+        rows = rows[np.lexsort((raw_panel.stock_ids[rows], raw_panel.dates[rows]))]
+        panel = apply_discretizer(raw_panel.take(rows), step.discretizer)
+        A = ruleset.activation_matrix(panel.x)
+        # Grid day t gets the labels resolving in (grid[t-1], grid[t]]: one
+        # that resolves on a day without prices (a market holiday) updates
+        # the weights at the next close. Other rows get day -1, never reached.
+        due = np.searchsorted(grid, self.resolution[rows])
+        due_at = _rows_by_key(np.where(pending[rows], due, -1))
 
-        t_start = int(np.searchsorted(grid, L)) + 1
-        t_stop = int(np.searchsorted(grid, next_L)) + 1 if next_L is not None else len(grid)
+        t_start, t_stop = (np.searchsorted(grid, [L, end]) + 1).tolist()
         score_t = self.score_rows[(self.score_rows >= t_start) & (self.score_rows < t_stop)]
-        # Score day t -> its slice of row_ix (sorted by date, then panel row).
-        rows_at: Dict[int, slice] = {}
-        row_ix = np.empty(0, dtype=np.intp)
-        if len(score_t):
-            days = grid[score_t]
-            lo = np.searchsorted(self.sorted_dates, days)
-            hi = np.searchsorted(self.sorted_dates, days + 1)
-            empty = np.flatnonzero(hi == lo)
-            if len(empty):
-                raise SpecMismatch(f"no panel rows to score on {days[empty[0]]}")
-            row_ix = np.concatenate([self.by_date[a:b] for a, b in zip(lo, hi)])
-            x_score = apply_discretizer(raw_panel.take(row_ix), discretizer).x
-            A_score = ruleset.activation_matrix(x_score)
-            ends = np.cumsum(hi - lo).tolist()
-            rows_at = {
-                t: slice(a, b) for t, a, b in zip(score_t.tolist(), [0] + ends[:-1], ends)
-            }
+        # The panel holds every row of a score day, in date order, so the
+        # day's rows are one slice of it.
+        days = grid[score_t]
+        lo, hi = np.searchsorted(panel.dates, days), np.searchsorted(panel.dates, days, "right")
+        empty = np.flatnonzero(hi == lo)
+        if len(empty):
+            raise SpecMismatch(f"no panel rows to score on {days[empty[0]]}")
+        rows_at = dict(zip(score_t.tolist(), map(slice, lo.tolist(), hi.tolist())))
 
-        y_hat = np.empty(len(row_ix), dtype=np.float64)
+        y_hat = np.empty(panel.n, dtype=np.float64)
         for t in range(t_start, t_stop):
             todo = due_at.get(t)
             if todo is not None:
-                state = update(state, ruleset, panel_pend.y[todo], A_pend[todo])
-            rows = rows_at.get(t)
-            if rows is not None:
-                y_hat[rows] = predict_many(
-                    state, ruleset, x_score[rows], activation=A_score[rows]
-                )
+                state = update(state, ruleset, panel.y[todo], A[todo])
+            at = rows_at.get(t)
+            if at is not None:
+                y_hat[at] = predict_many(state, ruleset, panel.x[at], activation=A[at])
+        on = scored[rows]
+        y_hat = y_hat[on]
         ternary = score_many(y_hat, state.epsilon)
-        return Scores(raw_panel.dates[row_ix], raw_panel.stock_ids[row_ix], y_hat, ternary), state
+        return Scores(panel.dates[on], panel.stock_ids[on], y_hat, ternary), state
 
 
 def _scored_study(
@@ -961,9 +959,10 @@ def run_study(
     year's learning; weight updates continue. Every strategy leg is
     simulated.
 
-    Each segment between learnings discretizes and activates its score
-    days' panel rows once (see _Engine.segment); only the predictions
-    follow the daily weights. Each review is resolved once per study into
+    Each segment between learnings discretizes its pending labels and its
+    score days' panel rows once, into one panel in (date, stock_id) order
+    that its updates, predictions and Scores rows read (see
+    _Engine.segment). Each review is resolved once per study into
     one ReviewPlan (price-grid row, scored read-only snapshot, return-grid
     columns) that every leg shares; each leg's weights_fn and weight checks
     still run at every review.

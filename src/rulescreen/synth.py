@@ -61,7 +61,7 @@ class SynthSpec:
     # plumbing knobs
     start: str = DEFAULT_START
     horizon_days: int = 63
-    sector_feature: Optional[int] = 0
+    sector_feature: int = 0
 
     def validate(self) -> None:
         if min(self.n_stocks, self.n_dates, self.d, self.m) < 1:
@@ -82,8 +82,10 @@ class SynthSpec:
                     raise InconsistentSpec(
                         f"planted interval [{iv.lo},{iv.hi}] outside modality grid"
                     )
-        if self.sector_feature is not None and self.sector_feature >= self.d:
-            raise InconsistentSpec("sector_feature outside feature range")
+        if not isinstance(self.sector_feature, int) or not 0 <= self.sector_feature < self.d:
+            raise InconsistentSpec(
+                f"sector_feature must be an int in [0, d={self.d}), got {self.sector_feature!r}"
+            )
 
     def _all_planted(self) -> List[PlantedRule]:
         out = list(self.planted)
@@ -250,10 +252,7 @@ def generate(spec: SynthSpec) -> SynthData:
         b = int(block_of_day[di])
         ratings = rng.uniform(0.0, 100.0, size=S)
         for si, sid in enumerate(stock_ids):
-            if spec.sector_feature is not None:
-                sec_code = int(mod_blocks[si, b, spec.sector_feature])
-            else:
-                sec_code = si % m
+            sec_code = int(mod_blocks[si, b, spec.sector_feature])
             universe.append(
                 UniverseRow(
                     date=rd,

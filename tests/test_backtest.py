@@ -981,6 +981,16 @@ def regime_market(seed):
             REGIME_CFG)
 
 
+def reversed_market(seed):
+    """A regime market whose panel rows come in reverse stock order within
+    each date, so panel order and (date, stock_id) order differ."""
+    data, universe, prices, cfg = regime_market(seed)
+    panel = data.panel
+    data.panel = panel.take(np.lexsort((-np.arange(panel.n), panel.dates)))
+    assert data.panel.stock_ids[0] > data.panel.stock_ids[1]
+    return data, universe, prices, cfg
+
+
 def thinned_market():
     """A small market without the panel rows of one to four stocks on every
     other score day: those days have fewer rows than universe stocks."""
@@ -994,13 +1004,20 @@ def thinned_market():
     return data, universe, prices, cfg
 
 
-@pytest.mark.parametrize("market", ["regime0", "regime1", "thinned"])
+MARKETS = {
+    "regime0": lambda: regime_market(0),
+    "regime1": lambda: regime_market(1),
+    "reversed2": lambda: reversed_market(2),
+    "thinned": thinned_market,
+}
+
+
+@pytest.mark.parametrize("market", list(MARKETS))
 def test_segment_scores_equal_per_day_reference(monkeypatch, market):
     """Walk-forward scores and every frozen study's tail equal the per-day
-    reference bit for bit, in y_hat and ternary, and so do the levels."""
-    data, universe, prices, cfg = (
-        thinned_market() if market == "thinned" else regime_market(int(market[-1]))
-    )
+    reference bit for bit, in y_hat and ternary, and so do the levels. On
+    the reversed market each score names the row it was computed on."""
+    data, universe, prices, cfg = MARKETS[market]()
     args = (data.panel, data.specs, universe, prices, cfg)
 
     def studies():
@@ -1081,9 +1098,10 @@ def test_labels_resolving_on_a_market_holiday_update_the_next_close(monkeypatch)
 
 
 def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
-    """Within a segment the score days' rows go through apply_discretizer
-    once and RuleSet.activation_matrix once, however many score days the
-    segment has; the only other call of each is for its pending labels."""
+    """A segment makes one apply_discretizer call and one
+    RuleSet.activation_matrix call, however many score days it has: on its
+    pending labels (those resolving in (L, next_L], or (L, end of data])
+    together with every panel row of its score days, and no other row."""
     data, universe, prices, cfg = small_study(seed=6)
     args = (data.panel, data.specs, universe, prices, cfg)
     calls, segments = [], []
@@ -1091,18 +1109,28 @@ def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
     matrix_original = RuleSet.activation_matrix
     segment_original = backtest._Engine.segment
 
+    def keys(dates, stock_ids):
+        return sorted(zip(np.asarray(dates).astype(str).tolist(), stock_ids.tolist()))
+
     def counting_apply(raw, discretizer):
-        calls.append(("apply", np.unique(raw.dates).tolist(), raw.n))
+        calls.append(("apply", keys(raw.dates, raw.stock_ids), raw.n))
         return apply_original(raw, discretizer)
 
     def counting_matrix(self, x_matrix):
         calls.append(("matrix", None, len(x_matrix)))
         return matrix_original(self, x_matrix)
 
-    def recording(self, *a, **kw):
+    def recording(self, step, state, L, next_L):
         calls.clear()
-        scores, end_state = segment_original(self, *a, **kw)
-        segments.append((scores, list(calls)))
+        scores, end_state = segment_original(self, step, state, L, next_L)
+        raw = self.raw_panel
+        resolves = np.busday_offset(raw.dates, cfg.horizon_days)
+        end = self.grid[-1] if next_L is None else next_L
+        pending = np.isfinite(raw.y) & (resolves > L) & (resolves <= end)
+        on_days = np.isin(raw.dates, scores.dates)
+        want = keys(raw.dates[pending | on_days], raw.stock_ids[pending | on_days])
+        segments.append((scores, want, keys(raw.dates[on_days], raw.stock_ids[on_days]),
+                         list(calls)))
         return scores, end_state
 
     monkeypatch.setattr(backtest, "apply_discretizer", counting_apply)
@@ -1111,16 +1139,13 @@ def test_segment_discretizes_and_activates_its_score_rows_once(monkeypatch):
     for rec in run_study(*args).learnings:
         learning_y(*args, rec.year)
 
-    assert max(len(np.unique(scores.dates)) for scores, _ in segments) > 1
-    for scores, seg_calls in segments:
-        applies = [c for c in seg_calls if c[0] == "apply"]
-        matrices = [c for c in seg_calls if c[0] == "matrix"]
-        assert [c[2] for c in matrices] == [c[2] for c in applies]
-        days = np.unique(scores.dates).tolist()
-        n_rows = len(scores.dates)
-        of_scores = [c for c in applies if c[1] == days and c[2] == n_rows]
-        assert len(of_scores) == (1 if n_rows else 0)
-        assert len(applies) - len(of_scores) <= 1  # the pending labels
+    assert max(len(np.unique(scores.dates)) for scores, *_ in segments) > 1
+    for scores, want, on_days, seg_calls in segments:
+        assert [c[0] for c in seg_calls] == ["apply", "matrix"]
+        (_, applied, n_applied), (_, _, n_activated) = seg_calls
+        assert applied == want
+        assert n_applied == n_activated == len(want)
+        assert keys(scores.dates, scores.stock_ids) == on_days
 
 
 def test_score_day_without_panel_rows_is_a_typed_error():
@@ -1295,6 +1320,16 @@ def test_universe_csv_header_checked(tmp_path):
     path.write_text("date,stock,weight\n2020-01-31,A,1.0\n")
     with pytest.raises(SpecMismatch):
         load_universe_csv(path)
+
+
+@pytest.mark.parametrize("order", [[0, 2, 1, 3], [0, 1, 1, 3]], ids=["swapped", "repeated"])
+def test_price_table_rejects_dates_that_do_not_strictly_increase(order):
+    """simulate, month_ends and every binary search on the grid assume its
+    dates strictly increase, so a swapped pair or a repeated date is a
+    typed data error naming the first offending pair."""
+    dates = grid("2020-01-06", 4)
+    with pytest.raises(GridMismatch, match=f"{dates[order[1]]} is followed by {dates[order[2]]}"):
+        PriceTable(dates[order], np.array(["A", "B"], dtype=object), np.zeros((4, 2)))
 
 
 def test_prices_csv_round_trip_and_gap_detection(tmp_path):

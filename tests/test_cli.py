@@ -185,6 +185,14 @@ def test_parse_synth_spec_rejects_unknown_keys():
             parse_synth_spec({key: 5, "n_stocks": 5, "n_dates": 10, "d": 1, "m": 2})
 
 
+@pytest.mark.parametrize("value", [None, -1, 3])
+def test_parse_synth_spec_rejects_sector_feature_outside_the_features(value):
+    """sector_feature names one of the d features: null, -1 (which would
+    index the last feature) and d itself are rejected."""
+    with pytest.raises(InconsistentSpec, match="sector_feature"):
+        parse_synth_spec({"n_stocks": 5, "n_dates": 10, "d": 3, "m": 2, "sector_feature": value})
+
+
 def test_parse_synth_spec_names_missing_interval_key():
     blob = {
         "n_stocks": 5,
@@ -877,6 +885,28 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"SpecMismatch: no panel rows to score on {day}" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def test_backtest_outputs_do_not_depend_on_input_record_order(pipeline, tmp_path):
+    """`backtest` on a features.csv and a returns.csv whose records are
+    shuffled writes the same report files, byte for byte, as on the files
+    in (date, stock_id) order."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    rng = np.random.default_rng(5)
+    for name in ("features", "returns"):
+        path = data / f"{name}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        records = lines[1:]
+        rng.shuffle(records)
+        path.write_text("".join(lines[:1] + records))
+    cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + [
+        f"{k} = {data / (k + '.csv')}" for k in ("features", "returns", "universe", "prices")
+    ]) + "\n")
+    out = tmp_path / "bt"
+    assert run(["backtest", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("levels.csv", "kpis.json", "calendar.csv", "learning-y.csv"):
+        assert (out / name).read_bytes() == (pipeline["bt"] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("column,value", [("cap_weight", "nan"), ("esg_rating", "inf")])
