@@ -148,7 +148,8 @@ class UniverseTable:
     def from_columns(
         cls, dates, stock_ids, cap_weight, sector, peer_group, esg_rating
     ) -> "UniverseTable":
-        """One snapshot per distinct date, its stocks in row order."""
+        """One snapshot per distinct date, its stocks in row order (the
+        stock_id order of record_keys when load_universe_csv calls it)."""
         return cls({
             date: UniverseSnapshot(
                 date, stock_ids[ix], cap_weight[ix], sector[ix], peer_group[ix], esg_rating[ix]
@@ -1056,14 +1057,17 @@ def learning_y(
 
 
 def load_universe_csv(path) -> UniverseTable:
+    """The snapshots of universe.csv, each listing its stocks in stock_id
+    order (the record_keys order), whatever the file's record order."""
     need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
     source = InputCsv(path, need.issubset, f"universe csv must have columns {sorted(need)}")
 
-    def checked(arrays, lines):
+    def in_key_order(arrays, lines):
         if not lines:
             raise SpecMismatch("universe csv is empty")
-        record_keys(path, lines, arrays[0], arrays[1])
-        return arrays
+        _, row, ids, col = record_keys(path, lines, arrays[0], arrays[1])
+        order = np.argsort(row * len(ids) + col)
+        return [a[order] for a in arrays]
 
     at = source.index
     return UniverseTable.from_columns(*source.parsed(
@@ -1076,23 +1080,23 @@ def load_universe_csv(path) -> UniverseTable:
             (at["peer_group"], to_strings),
             (at["esg_rating"], to_floats),
         ],
-        checked,
+        in_key_order,
     ))
 
 
 def load_prices_csv(path) -> PriceTable:
+    """The return grid of prices.csv on its record_keys grid: dates ascending,
+    stocks in stock_id order, whatever the file's record order."""
     need = {"date", "stock_id", "total_return_daily"}
     source = InputCsv(path, need.issubset, f"prices csv must have columns {sorted(need)}")
 
     def gridded(arrays, lines):
         if not lines:
             raise MissingPriceData("prices csv is empty")
-        dates, stock_ids, values = arrays
-        grid_dates, row, ids, col = record_keys(path, lines, dates, stock_ids)
+        grid_dates, row, ids, col = record_keys(path, lines, arrays[0], arrays[1])
         grid = np.full((len(grid_dates), len(ids)), np.nan, dtype=np.float64)
-        grid[row, col] = values
-        table = PriceTable(dates=grid_dates, stock_ids=ids, returns=grid)
-        return [table.dates, np.array(table.stock_ids, dtype=object), table.returns]
+        grid[row, col] = arrays[2]
+        return [grid_dates, ids, grid]
 
     at = source.index
     dates, stock_ids, grid = source.parsed(

@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -140,7 +140,11 @@ class Discretizer:
                     raise ValueError(f"edges of {feature_id!r} are not finite and ascending")
                 edges[feature_id] = cuts
             else:
-                categories[feature_id] = list(entry["categories"])
+                labels = entry["categories"]
+                if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)
+                        and len(set(labels)) == len(labels)):
+                    raise ValueError(f"categories of {feature_id!r} are not distinct strings")
+                categories[feature_id] = labels
         return cls(specs=specs, edges=edges, categories=categories)
 
 
@@ -151,7 +155,7 @@ def fit_discretizer(panel: RawPanel, specs: Sequence[FeatureSpec], m: int) -> Di
     the k/m empirical quantiles (smallest value with CDF >= k/m). Numeric
     features with at most m distinct values get identity binning: each
     distinct value is its own modality, in sorted order. Categorical features
-    keep their observed label set as the code table.
+    keep the sorted set of their observed labels, str(value), as code table.
     """
     if m < 2:
         raise NonPositiveModalities(f"m must be >= 2, got {m}")
@@ -165,8 +169,7 @@ def fit_discretizer(panel: RawPanel, specs: Sequence[FeatureSpec], m: int) -> Di
     disc = Discretizer(specs=specs)
     for spec, col in zip(specs, panel.columns):
         if spec.kind == CATEGORICAL:
-            seen = sorted({v for v in col if v is not None})
-            disc.categories[spec.feature_id] = [str(v) for v in seen]
+            disc.categories[spec.feature_id] = sorted({str(v) for v in col if v is not None})
             continue
         values = col[np.isfinite(col)]
         if len(values) == 0:
@@ -234,8 +237,9 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
 
     Bins are right-closed (a value equal to a cut point falls in the lower
     bin); values outside the fitted range clamp to the extreme modalities;
-    missing values map to MISSING_CODE. Unseen categorical labels are treated
-    as missing. Output rows are sorted by (date, stock_id).
+    missing values map to MISSING_CODE. A categorical value is looked up by
+    its str, and an unseen label is missing. Output rows are sorted by
+    (date, stock_id).
     """
     specs = discretizer.specs
     _check_columns(panel, specs)
@@ -244,15 +248,8 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
     for k, spec in enumerate(specs):
         col = panel.columns[k]
         if spec.kind == CATEGORICAL:
-            table = {
-                label: code
-                for code, label in enumerate(discretizer.categories[spec.feature_id])
-            }
-            codes = np.array(
-                [table.get(v, MISSING_CODE) if v is not None else MISSING_CODE for v in col],
-                dtype=np.int32,
-            )
-            x[:, k] = codes
+            table = {v: code for code, v in enumerate(discretizer.categories[spec.feature_id])}
+            x[:, k] = [MISSING_CODE if v is None else table.get(str(v), MISSING_CODE) for v in col]
         else:
             if spec.feature_id not in discretizer.edges:
                 raise SpecMismatch(f"no fitted edges for feature {spec.feature_id!r}")
@@ -314,7 +311,7 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # input's bytes) matches; any other cache file is rewritten. The CSV is always
 # the source of truth, and deleting the directory is always safe.
 CACHE_DIR = ".rulescreen-cache"
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 # The sha256 of each CSV file an InputCsv has read, by the path it was read
 # from, so that manifest.json takes a CSV input's digest from here instead of
@@ -586,25 +583,26 @@ def parse_columns(path, lines, *columns) -> List[np.ndarray]:
     return parsed
 
 
-def id_codes(ids: Sequence[str]) -> np.ndarray:
-    """An integer code for each string of `ids`, equal exactly where the
-    strings are. A unicode array drops trailing NULs, so each string's
-    length is part of its code: "S1" and "S1\\0" get different codes."""
-    _, code = np.unique(np.array(ids, dtype=str), return_inverse=True)
-    length = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    return code * (length.max(initial=0) + 1) + length
+def grid_keys(dates: np.ndarray, stock_ids):
+    """The one coder of (date, stock_id) keys: the grid dates, ascending,
+    each key's date row, the grid stock ids in stock_id order (an object
+    array) and each key's stock column. Keys may repeat; see record_keys.
+    A unicode array drops trailing NULs, so each id's length is part of its
+    code: "S1" and "S1\\0" are two stocks, in that order."""
+    grid_dates, row = np.unique(dates, return_inverse=True)
+    _, code = np.unique(np.array(stock_ids, dtype=str), return_inverse=True)
+    length = np.fromiter(map(len, stock_ids), dtype=np.int64, count=len(stock_ids))
+    code = code * (length.max(initial=0) + 1) + length
+    _, first, col = np.unique(code, return_index=True, return_inverse=True)
+    return grid_dates, row, np.asarray(stock_ids, dtype=object)[first], col
 
 
 def record_keys(path, lines, dates: np.ndarray, stock_ids):
-    """Grid coordinates of each record's (date, stock_id) key: the distinct
-    dates in ascending order, each record's date row, the distinct stock ids
-    in order of first appearance and each record's stock column. Raises
-    DuplicateRow for the first record whose key an earlier record has."""
-    grid_dates, row = np.unique(dates, return_inverse=True)
-    _, first, col = np.unique(id_codes(stock_ids), return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    col = np.argsort(by_first)[col]
-    key = row * len(first) + col
+    """grid_keys of the records of the file `path`: dates ascending, stock
+    ids in stock_id order. Every input table is laid out, or checked, by it.
+    Raises DuplicateRow for the first record whose key an earlier one has."""
+    grid_dates, row, ids, col = grid_keys(dates, stock_ids)
+    key = row * len(ids) + col
     first_of_key = np.unique(key, return_index=True)[1]
     if len(first_of_key) < len(key):
         i = int(np.setdiff1d(np.arange(len(key)), first_of_key)[0])
@@ -612,8 +610,7 @@ def record_keys(path, lines, dates: np.ndarray, stock_ids):
             f"{path}, line {lines[i]}: repeated (date, stock_id) key "
             f"({dates[i]}, {stock_ids[i]})"
         )
-    ids = np.asarray(stock_ids, dtype=object)[first[by_first]]
-    return grid_dates, row, ids.tolist(), col
+    return grid_dates, row, ids, col
 
 
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
@@ -676,29 +673,25 @@ def load_returns_csv(path) -> Dict[tuple, float]:
 
 def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
     """The panel with y from returns: each row takes the label of its
-    (date, stock_id) key, NaN where returns has none. A join on key codes,
-    as in record_keys, in which only the rows on a labeled date are
-    compared by stock id."""
+    (date, stock_id) key, NaN where returns has none. A join on the keys
+    grid_keys codes, in which only the rows on a labeled date take part."""
     y = np.full(panel.n, np.nan, dtype=np.float64)
     if returns:
+        n_labels = len(returns)
         label_dates = np.array([date for date, _ in returns], dtype="datetime64[D]")
         rows = np.flatnonzero(np.isin(panel.dates, label_dates))
-        ids = [sid for _, sid in returns] + panel.stock_ids[rows].tolist()
-        _, date_code = np.unique(
-            np.concatenate([label_dates, panel.dates[rows]]), return_inverse=True
+        _, row, ids, col = grid_keys(
+            np.concatenate([label_dates, panel.dates[rows]]),
+            [sid for _, sid in returns] + panel.stock_ids[rows].tolist(),
         )
-        id_code = id_codes(ids)
-        key = date_code * (id_code.max() + 1) + id_code
-        n_labels = len(returns)
+        key = row * len(ids) + col
         order = np.argsort(key[:n_labels])
         label_key = key[:n_labels][order]
         at = np.minimum(np.searchsorted(label_key, key[n_labels:]), n_labels - 1)
         hit = label_key[at] == key[n_labels:]
         values = np.fromiter(returns.values(), dtype=np.float64, count=n_labels)
         y[rows[hit]] = values[order[at[hit]]]
-    return RawPanel(
-        dates=panel.dates, stock_ids=panel.stock_ids, columns=panel.columns, y=y
-    )
+    return replace(panel, y=y)
 
 
 def float_cells(values) -> List[str]:

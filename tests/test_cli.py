@@ -887,14 +887,15 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     assert "Traceback" not in caplog.text
 
 
-def test_backtest_outputs_do_not_depend_on_input_record_order(pipeline, tmp_path):
-    """`backtest` on a features.csv and a returns.csv whose records are
-    shuffled writes the same report files, byte for byte, as on the files
-    in (date, stock_id) order."""
+@pytest.mark.parametrize("names", [("features", "returns"), ("universe",), ("prices",)],
+                         ids="+".join)
+def test_backtest_outputs_do_not_depend_on_input_record_order(pipeline, tmp_path, names):
+    """`backtest` on inputs whose records are shuffled writes the same report
+    files, byte for byte, as on the files in (date, stock_id) order."""
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     rng = np.random.default_rng(5)
-    for name in ("features", "returns"):
+    for name in names:
         path = data / f"{name}.csv"
         lines = path.read_text().splitlines(keepends=True)
         records = lines[1:]

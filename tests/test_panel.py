@@ -1,5 +1,7 @@
 """Discretization and panel plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from rulescreen.panel import (
     fit_discretizer,
     load_features_csv,
     load_returns_csv,
+    record_keys,
     split,
     write_features_csv,
     write_returns_csv,
@@ -119,6 +122,22 @@ def test_categorical_feature_passthrough():
     assert unseen.x[0, 0] == MISSING_CODE
 
 
+def test_categorical_values_are_labels():
+    """A categorical value is coded by its str: a column of Python ints codes
+    like its string twin, and ints mixed with strings sort as labels."""
+    specs = [FeatureSpec("sec", kind="categorical")]
+    ids = [f"S{i}" for i in range(5)]
+
+    def codes(values):
+        obs = raw_panel(["2020-01-01"] * 5, ids, labels(values))
+        disc = fit_discretizer(obs, specs, m=4)
+        return disc.categories["sec"], apply_discretizer(obs, disc).x[:, 0].tolist()
+
+    assert codes([0, 1, 2, 1, None]) == codes(["0", "1", "2", "1", None])
+    assert codes([0, 1, 2, 1, None]) == (["0", "1", "2"], [0, 1, 2, 1, MISSING_CODE])
+    assert codes([1, "a", None, "1", 2]) == (["1", "2", "a"], [0, 2, MISSING_CODE, 0, 1])
+
+
 def test_quantile_definition_smallest_value_with_cdf_at_least_p():
     v = np.array([10.0, 20.0, 30.0, 40.0])
     assert empirical_quantile(v, 0.25) == 10.0
@@ -171,6 +190,17 @@ def test_discretizer_json_round_trip():
     assert clone.edges["f0"].tolist() == disc.edges["f0"].tolist()
     assert clone.categories["sec"] == disc.categories["sec"]
     assert clone.code_counts() == disc.code_counts()
+
+
+@pytest.mark.parametrize("categories", [["a", "a", "b"], [1, 2], "ab"],
+                         ids=["repeated", "numbers", "string"])
+def test_discretizer_json_rejects_malformed_categories(categories):
+    """Anything but a list of distinct strings is refused: a repeated label
+    would shift the later codes, numbers would make every value missing and
+    a bare string would read as its characters."""
+    text = json.dumps({"sec": {"kind": "categorical", "categories": categories}})
+    with pytest.raises(ValueError, match="^categories of 'sec' are not distinct strings$"):
+        Discretizer.from_json(text)
 
 
 def test_apply_sorts_rows_by_date_then_stock():
@@ -358,3 +388,23 @@ def test_ids_that_differ_in_a_trailing_nul_stay_apart(tmp_path):
     table = load_prices_csv(prices)
     assert table.stock_ids == ["S1", "S1\0"]
     assert table.returns.tolist() == [[0.01, 0.02], [0.03, 0.04]]
+
+
+def test_record_keys_do_not_depend_on_record_order():
+    """Shuffled records get the same grid dates and ids, and each key the
+    same (row, col): dates ascend and ids come in stock_id order."""
+    rng = np.random.default_rng(7)
+    days = np.datetime64("2020-01-01") + np.array([3, 0, 3, 1, 0, 1, 3, 0])
+    ids = ["S10", "S2", "A\0", "Ω", "A", "S10", "S2", "A\0"]
+
+    def coordinates(order):
+        dates, stock_ids = days[order], [ids[i] for i in order]
+        grid_dates, row, grid_ids, col = record_keys("k.csv", list(order), dates, stock_ids)
+        keys = {(d, sid): (r, c) for d, sid, r, c in zip(dates, stock_ids, row, col)}
+        return grid_dates.tolist(), list(grid_ids), keys
+
+    base = coordinates(np.arange(len(ids)))
+    assert base[0] == sorted(set(days.tolist()))
+    assert base[1] == sorted(set(ids)) == ["A", "A\0", "S10", "S2", "Ω"]
+    for _ in range(5):
+        assert coordinates(rng.permutation(len(ids))) == base
