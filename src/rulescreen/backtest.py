@@ -27,6 +27,7 @@ from .aggregate import (
     score_many,
     update,
 )
+from .csvio import InputCsv
 from .errors import (
     EmptyAfterFilter,
     GridMismatch,
@@ -40,13 +41,13 @@ from .panel import (
     DiscretizedPanel,
     Discretizer,
     FeatureSpec,
-    InputCsv,
     RawPanel,
     SCORE_LAG_DAYS,
     apply_discretizer,
     fit_discretizer,
     float_cells,
     month_ends,
+    parsed,
     record_keys,
     split,
     str_cells,
@@ -1070,7 +1071,8 @@ def load_universe_csv(path) -> UniverseTable:
         return [a[order] for a in arrays]
 
     at = source.index
-    return UniverseTable.from_columns(*source.parsed(
+    return UniverseTable.from_columns(*parsed(
+        source,
         "universe",
         [
             (at["date"], to_dates),
@@ -1099,7 +1101,8 @@ def load_prices_csv(path) -> PriceTable:
         return [grid_dates, ids, grid]
 
     at = source.index
-    dates, stock_ids, grid = source.parsed(
+    dates, stock_ids, grid = parsed(
+        source,
         "prices",
         [(at["date"], to_dates), (at["stock_id"], to_strings), (at["total_return_daily"], to_floats)],
         gridded,

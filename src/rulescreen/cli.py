@@ -10,6 +10,7 @@ can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import json
@@ -20,35 +21,17 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, get_type_hints
 
-import numpy as np
-
 from . import __version__
+from .csvio import InputCsv, parse_columns, read_digests, sha256_of
 from .errors import (
     ConfigError,
     DataError,
     EmptyPanel,
     InconsistentSpec,
     MissingPriceData,
+    OutputError,
     SpecMismatch,
     ValidationError,
-)
-from .panel import (
-    Discretizer,
-    InputCsv,
-    apply_discretizer,
-    attach_returns,
-    fit_discretizer,  # noqa: F401  (the name perfbench/tracing.py wraps)
-    float_cells,
-    load_features_csv,
-    load_returns_csv,
-    parse_columns,
-    read_digests,
-    sha256_of,
-    str_cells,
-    to_floats,
-    write_csv_columns,
-    write_features_csv,
-    write_returns_csv,
 )
 
 logger = logging.getLogger(__name__)
@@ -58,9 +41,16 @@ logger = logging.getLogger(__name__)
 # needed: run() binds the modules of its subcommand before dispatch, and
 # __getattr__ binds a name's module when the name is read from outside, as
 # perfbench/tracing.py does to wrap it. A name already bound keeps its value,
-# so a wrapper put in its place survives. update and learn_rules are bound
-# only for perfbench/tracing.py to wrap.
+# so a wrapper put in its place survives. update, learn_rules and
+# fit_discretizer are bound only for perfbench/tracing.py to wrap. numpy
+# comes with these modules, so `report` and `import rulescreen.cli` run
+# without it.
 _LAZY_NAMES = {
+    "panel": (
+        "Discretizer", "apply_discretizer", "attach_returns", "fit_discretizer",
+        "float_cells", "load_features_csv", "load_returns_csv", "str_cells",
+        "write_csv_columns", "write_features_csv", "write_returns_csv",
+    ),
     "aggregate": ("AggregationState", "predict_many", "score_many", "update"),
     "rules": ("RuleSet",),
     "rulegen": ("learn as learn_rules",),
@@ -199,6 +189,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     """The range check of the run's own keys, run before any input is read;
     WalkForwardConfig checks the study's."""
+    import numpy as np
     if cfg.worker_count < 1:
         raise ConfigError(f"worker_count must be >= 1, got {cfg.worker_count!r}")
     window = {}
@@ -235,6 +226,7 @@ def default_config_text() -> str:
 
 
 def write_manifest(directory, subcommand: str, config: Dict[str, object], inputs) -> None:
+    import numpy as np
     digests = {}
     for p in inputs:
         digest = read_digests.get(str(p))
@@ -269,6 +261,7 @@ def _load_labeled_panel(features_path: str, returns_path: str):
 
 
 def write_scores_csv(path, dates, stock_ids, y_hat, score) -> None:
+    import numpy as np
     write_csv_columns(
         path,
         ["date", "stock_id", "y_hat", "score"],
@@ -291,24 +284,36 @@ def _parse_file(path: str, parse, error=SpecMismatch):
         raise error(f"{path} does not parse: {exc!r}") from None
 
 
+@contextlib.contextmanager
+def _writing(directory):
+    """The directory a subcommand writes its outputs to, created with its
+    parents. An OSError raised while writing there is an OutputError, so it
+    is not taken for a missing input."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        yield Path(directory)
+    except OSError as exc:
+        raise OutputError(f"cannot write to {directory}: {exc}") from None
+
+
 def cmd_synth(args) -> int:
     blob = _parse_file(args.spec, json.loads, InconsistentSpec)
     spec = parse_synth_spec(blob)
     data = generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_features_csv(out / "features.csv", data.panel, data.specs)
-    write_returns_csv(out / "returns.csv", data.panel)
-    write_universe_csv(out / "universe.csv", data.universe)
-    write_prices_csv(
-        out / "prices.csv", data.price_dates, data.price_stock_ids, data.price_returns
-    )
-    write_manifest(out, "synth", {"spec": blob}, [args.spec])
+    with _writing(args.out) as out:
+        write_features_csv(out / "features.csv", data.panel, data.specs)
+        write_returns_csv(out / "returns.csv", data.panel)
+        write_universe_csv(out / "universe.csv", data.universe)
+        write_prices_csv(
+            out / "prices.csv", data.price_dates, data.price_stock_ids, data.price_returns
+        )
+        write_manifest(out, "synth", {"spec": blob}, [args.spec])
     logger.info("synth: wrote %d panel rows to %s", data.panel.n, out)
     return 0
 
 
 def cmd_learn(args) -> int:
+    import numpy as np
     cfg = parse_config(args.config)
     panel, specs = _load_labeled_panel(args.panel, args.returns)
     keep = np.isfinite(panel.y)
@@ -320,13 +325,13 @@ def cmd_learn(args) -> int:
     rec = learning_step(labeled, specs, cfg.study, panel.dates.max())
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(rec.ruleset.to_json() + "\n")
-    rec.report.to_csv(out.parent / "learn-report.csv")
-    (out.parent / "discretizer.json").write_text(rec.discretizer.to_json() + "\n")
-    (out.parent / "state.json").write_text(rec.state.to_json() + "\n")
-    inputs = [args.panel, args.returns] + ([args.config] if args.config else [])
-    write_manifest(out.parent, "learn", cfg.as_dict(), inputs)
+    with _writing(out.parent):
+        out.write_text(rec.ruleset.to_json() + "\n")
+        rec.report.to_csv(out.parent / "learn-report.csv")
+        (out.parent / "discretizer.json").write_text(rec.discretizer.to_json() + "\n")
+        (out.parent / "state.json").write_text(rec.state.to_json() + "\n")
+        inputs = [args.panel, args.returns] + ([args.config] if args.config else [])
+        write_manifest(out.parent, "learn", cfg.as_dict(), inputs)
     logger.info(
         "learn: %d rules (%d design rows, %d replay rows)",
         rec.ruleset.R,
@@ -337,6 +342,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_score(args) -> int:
+    import numpy as np
     try:
         asof = np.datetime64(args.asof, "D")
     except ValueError:
@@ -358,18 +364,19 @@ def cmd_score(args) -> int:
     y_hat = predict_many(state, ruleset, codes.x)
     ternary = score_many(y_hat, state.epsilon)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(out, codes.dates, codes.stock_ids, y_hat, ternary)
-    write_manifest(
-        out.parent,
-        "score",
-        {"asof": str(asof)},
-        [args.rules, args.state, args.discretizer, args.panel],
-    )
+    with _writing(out.parent):
+        write_scores_csv(out, codes.dates, codes.stock_ids, y_hat, ternary)
+        write_manifest(
+            out.parent,
+            "score",
+            {"asof": str(asof)},
+            [args.rules, args.state, args.discretizer, args.panel],
+        )
     return 0
 
 
 def cmd_backtest(args) -> int:
+    import numpy as np
     cfg = parse_config(args.config)
     for key in ("features", "returns", "universe", "prices"):
         if not getattr(cfg, key):
@@ -407,23 +414,27 @@ def cmd_backtest(args) -> int:
         rep = learning_y(panel, specs, universe, prices, cfg.study, year)
         frozen_series.append(rep.series)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_levels_csv(out / "levels.csv", result.series)
-    write_kpis_json(out / "kpis.json", result.reports)
-    write_calendar_csv(out / "calendar.csv", result.reports)
-    write_learning_y_csv(
-        out / "learning-y.csv",
-        result.series[POSITIVE],
-        result.series[BENCHMARK],
-        frozen_series,
-    )
-    inputs = [cfg.features, cfg.returns, cfg.universe, cfg.prices]
-    if args.config:
-        inputs.append(args.config)
-    write_manifest(out, "backtest", cfg.as_dict(), inputs)
+    with _writing(args.out) as out:
+        write_levels_csv(out / "levels.csv", result.series)
+        write_kpis_json(out / "kpis.json", result.reports)
+        write_calendar_csv(out / "calendar.csv", result.reports)
+        write_learning_y_csv(
+            out / "learning-y.csv",
+            result.series[POSITIVE],
+            result.series[BENCHMARK],
+            frozen_series,
+        )
+        inputs = [cfg.features, cfg.returns, cfg.universe, cfg.prices]
+        if args.config:
+            inputs.append(args.config)
+        write_manifest(out, "backtest", cfg.as_dict(), inputs)
     logger.info("backtest: %d reviews, %d learnings", len(result.reviews), len(result.learnings))
     return 0
+
+
+def to_float_list(cells) -> List[float]:
+    """panel.to_floats without numpy: it reads the same cells alike."""
+    return [float(cell) for cell in cells]
 
 
 def cmd_report(args) -> int:
@@ -453,13 +464,17 @@ def cmd_report(args) -> int:
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for columns, records in calendar.records():
-            excess = parse_columns(cal_path, records, *[(cells, to_floats) for cells in columns[1:]])
+            excess = parse_columns(
+                cal_path, records, *[(cells, to_float_list) for cells in columns[1:]]
+            )
             for i, year in enumerate(columns[0]):
                 cells = [year] + [f"{col[i]:.2%}" for col in excess]
                 lines.append("| " + " | ".join(cells) + " |")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        with _writing(out.parent):
+            out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -513,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each subcommand, and the modules of _LAZY_NAMES whose names it calls.
 _DISPATCH = {
-    "synth": (cmd_synth, ("synth",)),
-    "learn": (cmd_learn, ("backtest",)),
-    "score": (cmd_score, ("aggregate", "rules")),
-    "backtest": (cmd_backtest, ("backtest",)),
+    "synth": (cmd_synth, ("panel", "synth")),
+    "learn": (cmd_learn, ("panel", "backtest")),
+    "score": (cmd_score, ("panel", "aggregate", "rules")),
+    "backtest": (cmd_backtest, ("panel", "backtest")),
     "report": (cmd_report, ()),
 }
 
@@ -546,7 +561,7 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
         return 1
-    except DataError as exc:
+    except (DataError, OutputError) as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
         return 2
     except FileNotFoundError as exc:

@@ -2,8 +2,8 @@
 
 Two families matter to the CLI: validation errors (bad config or arguments,
 exit code 1) and data errors (inputs that exist but cannot be used, exit
-code 2). Everything derives from RuleScreenError so library users can catch
-one type.
+code 2). An output the CLI cannot write also exits 2. Everything derives
+from RuleScreenError so library users can catch one type.
 """
 
 
@@ -99,3 +99,7 @@ class InconsistentSpec(ValidationError):
 # cli
 class ConfigError(ValidationError):
     pass
+
+
+class OutputError(RuleScreenError):
+    """An output that cannot be written."""

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
-import io
-import itertools
 import json
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .csvio import BLOCK_ROWS, InputCsv, parse_columns
 from .errors import (
     BadSplitPoint,
     DuplicateRow,
     EmptyPanel,
-    InputChanged,
-    MalformedRow,
     NonPositiveModalities,
     SpecMismatch,
 )
@@ -313,48 +309,6 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 CACHE_DIR = ".rulescreen-cache"
 CACHE_FORMAT = 3
 
-# The sha256 of each CSV file an InputCsv has read, by the path it was read
-# from, so that manifest.json takes a CSV input's digest from here instead of
-# reading and hashing the file again. cli.run clears it before each run.
-read_digests: Dict[str, str] = {}
-
-# Records per block: InputCsv converts, and write_csv_columns formats, this
-# many records at a time, so only one block of cell strings is alive at once.
-BLOCK_ROWS = 4096
-
-# Bytes per read when sha256_of hashes an input file.
-READ_CHUNK = 1 << 20
-
-
-def sha256_of(fh) -> str:
-    """The one hash of an input file: the sha256 hex digest of the binary
-    stream fh, read READ_CHUNK bytes at a time. It keys the parse cache and
-    fills manifest.json's inputs; a cache miss checks the bytes it parses
-    against it (InputCsv.records)."""
-    digest = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(READ_CHUNK), b""):
-        digest.update(chunk)
-    return digest.hexdigest()
-
-
-class _Tap(io.RawIOBase):
-    """The binary file fh, read through: notes whether any byte read is NUL
-    and, given a hashlib `digest`, feeds it every byte read."""
-
-    def __init__(self, fh, digest=None):
-        self.fh, self.digest, self.nul = fh, digest, False
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.fh.readinto(buffer)
-        chunk = bytes(memoryview(buffer)[:n])
-        self.nul = self.nul or b"\0" in chunk
-        if self.digest is not None:
-            self.digest.update(chunk)
-        return n
-
 
 def cache_path(path) -> Path:
     """Where the parse cache of the input file `path` lives."""
@@ -408,108 +362,40 @@ def _write_cache(path: Path, key: str, arrays: Sequence[np.ndarray]) -> None:
 Converter = Callable[[List[str]], np.ndarray]
 
 
-class InputCsv:
-    """The one reader of the CSV files the program reads, in bounded memory.
-
-    The constructor streams the file through sha256_of, READ_CHUNK bytes at
-    a time, noting whether any byte is NUL (a unicode array drops trailing
-    NULs, so such a file is not cached), and then reads the header record
-    alone; it never holds the file's bytes. A header that header_ok rejects
-    raises SpecMismatch(header_error).
-
-    `records` reads the file again, BLOCK_ROWS records at a time, and hashes
-    the bytes as they stream: the digest that keys the cache and fills
-    manifest.json is that of the bytes parsed, or InputChanged is raised.
-    `parsed` gives the arrays a loader makes of the file, from the cache
-    beside it when the key matches, else by converting each block as it is
-    read, so a cache miss holds one block of cells at a time.
-    """
-
-    def __init__(self, path, header_ok: Callable[[List[str]], bool], header_error: str):
-        self.path = path
-        with open(path, "rb") as fh:
-            tap = _Tap(fh)
-            self.sha256 = read_digests[str(path)] = sha256_of(tap)
-        self.cacheable = not tap.nul
-        with open(path, newline="") as fh:
-            self.header = next(csv.reader(fh), None)
-        if self.header is None or not header_ok(self.header):
-            raise SpecMismatch(header_error)
-        # The column of each name; a repeated name means its last column.
-        self.index = {name: i for i, name in enumerate(self.header)}
-
-    def records(self) -> Iterator[Tuple[List[List[str]], List[int]]]:
-        """The file's records a block at a time: for each block of at most
-        BLOCK_ROWS records, one list of cells per header column and the line
-        number of each record. At least one block comes, and a block shorter
-        than BLOCK_ROWS is the last.
-
-        Every record must have exactly the header's cell count: a short, long
-        or blank record raises MalformedRow naming the file and line, once
-        the records before it in its block have been yielded, so a consumer
-        that converts each block in turn meets the earliest fault first.
-        Read to its end, a file whose bytes do not hash to self.sha256
-        raises InputChanged."""
-        width = len(self.header)
-        with open(self.path, "rb", buffering=0) as fh:
-            tap = _Tap(fh, hashlib.sha256())
-            reader = csv.reader(io.TextIOWrapper(io.BufferedReader(tap), newline=""))
-            next(reader, None)  # the header
-            while True:
-                columns, lines = [[] for _ in self.header], []
-                appends = [column.append for column in columns]
-                for row in itertools.islice(reader, BLOCK_ROWS):
-                    if len(row) != width:
-                        error = MalformedRow(
-                            f"{self.path}, line {reader.line_num}: "
-                            f"{len(row)} cells, header has {width}"
-                        )
-                        yield columns, lines
-                        raise error
-                    for append, cell in zip(appends, row):
-                        append(cell)
-                    lines.append(reader.line_num)
-                yield columns, lines
-                if len(lines) < BLOCK_ROWS:
-                    break
-        if tap.digest.hexdigest() != self.sha256:
-            raise InputChanged(
-                f"{self.path}: changed while it was read (sha256 {self.sha256} "
-                f"when looked up, {tap.digest.hexdigest()} when parsed)"
+def parsed(
+    source: InputCsv,
+    loader: str,
+    columns: Sequence[Tuple[int, Converter]],
+    finish: Callable[[List[np.ndarray], List[int]], List[np.ndarray]],
+) -> List[np.ndarray]:
+    """The arrays `loader` makes of the file `source` reads, from the cache
+    beside it when the key matches, else by converting each block of records
+    as it is read, so a cache miss holds one block of cells at a time: each
+    (column, converter) pair converted by parse_columns one block at a time,
+    the blocks joined and passed with the record line numbers to `finish`,
+    which checks the records and returns the arrays to keep. They are cached
+    only once `finish` has returned."""
+    key = " ".join(
+        [f"rulescreen-cache-{CACHE_FORMAT}", loader]
+        + [convert.__name__ for _, convert in columns]
+        + [source.sha256]
+    )
+    cache = cache_path(source.path)
+    arrays = _read_cache(cache, key) if source.cacheable else None
+    if arrays is None:
+        parts, lines = [[] for _ in columns], []
+        for cells, block_lines in source.records():
+            converted = parse_columns(
+                source.path, block_lines, *[(cells[i], f) for i, f in columns]
             )
-
-    def parsed(
-        self,
-        loader: str,
-        columns: Sequence[Tuple[int, Converter]],
-        finish: Callable[[List[np.ndarray], List[int]], List[np.ndarray]],
-    ) -> List[np.ndarray]:
-        """The arrays `loader` makes of this file: each (column, converter)
-        pair converted by parse_columns one block of records at a time, the
-        blocks joined and passed with the record line numbers to `finish`,
-        which checks the records and returns the arrays to keep. They are
-        cached only once `finish` has returned."""
-        key = " ".join(
-            [f"rulescreen-cache-{CACHE_FORMAT}", loader]
-            + [convert.__name__ for _, convert in columns]
-            + [self.sha256]
-        )
-        cache = cache_path(self.path)
-        arrays = _read_cache(cache, key) if self.cacheable else None
-        if arrays is None:
-            parts, lines = [[] for _ in columns], []
-            for cells, block_lines in self.records():
-                converted = parse_columns(
-                    self.path, block_lines, *[(cells[i], f) for i, f in columns]
-                )
-                for part, array in zip(parts, converted):
-                    part.append(array)
-                lines += block_lines
-            # Each column's blocks are let go as soon as they are joined.
-            arrays = finish([np.concatenate(parts.pop(0)) for _ in columns], lines)
-            if self.cacheable:
-                _write_cache(cache, key, arrays)
-        return arrays
+            for part, array in zip(parts, converted):
+                part.append(array)
+            lines += block_lines
+        # Each column's blocks are let go as soon as they are joined.
+        arrays = finish([np.concatenate(parts.pop(0)) for _ in columns], lines)
+        if source.cacheable:
+            _write_cache(cache, key, arrays)
+    return arrays
 
 
 def to_dates(cells) -> np.ndarray:
@@ -546,41 +432,6 @@ def to_strings(cells) -> np.ndarray:
 def to_filled(cells) -> np.ndarray:
     """bool column: whether each cell is non-empty."""
     return np.array(cells, dtype=object) != ""
-
-
-def _first_bad_cell(cells, convert) -> int:
-    """Index of the first cell of a column that `convert` rejects. A run of
-    cells converts only if each of its cells does, so halving the run that
-    holds the first bad cell finds it in about one column's worth of work."""
-    lo, hi = 0, len(cells)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            convert(cells[lo:mid])
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-def parse_columns(path, lines, *columns) -> List[np.ndarray]:
-    """Convert each (cells, converter) pair a whole column at a time. A cell
-    that does not parse raises MalformedRow naming the first record, in file
-    order, that holds one; only the columns that failed are searched."""
-    parsed, failed = [], []
-    for cells, convert in columns:
-        try:
-            parsed.append(convert(cells))
-        except ValueError:
-            failed.append((_first_bad_cell(cells, convert), cells, convert))
-    if failed:
-        i, cells, convert = min(failed, key=lambda bad: bad[0])
-        try:
-            convert(cells[i:i + 1])
-        except ValueError as exc:
-            raise MalformedRow(f"{path}, line {lines[i]}: {exc}") from None
-    return parsed
 
 
 def grid_keys(dates: np.ndarray, stock_ids):
@@ -640,7 +491,8 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
         return arrays
 
     convert = {NUMERIC: to_floats_or_nan, CATEGORICAL: to_labels}
-    dates, stock_ids, *feature_columns = source.parsed(
+    dates, stock_ids, *feature_columns = parsed(
+        source,
         "features",
         list(enumerate([to_dates, to_strings] + [convert[spec.kind] for spec in specs])),
         checked,
@@ -663,7 +515,8 @@ def load_returns_csv(path) -> Dict[tuple, float]:
         record_keys(path, lines, dates, stock_ids)
         return [dates[filled], stock_ids[filled], y[filled]]
 
-    dates, stock_ids, y = source.parsed(
+    dates, stock_ids, y = parsed(
+        source,
         "returns",
         [(0, to_dates), (1, to_strings), (2, to_floats_or_nan), (2, to_filled)],
         labeled,

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,6 +114,8 @@ def gaussian_quantile(alpha: float) -> float:
     alpha == 0 (or one too small to move 1 - alpha/2 off 1.0) asks for the
     quantile at 1, which is infinite; inv_cdf raises there, so q is inf.
     """
+    from statistics import NormalDist  # here, as `score` needs no threshold
+
     p = 1.0 - alpha / 2.0
     return np.inf if p == 1.0 else NormalDist().inv_cdf(p)
 

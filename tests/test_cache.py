@@ -8,13 +8,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from rulescreen import panel
+from rulescreen import csvio, panel
 from rulescreen.backtest import load_prices_csv, load_universe_csv
+from rulescreen.csvio import InputCsv
+from rulescreen.errors import DuplicateRow, MalformedRow
 from rulescreen.panel import (
     CACHE_DIR,
     CATEGORICAL,
     FeatureSpec,
-    InputCsv,
     cache_path,
     load_features_csv,
     load_returns_csv,
@@ -226,8 +227,8 @@ def test_input_with_nul_is_parsed_every_time(tmp_path):
 def small_blocks(monkeypatch, rows):
     """Blocks of `rows` records, and files hashed 16 bytes at a time, so
     that the small files here span several blocks and many hash chunks."""
-    monkeypatch.setattr(panel, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(panel, "READ_CHUNK", 16)
+    monkeypatch.setattr(csvio, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(csvio, "READ_CHUNK", 16)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -254,7 +255,7 @@ def test_records_come_in_blocks(tmp_path, monkeypatch):
     small_blocks(monkeypatch, 2)
     path = tmp_path / "calendar.csv"
     path.write_text('year,a\n2010,"1\n2"\n2011,3\n2012,4\n2013,5\n')
-    source = panel.InputCsv(path, lambda h: True, "")
+    source = InputCsv(path, lambda h: True, "")
     assert list(source.records()) == [
         ([["2010", "2011"], ["1\n2", "3"]], [3, 4]),
         ([["2012", "2013"], ["4", "5"]], [5, 6]),
@@ -282,7 +283,7 @@ def test_earliest_fault_is_reported_across_blocks(tmp_path, monkeypatch, cell_li
     path.write_text("".join(lines))
     line = min(cell_line, short_line)
     fault = "n/a" if line == cell_line else "3 cells, header has 4"
-    with pytest.raises(panel.MalformedRow, match=f"^{path}, line {line}: .*{fault}"):
+    with pytest.raises(MalformedRow, match=f"^{path}, line {line}: .*{fault}"):
         load_features_csv(path)
     assert not (tmp_path / CACHE_DIR).exists()
 
@@ -294,7 +295,7 @@ def test_repeated_key_across_blocks_names_the_later_line(tmp_path, monkeypatch):
         "date,stock_id,fwd_excess_return_3m\n"
         "2020-01-01,A,0.1\n2020-01-01,B,0.2\n2020-01-02,A,0.3\n2020-01-01,A,0.4\n"
     )
-    with pytest.raises(panel.DuplicateRow, match=f"^{path}, line 5: .*2020-01-01, A"):
+    with pytest.raises(DuplicateRow, match=f"^{path}, line 5: .*2020-01-01, A"):
         load_returns_csv(path)
     assert not (tmp_path / CACHE_DIR).exists()
 
@@ -303,7 +304,7 @@ def test_nul_in_a_later_block_disables_the_cache(tmp_path, monkeypatch):
     small_blocks(monkeypatch, 2)
     path = tmp_path / "features.csv"
     path.write_text(FEATURES.replace("Ωmega", "Ω\0"), encoding="utf-8")
-    assert path.read_bytes().index(b"\0") > 4 * panel.READ_CHUNK
+    assert path.read_bytes().index(b"\0") > 4 * csvio.READ_CHUNK
     for _ in range(2):
         raw, _ = load_features_csv(path, specs=SPECS)
         assert raw.stock_ids.tolist() == ["A,1", 'B "q"', "A,1", "Ω\0"]
@@ -315,7 +316,7 @@ def test_cold_load_memory_grows_with_one_block_not_the_file(tmp_path):
     file adds about its arrays to the traced peak, not its bytes and cells.
     The bound is fixed at 2.0 times the growth of the file; a parse that
     holds every cell until the end grows about 5.5 times."""
-    n = 2 * panel.BLOCK_ROWS
+    n = 2 * csvio.BLOCK_ROWS
     rng = np.random.default_rng(0)
     peaks, sizes = [], []
     for records in (n, 2 * n):

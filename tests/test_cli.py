@@ -4,6 +4,7 @@ synth -> learn -> score -> backtest -> report pipeline."""
 import csv
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -412,15 +413,15 @@ def test_manifest_hashes_inputs(pipeline):
 def test_learn_hashes_each_input_once(pipeline, tmp_path, monkeypatch):
     """manifest.json takes a CSV input's digest from its loader, so a learn
     run hashes each of its three input files exactly once."""
-    from rulescreen import cli, panel
+    from rulescreen import cli, csvio
 
     hashed = []
 
-    def counted(fh, sha256_of=panel.sha256_of):
+    def counted(fh, sha256_of=csvio.sha256_of):
         hashed.append(sha256_of(fh))
         return hashed[-1]
 
-    monkeypatch.setattr(panel, "sha256_of", counted)
+    monkeypatch.setattr(csvio, "sha256_of", counted)
     monkeypatch.setattr(cli, "sha256_of", counted)
     inputs = [pipeline["data"] / "features.csv", pipeline["data"] / "returns.csv", pipeline["cfg"]]
     assert run([
@@ -437,14 +438,14 @@ def test_cold_learn_hashes_each_csv_again_as_it_parses(pipeline, tmp_path, monke
     sha256_of, for the cache key and the manifest, and once as its records
     stream through the parse, which checks that the bytes parsed are the
     bytes looked up. The config is hashed once, through sha256_of."""
-    from rulescreen import cli, panel
+    from rulescreen import cli, csvio
 
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     shutil.rmtree(data / CACHE_DIR)
     through_sha256_of, hashers = [], []
 
-    def counted(fh, sha256_of=panel.sha256_of):
+    def counted(fh, sha256_of=csvio.sha256_of):
         through_sha256_of.append(sha256_of(fh))
         return through_sha256_of[-1]
 
@@ -452,9 +453,9 @@ def test_cold_learn_hashes_each_csv_again_as_it_parses(pipeline, tmp_path, monke
         hashers.append(hashlib.sha256())
         return hashers[-1]
 
-    monkeypatch.setattr(panel, "sha256_of", counted)
+    monkeypatch.setattr(csvio, "sha256_of", counted)
     monkeypatch.setattr(cli, "sha256_of", counted)
-    monkeypatch.setattr(panel, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(csvio, "hashlib", SimpleNamespace(sha256=sha256))
     features, returns = data / "features.csv", data / "returns.csv"
     assert run([
         "learn", "--panel", str(features), "--returns", str(returns),
@@ -474,7 +475,7 @@ def test_input_changed_between_hash_and_parse_exits_two(pipeline, tmp_path, monk
     """The digest that keys the cache and fills manifest.json is that of the
     bytes parsed: a features.csv rewritten after its lookup hash exits 2
     with InputChanged and leaves no cache and no temporary file."""
-    from rulescreen import panel
+    from rulescreen import csvio
 
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -485,13 +486,13 @@ def test_input_changed_between_hash_and_parse_exits_two(pipeline, tmp_path, monk
     cells[2] = "0.0"  # a well-formed record of another value
     changed = "".join(lines[:1] + [",".join(cells)] + lines[2:])
 
-    def then_rewrite(fh, sha256_of=panel.sha256_of):
+    def then_rewrite(fh, sha256_of=csvio.sha256_of):
         digest = sha256_of(fh)
         if fh.fh.name == str(features):
             features.write_text(changed)
         return digest
 
-    monkeypatch.setattr(panel, "sha256_of", then_rewrite)
+    monkeypatch.setattr(csvio, "sha256_of", then_rewrite)
     out = tmp_path / "learn"
     assert run([
         "learn", "--panel", str(features), "--returns", str(data / "returns.csv"),
@@ -504,27 +505,30 @@ def test_input_changed_between_hash_and_parse_exits_two(pipeline, tmp_path, monk
     assert not (out / "manifest.json").exists()
 
 
-CLI_MODULES ={"rulescreen", "rulescreen.cli", "rulescreen.errors", "rulescreen.panel"}
-ENGINE_MODULES = {"rulescreen.aggregate", "rulescreen.rules", "rulescreen.rulegen",
-                  "rulescreen.backtest"}
+CLI_MODULES = {"rulescreen", "rulescreen.cli", "rulescreen.errors", "rulescreen.csvio"}
+ENGINE_MODULES = {"rulescreen.panel", "rulescreen.aggregate", "rulescreen.rules",
+                  "rulescreen.rulegen", "rulescreen.backtest"}
 # The rulescreen modules a fresh process loads: for `import rulescreen`, for
 # `import rulescreen.cli`, and for each stage run through the cli.
 STAGE_MODULES = {
     "package": {"rulescreen"},
     "cli": CLI_MODULES,
     "print-config": CLI_MODULES | ENGINE_MODULES,
-    "synth": CLI_MODULES | {"rulescreen.rules", "rulescreen.synth"},
+    "synth": CLI_MODULES | {"rulescreen.panel", "rulescreen.rules", "rulescreen.synth"},
     "learn": CLI_MODULES | ENGINE_MODULES,
-    "score": CLI_MODULES | {"rulescreen.aggregate", "rulescreen.rules"},
+    "score": CLI_MODULES | {"rulescreen.panel", "rulescreen.aggregate", "rulescreen.rules"},
     "backtest": CLI_MODULES | ENGINE_MODULES,
     "report": CLI_MODULES,
 }
+# The stages that start without numpy.
+NO_NUMPY_STAGES = {"package", "cli", "report"}
 
 
 @pytest.mark.parametrize("stage", list(STAGE_MODULES))
 def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
     """Each stage imports the modules it runs and no others, and none of
-    them imports scipy."""
+    them imports scipy. `import rulescreen`, `import rulescreen.cli` and
+    `report` load no numpy, and `score` loads no statistics."""
     data, learned = pipeline["data"], pipeline["learn"]
     argv = {
         "print-config": ["--print-config"],
@@ -553,6 +557,9 @@ def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "scipy" not in loaded
     assert {m for m in loaded if m.split(".")[0] == "rulescreen"} == STAGE_MODULES[stage]
+    assert ("numpy" in loaded) == (stage not in NO_NUMPY_STAGES)
+    if stage == "score":
+        assert "statistics" not in loaded
 
 
 def test_scores_schema(pipeline):
@@ -861,6 +868,59 @@ def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):
     path.write_text("year,Benchmark\n2010,0.0\n2011,abc\n")
     assert run(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "r.md")]) == 2
     assert f"MalformedRow: {path}, line 3:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+# Cells that numpy's string-to-float64 and float read alike: accepted with
+# the same value, or both rejected.
+FLOAT_CELLS = ["1_0", " 2.5 ", "nan", "-inf", "1e5", "", "abc", "0x10", "infinity",
+               "+nan", "١٢", "-0.0", "1e400", "1__0", "1,5", "0.1"]
+
+
+@pytest.mark.parametrize("cell", FLOAT_CELLS)
+def test_report_converter_reads_cells_as_to_floats(cell):
+    """report reads calendar.csv with float instead of panel.to_floats, so
+    that it runs without numpy; both accept the same cells, as the same
+    values, and reject the others with the same message."""
+    from rulescreen.cli import to_float_list
+    from rulescreen.panel import to_floats
+
+    try:
+        expected = to_floats([cell]).tolist()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            to_float_list([cell])
+    else:
+        got = to_float_list([cell])
+        assert [type(v) for v in got] == [float]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_report_out_creates_its_directory(pipeline, tmp_path):
+    """report --out into a directory that does not exist yet creates it,
+    as learn, score, synth and backtest do, and writes the same text."""
+    out = tmp_path / "new" / "dir" / "report.md"
+    assert run(["report", "--dir", str(pipeline["bt"]), "--out", str(out)]) == 0
+    assert out.read_text() == pipeline["report"].read_text()
+
+
+@pytest.mark.parametrize("stage", ["report", "learn"])
+def test_unwritable_output_is_not_a_missing_input(pipeline, tmp_path, caplog, stage):
+    """An output under a path whose directory is a regular file exits 2
+    with OutputError naming it, not as a missing input and not with a
+    traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file where the output directory goes")
+    data = pipeline["data"]
+    argv = {
+        "report": ["report", "--dir", str(pipeline["bt"]), "--out", str(blocker / "r.md")],
+        "learn": ["learn", "--panel", str(data / "features.csv"),
+                  "--returns", str(data / "returns.csv"), "--config", str(pipeline["cfg"]),
+                  "--out", str(blocker / "rules.json")],
+    }[stage]
+    assert run(argv) == 2
+    assert f"OutputError: cannot write to {blocker}" in caplog.text
+    assert "missing input" not in caplog.text
     assert "Traceback" not in caplog.text
 
 
