@@ -225,6 +225,13 @@ def describe(rule: Rule, feature_ids: Sequence[str]) -> str:
     )
 
 
+def _finite(value, name: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 @dataclass
 class RuleSet:
     """Covering set of rules frozen at a learning date."""
@@ -279,9 +286,12 @@ class RuleSet:
     def from_json(
         cls, text: str, feature_ids: Sequence[str], n_codes: Sequence[int]
     ) -> "RuleSet":
+        """Read a ruleset written by to_json. A prediction or global_mean
+        that is not finite raises ValueError: it would make every score NaN."""
         blob = json.loads(text)
         index = {f: k for k, f in enumerate(feature_ids)}
-        means = [float(entry["global_mean"]) for entry in blob if "global_mean" in entry]
+        means = [_finite(entry["global_mean"], "global_mean") for entry in blob
+                 if "global_mean" in entry]
         # Files written before the learning-set mean was stored: the default
         # (full-space) rule predicts it, when there is one.
         global_mean = means[-1] if means else next(
@@ -304,7 +314,7 @@ class RuleSet:
                     )
                 intervals.append(Interval(k, lo, hi))
             learned_at = np.datetime64(entry["learned_at"], "D")
-            prediction = float(entry["prediction"])
+            prediction = _finite(entry["prediction"], "prediction")
             rules.append(
                 Rule(
                     condition=Condition(tuple(intervals)),

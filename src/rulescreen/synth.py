@@ -12,12 +12,14 @@ overlap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InconsistentSpec
+from .errors import InconsistentSpec, SpecMismatch
 from .panel import (
     SCORE_LAG_DAYS,
     FeatureSpec,
@@ -64,17 +66,33 @@ class SynthSpec:
     sector_feature: int = 0
 
     def validate(self) -> None:
+        """Raise InconsistentSpec unless the spec names one reproducible
+        market: integer counts, a fixed non-negative seed, finite noise and
+        effects, and dates that parse."""
+        for name in ("n_stocks", "n_dates", "d", "m", "seed", "horizon_days", "sector_feature"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InconsistentSpec(f"{name} must be an integer, got {value!r}")
         if min(self.n_stocks, self.n_dates, self.d, self.m) < 1:
             raise InconsistentSpec("n_stocks, n_dates, d, m must be positive")
         if self.m < 2:
             raise InconsistentSpec("m must be >= 2")
-        if self.noise_sigma < 0:
-            raise InconsistentSpec("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InconsistentSpec(f"seed must be >= 0, got {self.seed}")
+        if not _is_finite(self.noise_sigma) or self.noise_sigma < 0:
+            raise InconsistentSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.horizon_days < 1:
             raise InconsistentSpec("horizon_days must be >= 1")
+        _check_day("start", self.start)
+        if self.regime_shift is not None:
+            _check_day("regime_shift date", self.regime_shift[0])
         for planted in self._all_planted():
+            if not _is_finite(planted.effect):
+                raise InconsistentSpec(f"planted effect must be finite, got {planted.effect!r}")
             for iv in planted.condition.intervals:
-                if iv.feature_index >= self.d:
+                if not all(_is_int(v) for v in (iv.feature_index, iv.lo, iv.hi)):
+                    raise InconsistentSpec(f"planted interval {iv} must hold integers")
+                if not 0 <= iv.feature_index < self.d:
                     raise InconsistentSpec(
                         f"planted condition references feature {iv.feature_index}, d={self.d}"
                     )
@@ -82,7 +100,7 @@ class SynthSpec:
                     raise InconsistentSpec(
                         f"planted interval [{iv.lo},{iv.hi}] outside modality grid"
                     )
-        if not isinstance(self.sector_feature, int) or not 0 <= self.sector_feature < self.d:
+        if not 0 <= self.sector_feature < self.d:
             raise InconsistentSpec(
                 f"sector_feature must be an int in [0, d={self.d}), got {self.sector_feature!r}"
             )
@@ -92,6 +110,28 @@ class SynthSpec:
         if self.regime_shift is not None:
             out.extend(self.regime_shift[1])
         return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_day(name: str, value) -> None:
+    """Raise InconsistentSpec unless value is an ISO date string."""
+    try:
+        day = np.datetime64(value, "D") if isinstance(value, str) else None
+    except ValueError:
+        day = None
+    if day is None or np.isnat(day):
+        raise InconsistentSpec(f"{name} must be an ISO date, got {value!r}")
 
 
 def parse_synth_spec(blob: Dict) -> SynthSpec:
@@ -106,22 +146,21 @@ def parse_synth_spec(blob: Dict) -> SynthSpec:
 
     def parse_rule(entry) -> PlantedRule:
         intervals = tuple(
-            Interval(int(iv["feature_index"]), int(iv["lo"]), int(iv["hi"]))
-            for iv in entry["intervals"]
+            Interval(iv["feature_index"], iv["lo"], iv["hi"]) for iv in entry["intervals"]
         )
-        return PlantedRule(condition=Condition(intervals), effect=float(entry["effect"]))
+        return PlantedRule(condition=Condition(intervals), effect=entry["effect"])
 
     try:
         kwargs = dict(blob, planted=[parse_rule(e) for e in blob.get("planted", [])])
         shift = blob.get("regime_shift")
         if shift is not None:
             kwargs["regime_shift"] = (
-                str(shift["date"]),
+                shift["date"],
                 [parse_rule(e) for e in shift.get("replacement", [])],
             )
         spec = SynthSpec(**kwargs)
         spec.validate()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, SpecMismatch) as exc:
         raise InconsistentSpec(f"bad synth spec: {exc!r}") from None
     return spec
 
@@ -143,12 +182,22 @@ class SynthData:
     spec: SynthSpec
     specs: List[FeatureSpec]
     panel: RawPanel
-    true_modalities: np.ndarray  # aligned with panel rows
+    block_modalities: np.ndarray  # (n_stocks, n_blocks, d) true modality per block
     universe: List[UniverseRow]
     price_dates: np.ndarray
     price_stock_ids: List[str]
     price_returns: np.ndarray  # (n_dates, n_stocks) daily total returns
     review_dates: np.ndarray
+
+    @cached_property
+    def true_modalities(self) -> np.ndarray:
+        """(rows, d) int64 true modalities aligned with panel rows: row
+        i * n_stocks + s holds stock s's block modalities on day i. Derived
+        from block_modalities on first access, so it never follows edits
+        to panel.columns."""
+        block_of_day = np.arange(len(self.price_dates)) // self.spec.horizon_days
+        mods = self.block_modalities.swapaxes(0, 1)[block_of_day]  # (n_dates, n_stocks, d)
+        return mods.reshape(-1, mods.shape[-1])
 
 
 def business_day_grid(start, n_dates: int) -> np.ndarray:
@@ -222,14 +271,8 @@ def generate(spec: SynthSpec) -> SynthData:
     labeled_blocks = block_starts[block_starts + H < D]
     rows_dates = np.repeat(dates, S)
     rows_stocks = np.tile(np.array(stock_ids, dtype=object), D)
-    day_block = block_of_day
-    columns = []
-    for k in range(spec.d):
-        col_matrix = raw_blocks[:, day_block, k]  # (S, D)
-        columns.append(col_matrix.T.reshape(-1).astype(np.float64))
-    true_mods = np.empty((D * S, spec.d), dtype=np.int64)
-    for k in range(spec.d):
-        true_mods[:, k] = mod_blocks[:, day_block, k].T.reshape(-1)
+    # One (D, S) allocation per feature column, read date-major.
+    columns = [raw_blocks[:, :, k].T[block_of_day].reshape(-1) for k in range(spec.d)]
     y_rows = np.full(D * S, np.nan, dtype=np.float64)
     labeled_set = set(int(i) for i in labeled_blocks)
     for b, i0 in enumerate(block_starts):
@@ -268,7 +311,7 @@ def generate(spec: SynthSpec) -> SynthData:
         spec=spec,
         specs=specs,
         panel=panel,
-        true_modalities=true_mods,
+        block_modalities=mod_blocks,
         universe=universe,
         price_dates=dates,
         price_stock_ids=stock_ids,

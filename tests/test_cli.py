@@ -642,6 +642,14 @@ def whole(blob):
     return blob
 
 
+def first_rule(rules):
+    return rules[0]
+
+
+def last_rule(rules):
+    return rules[-1]
+
+
 def first_interval(rules):
     return next(entry for entry in rules if entry["intervals"])["intervals"][0]
 
@@ -687,6 +695,13 @@ BAD_JSON_CASES = {
                               ("SpecMismatch", "rules.json", "'zz'")),
     "rules_interval_above_codes": ("learn/rules.json", edited(first_interval, "hi", 99), 2,
                                    ("SpecMismatch", "rules.json")),
+    # A prediction or learning-set mean that is not finite would make every
+    # score NaN.
+    **{f"rules_{key}_{name}": ("learn/rules.json", edited(pick, key, value), 2,
+                               ("SpecMismatch", "rules.json", key))
+       for key, pick in (("prediction", first_rule), ("global_mean", last_rule))
+       for name, value in (("nan", float("nan")), ("inf", float("inf")),
+                           ("minus_inf", -float("inf")))},
     "discretizer_edges_descending": ("learn/discretizer.json",
                                      edited(first_numeric, "edges", lambda e: e[::-1]), 2,
                                      ("SpecMismatch", "discretizer.json")),
@@ -748,6 +763,46 @@ def test_malformed_json_or_asof_exits_without_traceback(pipeline, tmp_path, case
     assert proc.returncode == code, proc.stderr
     assert all(part in proc.stderr for part in expected), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scores.csv").exists()
+
+
+# A path into SPEC_BLOB and a value that makes the spec malformed there:
+# each would end `synth` in a traceback, or in a market that its spec does
+# not pin (an OS-entropy seed, NaN labels, a fraction truncated to an int).
+BAD_SPEC_VALUES = {
+    "seed_negative": (("seed",), -1),
+    "seed_fraction": (("seed",), 1.5),
+    "seed_string": (("seed",), "x"),
+    "seed_null": (("seed",), None),
+    "seed_bool": (("seed",), True),
+    "n_stocks_fraction": (("n_stocks",), 2.5),
+    "n_dates_float": (("n_dates",), 1e9),
+    "start_not_a_date": (("start",), "notadate"),
+    "shift_date_not_a_date": (("regime_shift",), {"date": "bad", "replacement": []}),
+    "sector_feature_bool": (("sector_feature",), True),
+    "noise_sigma_nan": (("noise_sigma",), float("nan")),
+    "effect_nan": (("planted", 0, "effect"), float("nan")),
+    "feature_index_fraction": (("planted", 0, "intervals", 0, "feature_index"), 0.5),
+    "lo_fraction": (("planted", 1, "intervals", 0, "lo"), 1.5),
+    "hi_fraction": (("planted", 0, "intervals", 0, "hi"), 0.5),
+    "lo_above_hi": (("planted", 1, "intervals", 0, "lo"), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_VALUES))
+def test_malformed_synth_spec_exits_one(tmp_path, caplog, case):
+    path, value = BAD_SPEC_VALUES[case]
+    blob = json.loads(json.dumps(SPEC_BLOB))
+    target = blob
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(blob))
+    assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("InconsistentSpec: "), errors
+    assert not (tmp_path / "data").exists()
 
 
 # ---------------------------------------------------------------------------

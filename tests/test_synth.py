@@ -1,5 +1,8 @@
 """Synthetic market generator: ground truth must be exactly recoverable."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,14 @@ def base_spec(**kw):
     return SynthSpec(**kw)
 
 
+def regime_market_spec():
+    """The shape of the benchmark's regime markets: 40 stocks x 7 years x
+    d=6, with a planted rule that flips sign on 2012-01-03."""
+    return base_spec(n_stocks=40, n_dates=1764, d=6, m=5, horizon_days=63, seed=3,
+                     planted=[PlantedRule(C((0, 0, 1)), 0.05)],
+                     regime_shift=("2012-01-03", [PlantedRule(C((0, 0, 1)), -0.05)]))
+
+
 def test_business_day_grid_skips_weekends():
     dates = business_day_grid("2020-01-03", 4)
     assert dates.tolist() == [np.datetime64(s) for s in
@@ -54,6 +65,39 @@ def test_month_end_reviews():
 def test_true_modality_floor_and_clamp():
     raw = np.array([0.0, 0.19, 0.2, 0.99, 1.0])
     assert true_modality(raw, 5).tolist() == [0, 0, 1, 4, 4]
+
+
+def test_true_modalities_bin_the_raw_feature_values():
+    """Ground truth is the generator's, so it does not follow a column
+    recoded in place before its first access."""
+    spec = regime_market_spec()
+    data = generate(spec)
+    raw = np.column_stack(data.panel.columns)
+    data.panel.columns[0][:] = 0.0
+    assert data.true_modalities.dtype == np.int64
+    assert data.true_modalities.shape == (data.panel.n, spec.d)
+    np.testing.assert_array_equal(data.true_modalities, true_modality(raw, spec.m))
+
+
+def test_generate_keeps_no_per_row_ground_truth():
+    """What generate leaves allocated beyond the panel, the price grid and
+    the universe is less than one (rows x d) int64 matrix: ground truth is
+    kept per block, not per panel row."""
+    spec = regime_market_spec()
+    generate(spec)  # lazy imports and caches stay out of the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = generate(spec)
+        for name in ("panel", "price_dates", "price_stock_ids", "price_returns",
+                     "review_dates", "universe"):
+            setattr(data, name, None)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < spec.n_stocks * spec.n_dates * spec.d * 8
 
 
 def test_same_seed_reproduces_byte_identical_files(tmp_path):
@@ -199,6 +243,40 @@ def test_invalid_specs_rejected():
         base_spec(sector_feature=99).validate()
     with pytest.raises(InconsistentSpec):
         base_spec(planted=[PlantedRule(C((0, 0, 9)), 0.05)]).validate()
+
+
+# Spec fields that would raise deep inside generate, or build a market that
+# the spec does not pin.
+MALFORMED_SPECS = {
+    "seed_negative": {"seed": -1},
+    "seed_fraction": {"seed": 1.5},
+    "seed_none": {"seed": None},
+    "seed_bool": {"seed": True},
+    "n_stocks_fraction": {"n_stocks": 2.5},
+    "n_dates_float": {"n_dates": 1e9},
+    "sector_feature_bool": {"sector_feature": True},
+    "start_not_a_date": {"start": "notadate"},
+    "start_nat": {"start": "NaT"},
+    "shift_date_not_a_date": {"regime_shift": ("bad", [])},
+    "noise_sigma_nan": {"noise_sigma": float("nan")},
+    "noise_sigma_inf": {"noise_sigma": float("inf")},
+    "effect_nan": {"planted": [PlantedRule(C((0, 0, 1)), float("nan"))]},
+    "feature_index_fraction": {"planted": [PlantedRule(C((0.5, 0, 1)), 0.05)]},
+    "feature_index_negative": {"planted": [PlantedRule(C((-1, 0, 1)), 0.05)]},
+    "hi_fraction": {"planted": [PlantedRule(C((0, 0, 1.5)), 0.05)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_generate_refuses_malformed_specs(case):
+    with pytest.raises(InconsistentSpec):
+        generate(base_spec(**MALFORMED_SPECS[case]))
+
+
+def test_numpy_integers_make_the_same_market():
+    a = generate(base_spec(seed=4))
+    b = generate(base_spec(seed=np.int64(4), n_stocks=np.int32(8), sector_feature=np.uint8(0)))
+    np.testing.assert_array_equal(a.price_returns, b.price_returns)
 
 
 def test_ruinous_planted_effect_rejected():
