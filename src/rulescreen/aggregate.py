@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteLoss, SpecMismatch
-from .rules import RuleSet
+from .rules import RuleSet, json_int
 
 def squared_loss(p, y):
     """Squared loss of scalars or broadcastable arrays. float_power calls C
@@ -80,7 +80,7 @@ class AggregationState:
         for name, values in (("weights", weights), ("eta", eta), ("epsilon", epsilon)):
             if not np.all(np.isfinite(values) & (np.asarray(values) >= 0.0)):
                 raise ValueError(f"{name} must be finite and non-negative")
-        return cls(weights=weights, eta=eta, epsilon=epsilon, step=int(blob["step"]))
+        return cls(weights=weights, eta=eta, epsilon=epsilon, step=json_int(blob["step"], "step"))
 
 
 def init_state(

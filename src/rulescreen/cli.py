@@ -299,7 +299,10 @@ def _writing(directory):
 def cmd_synth(args) -> int:
     blob = _parse_file(args.spec, json.loads, InconsistentSpec)
     spec = parse_synth_spec(blob)
-    data = generate(spec)
+    try:
+        data = generate(spec)
+    except MemoryError:
+        raise InconsistentSpec(f"the market of {args.spec} does not fit in memory") from None
     with _writing(args.out) as out:
         write_features_csv(out / "features.csv", data.panel, data.specs)
         write_returns_csv(out / "returns.csv", data.panel)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -547,18 +548,36 @@ def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
     return replace(panel, y=y)
 
 
+def _cells_by_value(values: np.ndarray, texts: Callable) -> List[str]:
+    """The texts of each distinct value of a numeric or date array, keyed by
+    bit pattern (-0.0 and 0.0 apart, as are NaN payloads), mapped to the cells."""
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array(texts(distinct.view(values.dtype)), dtype=object)[inverse].tolist()
+
+
 def float_cells(values) -> List[str]:
-    """Each value as its shortest round-trip decimal (repr)."""
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+    """Each value as its shortest round-trip decimal (repr); each distinct
+    value, by bit pattern, is formatted once."""
+    values = np.asarray(values, dtype=np.float64)
+    return _cells_by_value(values, lambda v: list(map(repr, v.tolist())))
 
 
 def finite_float_cells(values) -> List[str]:
-    """float_cells with a non-finite value as an empty cell (see to_floats_or_nan)."""
-    return [c if ok else "" for c, ok in zip(float_cells(values), np.isfinite(values).tolist())]
+    """float_cells, each distinct value formatted once by bit pattern, with a
+    non-finite value as an empty cell (see to_floats_or_nan)."""
+    values = np.asarray(values, dtype=np.float64)
+    return _cells_by_value(
+        values, lambda v: [repr(x) if math.isfinite(x) else "" for x in v.tolist()]
+    )
 
 
 def str_cells(values) -> List[str]:
-    """Each value as str, with None as an empty cell (see to_labels)."""
+    """Each value as str, with None as an empty cell (see to_labels). Each
+    distinct value of a numeric or date array, by bit pattern, is formatted
+    once; other values one by one, as 1, 1.0 and True are equal but print apart."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biufmM":
+        texts = np.datetime_as_string if values.dtype.kind == "M" else lambda v: list(map(str, v))
+        return _cells_by_value(values, texts)
     return ["" if v is None else str(v) for v in values]
 
 
@@ -566,7 +585,8 @@ def write_csv_columns(path, header: Sequence[str], *columns) -> None:
     """The one writer of the CSV outputs, the counterpart of InputCsv.records
     and parse_columns: write `header`, then one record per position of the
     (values, to_cells) columns, formatted and written a block of BLOCK_ROWS
-    records at a time, as InputCsv reads them."""
+    records at a time, as InputCsv reads them. Each distinct numeric or date
+    value of a block is formatted once, by bit pattern."""
     n = len(columns[0][0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -232,6 +232,13 @@ def _finite(value, name: str) -> float:
     return x
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field; a bool or a float raises ValueError, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class RuleSet:
     """Covering set of rules frozen at a learning date."""
@@ -304,7 +311,8 @@ class RuleSet:
             for iv in entry["intervals"]:
                 if iv["feature_id"] not in index:
                     raise SpecMismatch(f"unknown feature_id {iv['feature_id']!r}")
-                k, lo, hi = index[iv["feature_id"]], int(iv["lo"]), int(iv["hi"])
+                k = index[iv["feature_id"]]
+                lo, hi = json_int(iv["lo"], "lo"), json_int(iv["hi"], "hi")
                 # A code outside 0..n_codes-1 never comes out of the
                 # discretizer; lo < 0 would let a missing value activate.
                 if lo < 0 or hi >= n_codes[k]:
@@ -319,7 +327,7 @@ class RuleSet:
                 Rule(
                     condition=Condition(tuple(intervals)),
                     prediction=prediction,
-                    activations=int(entry["activations"]),
+                    activations=json_int(entry["activations"], "activations"),
                     # The schema does not carry signs; recover them against
                     # the learning-set mean, as the search set them.
                     sign=int(np.sign(prediction - global_mean)),

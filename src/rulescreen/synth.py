@@ -68,7 +68,8 @@ class SynthSpec:
     def validate(self) -> None:
         """Raise InconsistentSpec unless the spec names one reproducible
         market: integer counts, a fixed non-negative seed, finite noise and
-        effects, and dates that parse."""
+        effects, and dates that parse, with a grid that ends by 9999-12-31
+        (counted, not built: a later date has no four-digit ISO form)."""
         for name in ("n_stocks", "n_dates", "d", "m", "seed", "horizon_days", "sector_feature"):
             value = getattr(self, name)
             if not _is_int(value):
@@ -84,6 +85,9 @@ class SynthSpec:
         if self.horizon_days < 1:
             raise InconsistentSpec("horizon_days must be >= 1")
         _check_day("start", self.start)
+        first = np.busday_offset(np.datetime64(self.start, "D"), 0, roll="forward")
+        if np.busday_count(first, np.datetime64("10000-01-01")) < self.n_dates:
+            raise InconsistentSpec(f"n_dates={self.n_dates} from {self.start} runs past 9999-12-31")
         if self.regime_shift is not None:
             _check_day("regime_shift date", self.regime_shift[0])
         for planted in self._all_planted():
@@ -324,7 +328,7 @@ def write_universe_csv(path, universe: List[UniverseRow]) -> None:
     write_csv_columns(
         path,
         ["date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"],
-        ([row.date for row in universe], str_cells),
+        (np.array([row.date for row in universe], dtype="datetime64[D]"), str_cells),
         ([row.stock_id for row in universe], str_cells),
         ([row.cap_weight for row in universe], float_cells),
         ([row.sector for row in universe], str_cells),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import rulescreen
+from rulescreen import cli, synth
 from rulescreen.backtest import (
     WalkForwardConfig,
     load_prices_csv,
@@ -654,6 +655,10 @@ def first_interval(rules):
     return next(entry for entry in rules if entry["intervals"])["intervals"][0]
 
 
+def first_interval_past_zero(rules):
+    return next(iv for entry in rules for iv in entry["intervals"] if iv["hi"] >= 1)
+
+
 def first_numeric(discretizer):
     return next(entry for entry in discretizer.values() if entry["kind"] == "numeric")
 
@@ -695,6 +700,17 @@ BAD_JSON_CASES = {
                               ("SpecMismatch", "rules.json", "'zz'")),
     "rules_interval_above_codes": ("learn/rules.json", edited(first_interval, "hi", 99), 2,
                                    ("SpecMismatch", "rules.json")),
+    # An integer field that is not a JSON integer is refused, not truncated
+    # into a valid interval, count or step.
+    "rules_hi_fraction": ("learn/rules.json", edited(first_interval, "hi", lambda h: h + 0.5), 2,
+                          ("SpecMismatch", "rules.json", "hi")),
+    "rules_lo_bool": ("learn/rules.json", edited(first_interval_past_zero, "lo", True), 2,
+                      ("SpecMismatch", "rules.json", "lo")),
+    "rules_activations_fraction": ("learn/rules.json",
+                                   edited(first_rule, "activations", lambda a: a + 0.5), 2,
+                                   ("SpecMismatch", "rules.json", "activations")),
+    "state_step_fraction": ("learn/state.json", edited(whole, "step", lambda k: k + 0.5), 2,
+                            ("SpecMismatch", "state.json", "step")),
     # A prediction or learning-set mean that is not finite would make every
     # score NaN.
     **{f"rules_{key}_{name}": ("learn/rules.json", edited(pick, key, value), 2,
@@ -802,6 +818,33 @@ def test_malformed_synth_spec_exits_one(tmp_path, caplog, case):
     assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].startswith("InconsistentSpec: "), errors
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_grid_past_9999_is_refused_unallocated(tmp_path, caplog, monkeypatch):
+    """A grid of 10**12 business days is counted, not built: the spec is
+    refused before business_day_grid could allocate it."""
+    monkeypatch.setattr(synth, "business_day_grid", None)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(SPEC_BLOB, n_dates=10**12)))
+    assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("InconsistentSpec: "), errors
+    assert "9999-12-31" in errors[0]
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_out_of_memory_exits_one(tmp_path, caplog, monkeypatch):
+    def generate(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate", generate)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_BLOB))
+    assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("InconsistentSpec: "), errors
+    assert "memory" in errors[0]
     assert not (tmp_path / "data").exists()
 
 

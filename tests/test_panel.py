@@ -1,10 +1,13 @@
 """Discretization and panel plumbing."""
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulescreen.errors import (
@@ -23,11 +26,15 @@ from rulescreen.panel import (
     apply_discretizer,
     attach_returns,
     empirical_quantile,
+    finite_float_cells,
     fit_discretizer,
+    float_cells,
     load_features_csv,
     load_returns_csv,
     record_keys,
     split,
+    str_cells,
+    write_csv_columns,
     write_features_csv,
     write_returns_csv,
 )
@@ -408,3 +415,104 @@ def test_record_keys_do_not_depend_on_record_order():
     assert base[1] == sorted(set(ids)) == ["A", "A\0", "S10", "S2", "Ω"]
     for _ in range(5):
         assert coordinates(rng.permutation(len(ids))) == base
+
+
+# ---------------------------------------------------------------------------
+# cell formatters: each distinct value once, the same text as value by value
+
+def _float64(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# ±0.0, a quiet NaN and a second NaN payload, ±inf, the least subnormal,
+# a large finite value and one that is not a short binary fraction.
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), _float64(0x7FF8000000000001), float("inf"),
+                  -float("inf"), 5e-324, 1e300, 0.1]
+SPECIAL_BITS = [int(np.float64(v).view(np.uint64)) for v in SPECIAL_FLOATS]
+NAT = int(np.iinfo(np.int64).min)
+
+
+def float_reference(values):
+    return [repr(float(v)) for v in values]
+
+
+def finite_float_reference(values):
+    return [repr(float(v)) if math.isfinite(v) else "" for v in values]
+
+
+def str_reference(values):
+    return ["" if v is None else str(v) for v in values]
+
+
+float_bits = st.lists(st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_bits)
+@example(SPECIAL_BITS + SPECIAL_BITS[::-1])
+def test_float_formatters_match_value_by_value(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    for given_values in (values, values.tolist()):
+        assert float_cells(given_values) == float_reference(values)
+        assert finite_float_cells(given_values) == finite_float_reference(values)
+    assert str_cells(values) == [str(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([NAT, 0, 1, 17_000]) | st.integers(-100_000, 2_900_000),
+                max_size=40))
+@example([17_000, NAT, 17_000, NAT, 0])
+def test_date_and_int_str_cells_match_value_by_value(days):
+    ints = np.array(days, dtype=np.int64)
+    dates = ints.view("datetime64[D]")
+    assert str_cells(dates) == [str(v) for v in dates]
+    assert str_cells(dates.tolist()) == str_reference(dates.tolist())
+    assert str_cells(ints) == [str(v) for v in ints]
+    assert str_cells(ints == 0) == [str(v) for v in ints == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1, 1.0, True, None, 0.0, -0.0, "1", "", "S0001"]), max_size=40))
+@example([1, 1.0, True, None, 1, 0.0, -0.0])
+def test_object_str_cells_keep_each_value_own_text(values):
+    """1, 1.0 and True are equal under ==, and print differently."""
+    expected = str_reference(values)
+    assert str_cells(values) == expected
+    assert str_cells(np.array(values, dtype=object)) == expected
+
+
+def test_write_csv_columns_across_blocks_matches_value_by_value(tmp_path):
+    """Runs of equal values that cross the BLOCK_ROWS boundaries get the
+    bytes a writer of one record at a time gives them."""
+    n = 2 * 4096 + 3
+    rng = np.random.default_rng(3)
+    run_of = np.arange(n) // 63
+    dates = np.datetime64("2020-01-01") + run_of
+    dates[::997] = np.datetime64("NaT")
+    ids = np.array([f"S{i % 7}" for i in range(n)], dtype=object)
+    repeated = np.array(SPECIAL_FLOATS + [0.25, -3.5])[run_of % 11]
+    distinct = rng.standard_normal(n)
+    labels = np.array([None, "A", 1, 1.0, True], dtype=object)[run_of % 5]
+    codes = (run_of % 4).astype(np.int64)
+    path = tmp_path / "out.csv"
+    write_csv_columns(
+        path,
+        ["date", "stock_id", "repeated", "finite", "distinct", "label", "code"],
+        (dates, str_cells),
+        (ids, str_cells),
+        (repeated, float_cells),
+        (repeated, finite_float_cells),
+        (distinct, float_cells),
+        (labels, str_cells),
+        (codes, str_cells),
+    )
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["date", "stock_id", "repeated", "finite", "distinct", "label", "code"])
+    for i in range(n):
+        writer.writerow([
+            str(dates[i]), str(ids[i]), repr(float(repeated[i])),
+            finite_float_reference(repeated[i:i + 1])[0], repr(float(distinct[i])),
+            str_reference(labels[i:i + 1])[0], str(codes[i]),
+        ])
+    assert path.read_bytes() == expected.getvalue().encode()
