@@ -170,7 +170,9 @@ class UniverseTable:
 
 @dataclass
 class PriceTable:
-    """Daily total returns on a complete (date x stock) grid, dates strictly ascending."""
+    """Daily total returns on a complete (date x stock) grid, dates strictly
+    ascending. A return is at least -1: a stock can lose all its value and
+    no more."""
 
     dates: np.ndarray
     stock_ids: List[str]
@@ -188,6 +190,13 @@ class PriceTable:
             raise MissingPriceData(
                 f"missing return for {self.stock_ids[j]} on {self.dates[i]} "
                 f"({len(missing)} gaps total)"
+            )
+        below = np.argwhere(self.returns < -1.0)
+        if len(below):
+            i, j = below[0]
+            raise SpecMismatch(
+                f"return {float(self.returns[i, j])!r} for {self.stock_ids[j]} on "
+                f"{self.dates[i]} is below -1 ({len(below)} such returns total)"
             )
         rises = self.dates[1:] > self.dates[:-1]
         if not rises.all():
@@ -647,7 +656,10 @@ def _year(date: np.datetime64) -> int:
     return int(date.astype("datetime64[Y]").astype(int)) + 1970
 
 
-def _learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datetime64]:
+def learning_dates(grid: np.ndarray, initial_train_years: int) -> List[np.datetime64]:
+    """A study's learning dates on the trading-day grid: the last trading
+    day of each calendar year, from the year that completes
+    `initial_train_years` on."""
     if not len(grid):
         raise MissingPriceData("the prices hold no trading day")
     first_year = _year(grid[0]) + initial_train_years - 1
@@ -851,7 +863,7 @@ def _scored_study(
     """
     global _last_schedule
     grid = prices.dates
-    learn_dates = _learning_dates(grid, cfg.initial_train_years)
+    learn_dates = learning_dates(grid, cfg.initial_train_years)
     n_learn = len(learn_dates)
     if freeze_year is not None:
         if freeze_year not in {_year(L) for L in learn_dates}:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import importlib
 import json
 import logging
@@ -31,6 +32,7 @@ from .errors import (
     MissingPriceData,
     OutputError,
     SpecMismatch,
+    UnknownLearningYear,
     ValidationError,
 )
 
@@ -58,6 +60,7 @@ _LAZY_NAMES = {
         "BENCHMARK",
         "POSITIVE",
         "WalkForwardConfig",
+        "learning_dates",
         "learning_step",
         "learning_y",
         "load_prices_csv",
@@ -404,14 +407,24 @@ def cmd_backtest(args) -> int:
             {d: s for d, s in universe.snapshots.items() if lo <= d <= hi}
         )
 
+    # The years of the frozen studies, checked before any study runs; None
+    # is every year the walk-forward study learns.
+    frozen_years: Optional[List[int]] = None
+    if cfg.learning_years == "none":
+        frozen_years = []
+    elif cfg.learning_years != "all":
+        frozen_years = [int(p) for p in cfg.learning_years.split(",")]
+        learned = {
+            L.item().year for L in learning_dates(prices.dates, cfg.study.initial_train_years)
+        }
+        for year in frozen_years:
+            if year not in learned:
+                raise UnknownLearningYear(f"{year} is not a completed learning year")
+
     result = run_study(panel, specs, universe, prices, cfg.study)
 
-    if cfg.learning_years == "none":
-        frozen_years: List[int] = []
-    elif cfg.learning_years == "all":
+    if frozen_years is None:
         frozen_years = [rec.year for rec in result.learnings]
-    else:
-        frozen_years = [int(p) for p in cfg.learning_years.split(",")]
     frozen_series = []
     for year in frozen_years:
         rep = learning_y(panel, specs, universe, prices, cfg.study, year)
@@ -573,7 +586,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # The process ends here. Frozen objects are left out of the collections
+    # the interpreter runs at exit, which would otherwise walk every object
+    # the imports made. Streams are still flushed and atexit handlers still
+    # run; every file a stage writes is closed before run() returns.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -418,6 +418,16 @@ def to_floats_or_nan(cells) -> np.ndarray:
     return np.array([c or "nan" for c in cells], dtype=np.float64)
 
 
+def to_finite_or_nan(cells) -> np.ndarray:
+    """to_floats_or_nan for labels: only an empty cell reads as NaN, and any
+    other cell that is not a finite number ("nan", "inf", 1e400) fails."""
+    col = to_floats_or_nan(cells)
+    for i in np.flatnonzero(~np.isfinite(col)):
+        if cells[i]:
+            raise ValueError(f"label {cells[i]!r} is not a finite number")
+    return col
+
+
 def to_labels(cells) -> np.ndarray:
     """Object column of labels in which an empty cell reads as None."""
     col = np.array(cells, dtype=object)
@@ -428,11 +438,6 @@ def to_labels(cells) -> np.ndarray:
 def to_strings(cells) -> np.ndarray:
     """Object column of the cells as they are (ids: an empty cell stays "")."""
     return np.array(cells, dtype=object)
-
-
-def to_filled(cells) -> np.ndarray:
-    """bool column: whether each cell is non-empty."""
-    return np.array(cells, dtype=object) != ""
 
 
 def grid_keys(dates: np.ndarray, stock_ids):
@@ -504,7 +509,8 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
 
 def load_returns_csv(path) -> Dict[tuple, float]:
     """Read returns.csv into a {(date, stock_id): y} map. An empty return
-    cell means no label; a (date, stock_id) key may appear only once."""
+    cell means no label, and any other cell must be a finite number; a
+    (date, stock_id) key may appear only once."""
     source = InputCsv(
         path,
         lambda header: header == ["date", "stock_id", "fwd_excess_return_3m"],
@@ -512,14 +518,15 @@ def load_returns_csv(path) -> Dict[tuple, float]:
     )
 
     def labeled(arrays, lines):
-        dates, stock_ids, y, filled = arrays
+        dates, stock_ids, y = arrays
         record_keys(path, lines, dates, stock_ids)
+        filled = np.isfinite(y)
         return [dates[filled], stock_ids[filled], y[filled]]
 
     dates, stock_ids, y = parsed(
         source,
         "returns",
-        [(0, to_dates), (1, to_strings), (2, to_floats_or_nan), (2, to_filled)],
+        [(0, to_dates), (1, to_strings), (2, to_finite_or_nan)],
         labeled,
     )
     return dict(zip(zip(dates, stock_ids.tolist()), y.tolist()))

@@ -260,6 +260,20 @@ def test_price_table_rejects_incomplete_grid():
         PriceTable(dates, np.array(["A", "B"], dtype=object), rets)
 
 
+def test_price_table_rejects_a_return_below_minus_one():
+    """A stock can lose all its value (-1) and no more: a return below -1
+    is refused, naming the stock, the date and the value."""
+    dates = grid("2020-01-06", 4)
+    rets = np.zeros((4, 2))
+    rets[1, 0] = -1.0
+    PriceTable(dates, np.array(["A", "B"], dtype=object), rets)
+    rets[2, 1] = -1.5
+    rets[3, 0] = -2.0
+    with pytest.raises(SpecMismatch, match=r"^return -1\.5 for B on 2020-01-08 is below -1 "
+                                           r"\(2 such returns total\)$"):
+        PriceTable(dates, np.array(["A", "B"], dtype=object), rets)
+
+
 def test_portfolio_series_must_start_at_100():
     dates = grid("2020-01-06", 3)
     with pytest.raises(SpecMismatch):
@@ -1063,7 +1077,7 @@ def test_labels_resolving_on_a_market_holiday_update_the_next_close(monkeypatch)
     resolution = np.busday_offset(panel.dates, cfg.horizon_days)
     labeled = np.isfinite(panel.y)
     assert np.count_nonzero(labeled & (resolution == HOLIDAY)) == 20
-    learn_dates = backtest._learning_dates(grid, cfg.initial_train_years)
+    learn_dates = backtest.learning_dates(grid, cfg.initial_train_years)
 
     engine = backtest._Engine(panel, data.specs, grid, cfg, np.arange(1, len(grid)))
     for k, L in enumerate(learn_dates):

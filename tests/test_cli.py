@@ -2,6 +2,7 @@
 synth -> learn -> score -> backtest -> report pipeline."""
 
 import csv
+import gc
 import hashlib
 import json
 import re
@@ -563,6 +564,35 @@ def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
         assert "statistics" not in loaded
 
 
+def test_main_freezes_the_collector_before_the_process_exits(pipeline, tmp_path):
+    """A stage run through main() freezes the collector after its command
+    returns, so exit skips collecting the objects the imports made. An
+    atexit hook registered before main() still runs after that, and the
+    stage's stdout is whole before it."""
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    code = ("import atexit, gc, sys; from rulescreen import cli; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+            "cli.main()")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code, "report", "--dir", str(pipeline["bt"])],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text, _, tail = proc.stdout.rpartition("frozen ")
+    assert text == pipeline["report"].read_text()
+    assert int(tail) > 0
+
+
+def test_run_leaves_the_collector_unfrozen(pipeline, tmp_path):
+    """run() is the in-process API: it freezes nothing."""
+    before = gc.get_freeze_count()
+    assert run(["report", "--dir", str(pipeline["bt"]), "--out", str(tmp_path / "r.md")]) == 0
+    assert run(["--print-config"]) == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_scores_schema(pipeline):
     with open(pipeline["scores"], newline="") as fh:
         rows = list(csv.reader(fh))
@@ -884,6 +914,28 @@ def test_malformed_csv_row_exits_two(pipeline, tmp_path, caplog, name, fault):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("label", ["nan", "NaN", "inf", "-inf", "1e400", "-1e400"])
+def test_non_finite_label_exits_two(pipeline, tmp_path, caplog, label):
+    """Only an empty returns.csv cell means no label: a label that reads as
+    a non-finite number is a malformed row, not a row left out of learning."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "returns.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    for at in (2, 5):
+        cells = lines[at].rstrip("\n").split(",")
+        cells[2] = label
+        lines[at] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    out = tmp_path / "learn" / "rules.json"
+    assert run(["learn", "--panel", str(data / "features.csv"), "--returns", str(path),
+                "--out", str(out)]) == 2
+    assert (f"MalformedRow: {path}, line 3: label {label!r} is not a finite number"
+            in caplog.text)
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["features", "returns", "universe", "prices"])
 def test_duplicate_key_row_exits_two(pipeline, tmp_path, caplog, name):
     data = tmp_path / "data"
@@ -1090,6 +1142,55 @@ def test_backtest_non_finite_universe_value_exits_two(pipeline, tmp_path, caplog
     assert (f"SpecMismatch: {cells[1]} at {cells[0]} has cap weight {cap!r} and ESG rating "
             f"{rating!r}; both must be finite, the weight >= 0") in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def test_backtest_price_return_below_minus_one_exits_two(pipeline, tmp_path, caplog):
+    """A daily return below -1 would turn the benchmark's KPIs NaN: the run
+    exits 2 with one ERROR line naming the stock, the date and the value,
+    and writes no kpis.json."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "prices.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    at = lines[0].rstrip("\n").split(",").index("total_return_daily")
+    for i, line in enumerate(lines):
+        if line.startswith("2013-03-05,"):
+            cells = line.rstrip("\n").split(",")
+            cells[at] = "-2.0"
+            lines[i] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT] + [
+        f"{k} = {data / (k + '.csv')}" for k in ("features", "returns", "universe", "prices")
+    ]) + "\n")
+    out = tmp_path / "o"
+    assert run(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    first = load_prices_csv(pipeline["data"] / "prices.csv").stock_ids[0]
+    assert errors == [f"SpecMismatch: return -2.0 for {first} on 2013-03-05 is below -1 "
+                      f"({SPEC_BLOB['n_stocks']} such returns total)"]
+    assert "Traceback" not in caplog.text
+    assert not (out / "kpis.json").exists()
+
+
+@pytest.mark.parametrize("years", ["2099", "2012 ,2099"])
+def test_backtest_unknown_learning_year_exits_one_before_any_study(
+        pipeline, tmp_path, caplog, monkeypatch, years):
+    """A learning year that the price grid does not complete exits 1 before
+    the walk-forward study or any frozen study runs."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    monkeypatch.setattr(cli, "learning_y", no_study)
+    cfg = write_cfg(tmp_path, "\n".join([CFG_TEXT, f"learning_years = {years}"] + [
+        f"{k} = {pipeline['data'] / (k + '.csv')}"
+        for k in ("features", "returns", "universe", "prices")
+    ]) + "\n")
+    out = tmp_path / "o"
+    assert run(["backtest", "--config", cfg, "--out", str(out)]) == 1
+    assert "UnknownLearningYear: 2099 is not a completed learning year" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

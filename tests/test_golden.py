@@ -18,10 +18,15 @@ OpenBLAS's gemv give different last bits there).
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rulescreen
 from rulescreen.backtest import (
     PriceTable,
     UniverseTable,
@@ -182,7 +187,15 @@ CLI_GOLDEN = {
 }
 
 
-def run_stages(root, data, cfg_path, asof) -> None:
+def fresh_run(argv) -> int:
+    """run(argv) in a fresh `python -B -m rulescreen.cli` process, which
+    exits through main()."""
+    src = str(Path(rulescreen.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-B", "-m", "rulescreen.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}).returncode
+
+
+def run_stages(root, data, cfg_path, asof, run=run) -> None:
     """learn, score, backtest and report on the inputs in data, into root."""
     assert run(["learn", "--panel", str(data / "features.csv"),
                 "--returns", str(data / "returns.csv"), "--config", str(cfg_path),
@@ -209,10 +222,8 @@ def stage_digests(root, data):
     }
 
 
-@pytest.fixture(scope="module")
-def cli_run(tmp_path_factory):
-    """synth, then every later stage with a cold parse cache."""
-    root = tmp_path_factory.mktemp("cli_golden")
+def golden_run(root, run=run):
+    """synth, then every later stage with a cold parse cache, into root."""
     data = root / "data"
     spec_path = root / "spec.json"
     spec_path.write_text(json.dumps(SPEC10))
@@ -224,8 +235,13 @@ def cli_run(tmp_path_factory):
                    for k in ("features", "returns", "universe", "prices")]
     ) + "\n")
     asof = str(business_day_grid("2010-01-04", SPEC10["n_dates"])[-1])
-    run_stages(root, data, cfg_path, asof)
+    run_stages(root, data, cfg_path, asof, run)
     return root, data, cfg_path, asof
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    return golden_run(tmp_path_factory.mktemp("cli_golden"))
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +267,10 @@ def test_cli_outputs_match_golden_digests_from_a_warm_cache(cli_run, cli_outputs
     run_stages(warm, data, cfg_path, asof)
     assert cache_files() == cold  # every read hit: no cache file was rewritten
     assert stage_digests(warm, data) == CLI_GOLDEN
+
+
+def test_cli_outputs_match_golden_digests_in_fresh_processes(tmp_path):
+    """Every stage run as its own process, through main(), writes the same
+    files as run() in this one."""
+    root, data, _, _ = golden_run(tmp_path, fresh_run)
+    assert stage_digests(root, data) == CLI_GOLDEN
