@@ -10,6 +10,7 @@ had when deciding).
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 import math
@@ -46,6 +47,7 @@ from .panel import (
     apply_discretizer,
     fit_discretizer,
     float_cells,
+    key_ordered,
     month_ends,
     parsed,
     record_keys,
@@ -581,7 +583,7 @@ class LearningRecord:
 
 class Scores(NamedTuple):
     """A study's scores as the columns of scores.csv: one row per scored
-    panel row, in (date, stock_id) order, a repeated key's later row later."""
+    panel row, in (date, stock_id) order."""
 
     dates: np.ndarray
     stock_ids: np.ndarray
@@ -714,9 +716,8 @@ class _Engine:
     segments read: the panel's arrays, the feature specs, the config and the
     trading-day grid. Numeric arrays are copied; an object array's copy
     shares its (immutable) elements, and is pickled once so that
-    same_inputs can tell a changed element type or value. The copies keep
-    the caller's row order; learnings and segments read rows only in
-    (date, stock_id) order, a repeated key's later row later."""
+    same_inputs can tell a changed element type or value. Learnings and
+    segments take rows in the panel's (date, stock_id) order."""
 
     def __init__(self, raw_panel, specs, grid, cfg, score_rows):
         self.raw_panel = RawPanel(
@@ -806,9 +807,6 @@ class _Engine:
         pending = self.labeled & (self.resolution > L) & (self.resolution <= end)
         scored = self.on_score_day & (raw_panel.dates > L) & (raw_panel.dates <= end)
         rows = np.flatnonzero(pending | scored)
-        # Sorted as apply_discretizer sorts them (stably), so that the masks
-        # read at `rows` line up with the rows of its panel.
-        rows = rows[np.lexsort((raw_panel.stock_ids[rows], raw_panel.dates[rows]))]
         panel = apply_discretizer(raw_panel.take(rows), step.discretizer)
         A = ruleset.activation_matrix(panel.x)
         # Grid day t gets the labels resolving in (grid[t-1], grid[t]]: one
@@ -1075,15 +1073,8 @@ def load_universe_csv(path) -> UniverseTable:
     need = {"date", "stock_id", "cap_weight", "sector", "peer_group", "esg_rating"}
     source = InputCsv(path, need.issubset, f"universe csv must have columns {sorted(need)}")
 
-    def in_key_order(arrays, lines):
-        if not lines:
-            raise SpecMismatch("universe csv is empty")
-        _, row, ids, col = record_keys(path, lines, arrays[0], arrays[1])
-        order = np.argsort(row * len(ids) + col)
-        return [a[order] for a in arrays]
-
     at = source.index
-    return UniverseTable.from_columns(*parsed(
+    columns = parsed(
         source,
         "universe",
         [
@@ -1094,8 +1085,11 @@ def load_universe_csv(path) -> UniverseTable:
             (at["peer_group"], to_strings),
             (at["esg_rating"], to_floats),
         ],
-        in_key_order,
-    ))
+        functools.partial(key_ordered, path),
+    )
+    if not len(columns[0]):
+        raise SpecMismatch("universe csv is empty")
+    return UniverseTable.from_columns(*columns)
 
 
 def load_prices_csv(path) -> PriceTable:

@@ -161,11 +161,13 @@ def _convert(key: str, raw: str, kind):
 def parse_config(path: Optional[str]) -> RunConfig:
     """The config file's values over the defaults. Every line is read before
     the config is built, so one range that spans keys (c_min < c_max) is
-    checked on the file's final values, whatever their order."""
+    checked on the file's final values, whatever their order. A key may be
+    set once."""
     if path is None:
         return RunConfig()
     study_keys, _, key_types = _config_keys()
     values: Dict[str, object] = {}
+    line_of: Dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -177,6 +179,11 @@ def parse_config(path: Optional[str]) -> RunConfig:
             key = key.strip()
             if key not in key_types:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in line_of:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r} is already set on line {line_of[key]}"
+                )
+            line_of[key] = lineno
             values[key] = _convert(key, raw, key_types[key])
     try:
         study = WalkForwardConfig(

@@ -67,7 +67,7 @@ class InputCsv:
     a time, noting whether any byte is NUL (a unicode array drops trailing
     NULs, so such a file is not cached), and then reads the header record
     alone; it never holds the file's bytes. A header that header_ok rejects
-    raises SpecMismatch(header_error).
+    raises SpecMismatch(header_error), and so does one that repeats a name.
 
     `records` reads the file again, BLOCK_ROWS records at a time, and hashes
     the bytes as they stream: the digest that keys the cache and fills
@@ -87,8 +87,10 @@ class InputCsv:
             self.header = next(csv.reader(fh), None)
         if self.header is None or not header_ok(self.header):
             raise SpecMismatch(header_error)
-        # The column of each name; a repeated name means its last column.
         self.index = {name: i for i, name in enumerate(self.header)}
+        if len(self.index) < len(self.header):
+            name = next(n for i, n in enumerate(self.header) if self.index[n] != i)
+            raise SpecMismatch(f"{path}: header repeats column {name!r}")
 
     def records(self) -> Iterator[Tuple[List[List[str]], List[int]]]:
         """The file's records a block at a time: for each block of at most

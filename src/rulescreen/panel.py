@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -54,19 +55,31 @@ class RawPanel:
     """Column-oriented raw panel of (date, stock_id) rows. columns[k] is a
     float64 array (NaN = missing) for numeric features and an object array
     (None = missing) for categorical ones; y is the 3-month forward excess
-    return as a decimal (0.01 = 1%), NaN when the outcome is not observed."""
+    return as a decimal (0.01 = 1%), NaN when the outcome is not observed.
+    Rows are in record_keys order, each key once (dates ascending, then stock
+    ids in string order); else DuplicateRow or SpecMismatch names the row."""
 
     dates: np.ndarray
     stock_ids: np.ndarray
     columns: List[np.ndarray]
     y: np.ndarray
 
+    def __post_init__(self):
+        dates, ids = self.dates, self.stock_ids
+        ok = (dates[1:] > dates[:-1]) | (dates[1:] == dates[:-1]) & (ids[1:] > ids[:-1])
+        if not ok.all():
+            i = int(np.argmin(ok)) + 1
+            key, prior = f"({dates[i]}, {ids[i]!r})", f"({dates[i - 1]}, {ids[i - 1]!r})"
+            if key == prior:
+                raise DuplicateRow(f"panel row {i}: repeated (date, stock_id) key {key}")
+            raise SpecMismatch(f"panel row {i}: (date, stock_id) key {key} comes after {prior}")
+
     @property
     def n(self) -> int:
         return len(self.dates)
 
     def take(self, index) -> "RawPanel":
-        """Rows selected by an index array, boolean mask or slice."""
+        """Rows selected by an ascending index array, boolean mask or slice."""
         return RawPanel(
             dates=self.dates[index],
             stock_ids=self.stock_ids[index],
@@ -191,8 +204,7 @@ class DiscretizedPanel:
     """Time-ordered discretized panel.
 
     x holds modality codes (int32, MISSING_CODE for missing values), y the
-    forward excess returns (NaN when unobserved). Rows are sorted by
-    (date, stock_id); sorting is stable so re-loads reproduce the same order.
+    forward excess returns (NaN when unobserved), rows in RawPanel order.
     """
 
     specs: List[FeatureSpec]
@@ -235,8 +247,8 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
     Bins are right-closed (a value equal to a cut point falls in the lower
     bin); values outside the fitted range clamp to the extreme modalities;
     missing values map to MISSING_CODE. A categorical value is looked up by
-    its str, and an unseen label is missing. Output rows are sorted by
-    (date, stock_id).
+    its str, and an unseen label is missing. Output rows keep the panel's
+    (date, stock_id) order.
     """
     specs = discretizer.specs
     _check_columns(panel, specs)
@@ -255,13 +267,12 @@ def apply_discretizer(panel: RawPanel, discretizer: Discretizer) -> DiscretizedP
             codes = np.searchsorted(edges, col[ok], side="left").astype(np.int32)
             x[ok, k] = codes
 
-    order = np.lexsort((panel.stock_ids, panel.dates))
     return DiscretizedPanel(
         specs=list(specs),
-        dates=panel.dates[order],
-        stock_ids=panel.stock_ids[order],
-        x=x[order],
-        y=panel.y[order],
+        dates=panel.dates,
+        stock_ids=panel.stock_ids,
+        x=x,
+        y=panel.y,
         n_codes=discretizer.code_counts(),
     )
 
@@ -308,7 +319,7 @@ def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
 # input's bytes) matches; any other cache file is rewritten. The CSV is always
 # the source of truth, and deleting the directory is always safe.
 CACHE_DIR = ".rulescreen-cache"
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def cache_path(path) -> Path:
@@ -375,7 +386,7 @@ def parsed(
     (column, converter) pair converted by parse_columns one block at a time,
     the blocks joined and passed with the record line numbers to `finish`,
     which checks the records and returns the arrays to keep. They are cached
-    only once `finish` has returned."""
+    only once `finish` has returned, and not for a file without records."""
     key = " ".join(
         [f"rulescreen-cache-{CACHE_FORMAT}", loader]
         + [convert.__name__ for _, convert in columns]
@@ -394,7 +405,7 @@ def parsed(
             lines += block_lines
         # Each column's blocks are let go as soon as they are joined.
         arrays = finish([np.concatenate(parts.pop(0)) for _ in columns], lines)
-        if source.cacheable:
+        if source.cacheable and lines:
             _write_cache(cache, key, arrays)
     return arrays
 
@@ -456,7 +467,7 @@ def grid_keys(dates: np.ndarray, stock_ids):
 
 def record_keys(path, lines, dates: np.ndarray, stock_ids):
     """grid_keys of the records of the file `path`: dates ascending, stock
-    ids in stock_id order. Every input table is laid out, or checked, by it.
+    ids in stock_id order. Every input table is laid out by it.
     Raises DuplicateRow for the first record whose key an earlier one has."""
     grid_dates, row, ids, col = grid_keys(dates, stock_ids)
     key = row * len(ids) + col
@@ -468,6 +479,17 @@ def record_keys(path, lines, dates: np.ndarray, stock_ids):
             f"({dates[i]}, {stock_ids[i]})"
         )
     return grid_dates, row, ids, col
+
+
+def key_ordered(path, arrays: List[np.ndarray], lines) -> List[np.ndarray]:
+    """The finish (see parsed) of the table loaders: the record arrays of the
+    file `path`, dates and stock ids first, laid out in record_keys order.
+    parsed's arrays are its own, so each is permuted in place."""
+    _, row, ids, col = record_keys(path, lines, arrays[0], arrays[1])
+    order = np.argsort(row * len(ids) + col)
+    for values in arrays:
+        values[:] = values[order]
+    return arrays
 
 
 def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
@@ -490,68 +512,50 @@ def load_features_csv(path, specs: Optional[Sequence[FeatureSpec]] = None):
         if [s.feature_id for s in specs] != feature_ids:
             raise SpecMismatch(f"{path}: header does not match provided specs")
 
-    def checked(arrays, lines):
-        if not lines:
-            raise EmptyPanel(f"{path}: no data rows")
-        record_keys(path, lines, arrays[0], arrays[1])
-        return arrays
-
     convert = {NUMERIC: to_floats_or_nan, CATEGORICAL: to_labels}
     dates, stock_ids, *feature_columns = parsed(
         source,
         "features",
         list(enumerate([to_dates, to_strings] + [convert[spec.kind] for spec in specs])),
-        checked,
+        functools.partial(key_ordered, path),
     )
+    if not len(dates):
+        raise EmptyPanel(f"{path}: no data rows")
     y = np.full(len(dates), np.nan, dtype=np.float64)
     return RawPanel(dates=dates, stock_ids=stock_ids, columns=feature_columns, y=y), specs
 
 
-def load_returns_csv(path) -> Dict[tuple, float]:
-    """Read returns.csv into a {(date, stock_id): y} map. An empty return
-    cell means no label, and any other cell must be a finite number; a
-    (date, stock_id) key may appear only once."""
+def load_returns_csv(path) -> RawPanel:
+    """The labels of returns.csv as a RawPanel without feature columns. An
+    empty return cell means no label, and any other cell must be a finite
+    number; a (date, stock_id) key may appear only once."""
     source = InputCsv(
         path,
         lambda header: header == ["date", "stock_id", "fwd_excess_return_3m"],
         f"{path}: expected header date,stock_id,fwd_excess_return_3m",
     )
-
-    def labeled(arrays, lines):
-        dates, stock_ids, y = arrays
-        record_keys(path, lines, dates, stock_ids)
-        filled = np.isfinite(y)
-        return [dates[filled], stock_ids[filled], y[filled]]
-
     dates, stock_ids, y = parsed(
         source,
         "returns",
         [(0, to_dates), (1, to_strings), (2, to_finite_or_nan)],
-        labeled,
+        functools.partial(key_ordered, path),
     )
-    return dict(zip(zip(dates, stock_ids.tolist()), y.tolist()))
+    filled = np.isfinite(y)
+    return RawPanel(dates=dates[filled], stock_ids=stock_ids[filled], columns=[], y=y[filled])
 
 
-def attach_returns(panel: RawPanel, returns: Dict[tuple, float]) -> RawPanel:
-    """The panel with y from returns: each row takes the label of its
-    (date, stock_id) key, NaN where returns has none. A join on the keys
-    grid_keys codes, in which only the rows on a labeled date take part."""
+def attach_returns(panel: RawPanel, returns: RawPanel) -> RawPanel:
+    """The panel with y from returns: each row takes the label of its (date,
+    stock_id) key, NaN where returns has none. Both hold each key once, in
+    key order, so the rows with a label and the labels with a row pair up."""
+    rows = np.flatnonzero(np.isin(panel.dates, returns.dates))
+    _, row, ids, col = grid_keys(
+        np.concatenate([returns.dates, panel.dates[rows]]),
+        np.concatenate([returns.stock_ids, panel.stock_ids[rows]]),
+    )
+    key, n = row * len(ids) + col, returns.n
     y = np.full(panel.n, np.nan, dtype=np.float64)
-    if returns:
-        n_labels = len(returns)
-        label_dates = np.array([date for date, _ in returns], dtype="datetime64[D]")
-        rows = np.flatnonzero(np.isin(panel.dates, label_dates))
-        _, row, ids, col = grid_keys(
-            np.concatenate([label_dates, panel.dates[rows]]),
-            [sid for _, sid in returns] + panel.stock_ids[rows].tolist(),
-        )
-        key = row * len(ids) + col
-        order = np.argsort(key[:n_labels])
-        label_key = key[:n_labels][order]
-        at = np.minimum(np.searchsorted(label_key, key[n_labels:]), n_labels - 1)
-        hit = label_key[at] == key[n_labels:]
-        values = np.fromiter(returns.values(), dtype=np.float64, count=n_labels)
-        y[rows[hit]] = values[order[at[hit]]]
+    y[rows[np.isin(key[n:], key[:n])]] = returns.y[np.isin(key[:n], key[n:])]
     return replace(panel, y=y)
 
 

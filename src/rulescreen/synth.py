@@ -221,7 +221,8 @@ def generate(spec: SynthSpec) -> SynthData:
     rng = np.random.default_rng(spec.seed)
     S, D, H, m = spec.n_stocks, spec.n_dates, spec.horizon_days, spec.m
     dates = business_day_grid(spec.start, D)
-    stock_ids = [f"S{i:04d}" for i in range(S)]
+    # One width for every id, so that string order is stock order.
+    stock_ids = [f"S{i:0{max(4, len(str(S - 1)))}d}" for i in range(S)]
     specs = [FeatureSpec(feature_id=f"f{k}") for k in range(spec.d)]
 
     n_blocks = int(np.ceil(D / H))

@@ -995,16 +995,6 @@ def regime_market(seed):
             REGIME_CFG)
 
 
-def reversed_market(seed):
-    """A regime market whose panel rows come in reverse stock order within
-    each date, so panel order and (date, stock_id) order differ."""
-    data, universe, prices, cfg = regime_market(seed)
-    panel = data.panel
-    data.panel = panel.take(np.lexsort((-np.arange(panel.n), panel.dates)))
-    assert data.panel.stock_ids[0] > data.panel.stock_ids[1]
-    return data, universe, prices, cfg
-
-
 def thinned_market():
     """A small market without the panel rows of one to four stocks on every
     other score day: those days have fewer rows than universe stocks."""
@@ -1021,7 +1011,6 @@ def thinned_market():
 MARKETS = {
     "regime0": lambda: regime_market(0),
     "regime1": lambda: regime_market(1),
-    "reversed2": lambda: reversed_market(2),
     "thinned": thinned_market,
 }
 
@@ -1029,8 +1018,7 @@ MARKETS = {
 @pytest.mark.parametrize("market", list(MARKETS))
 def test_segment_scores_equal_per_day_reference(monkeypatch, market):
     """Walk-forward scores and every frozen study's tail equal the per-day
-    reference bit for bit, in y_hat and ternary, and so do the levels. On
-    the reversed market each score names the row it was computed on."""
+    reference bit for bit, in y_hat and ternary, and so do the levels."""
     data, universe, prices, cfg = MARKETS[market]()
     args = (data.panel, data.specs, universe, prices, cfg)
 
@@ -1183,12 +1171,15 @@ EXTRA = "X0001"
 
 
 def appended(panel, rows):
-    """The panel with the rows of another panel after its own."""
+    """The panel with the rows of another panel, in (date, stock_id) order."""
+    dates = np.concatenate([panel.dates, rows.dates])
+    stock_ids = np.concatenate([panel.stock_ids, rows.stock_ids])
+    order = np.lexsort((stock_ids, dates))
     return RawPanel(
-        dates=np.concatenate([panel.dates, rows.dates]),
-        stock_ids=np.concatenate([panel.stock_ids, rows.stock_ids]),
-        columns=[np.concatenate(pair) for pair in zip(panel.columns, rows.columns)],
-        y=np.concatenate([panel.y, rows.y]),
+        dates=dates[order],
+        stock_ids=stock_ids[order],
+        columns=[np.concatenate(pair)[order] for pair in zip(panel.columns, rows.columns)],
+        y=np.concatenate([panel.y, rows.y])[order],
     )
 
 
@@ -1236,33 +1227,6 @@ def test_study_legs_equal_independent_simulations_on_uneven_markets(market):
     uneven = extra_stock_market() if market == "extra stock" else thinned_market()
     res = assert_legs_equal_independent_simulations(*uneven)
     assert (EXTRA in res.scores.stock_ids) == (market == "extra stock")
-
-
-def test_repeated_panel_key_is_scored_twice_and_the_later_row_counts():
-    """A library panel may repeat a (date, stock_id) key (the CSV loaders
-    refuse one). Both rows are scored, in panel order, and the review
-    snapshot of that date takes the later row's score."""
-    data, universe, prices, cfg = small_study(seed=1)
-    panel = data.panel
-    first = run_study(panel, data.specs, universe, prices, cfg).scores
-    # A score day with two stocks of different ternary scores, rows a and
-    # b: a's key is repeated, unlabeled, with b's features.
-    for day in np.unique(first.dates):
-        on_day = np.flatnonzero(first.dates == day)
-        differ = on_day[first.ternary[on_day] != first.ternary[on_day[0]]]
-        if len(differ):
-            a, b = on_day[0], differ[0]
-            break
-    sid = first.stock_ids[a]
-    donor = panel.take(np.flatnonzero((panel.dates == day) & (panel.stock_ids == first.stock_ids[b])))
-    repeat = replace(donor, stock_ids=np.array([sid], dtype=object), y=np.array([np.nan]))
-    res = run_study(appended(panel, repeat), data.specs, universe, prices, cfg)
-
-    twice = np.flatnonzero((res.scores.dates == day) & (res.scores.stock_ids == sid))
-    assert res.scores.ternary[twice].tolist() == [first.ternary[a], first.ternary[b]]
-    plan = review_plan(res.reviews, prices, universe, scores=res.scores)
-    snap = next(s for s in plan.snapshots if s.date == day)
-    assert snap.score[np.flatnonzero(snap.stock_ids == sid)[0]] == first.ternary[b]
 
 
 def test_no_leg_changes_the_snapshot_another_leg_sees(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from rulescreen import csvio, panel
 from rulescreen.backtest import load_prices_csv, load_universe_csv
 from rulescreen.csvio import InputCsv
-from rulescreen.errors import DuplicateRow, MalformedRow
+from rulescreen.errors import DuplicateRow, EmptyPanel, MalformedRow, SpecMismatch
 from rulescreen.panel import (
     CACHE_DIR,
     CATEGORICAL,
@@ -55,8 +55,8 @@ def arrays_of(result):
     if isinstance(result, tuple):  # load_features_csv
         raw, specs = result
         return [raw.dates, raw.stock_ids, *raw.columns, raw.y, specs]
-    if isinstance(result, dict):  # load_returns_csv
-        return [list(result.keys()), list(result.values())]
+    if isinstance(result, panel.RawPanel):  # load_returns_csv
+        return [result.dates, result.stock_ids, result.y, result.columns]
     if hasattr(result, "snapshots"):  # UniverseTable
         out = [result.dates]
         for date in result.dates:
@@ -118,7 +118,22 @@ def test_hit_keeps_none_and_empty_labels(tmp_path, monkeypatch):
     assert raw.columns[1].tolist() == ["tech", None, 'bänk, "plc"', "énergie"]
     assert raw.stock_ids.tolist() == ["A,1", 'B "q"', "A,1", "Ωmega"]
     # an empty return cell is no label
-    assert [sid for _, sid in load_returns_csv(returns)] == ["A,1", "Ωmega"]
+    assert load_returns_csv(returns).stock_ids.tolist() == ["A,1", "Ωmega"]
+
+
+def test_file_without_records_is_not_cached(tmp_path):
+    """A header-only file is refused (features, universe) or has no labels
+    (returns), and leaves no cache entry behind."""
+    for name, error in [("features", EmptyPanel), ("universe", SpecMismatch), ("returns", None)]:
+        text, load = LOADERS[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text.splitlines()[0] + "\n", encoding="utf-8")
+        if error is None:
+            assert load(path).n == 0
+        else:
+            with pytest.raises(error):
+                load(path)
+    assert not (tmp_path / CACHE_DIR).exists()
 
 
 def test_specs_are_part_of_the_key(tmp_path):
@@ -208,7 +223,7 @@ def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
     table = load_returns_csv(path)
     monkeypatch.undo()
     assert list((tmp_path / CACHE_DIR).iterdir()) == []
-    assert table == load_returns_csv(path)
+    assert_same(table, load_returns_csv(path))
 
 
 def test_input_with_nul_is_parsed_every_time(tmp_path):

@@ -1012,6 +1012,28 @@ def test_bad_input_writes_no_cache(pipeline, tmp_path, caplog, name, fault, warm
     assert not list(data.glob(f"{CACHE_DIR}/*.tmp"))
 
 
+@pytest.mark.parametrize("name,column,value", [
+    ("universe", "esg_rating", "50"), ("prices", "total_return_daily", "0.0"),
+])
+def test_repeated_header_column_exits_two(pipeline, tmp_path, caplog, name, column, value):
+    """A header that names a column twice is refused: before, the last
+    column of the name was read, so every rating below would have been 50."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / f"{name}.csv"
+    header, *records = path.read_text().splitlines()
+    path.write_text("".join(
+        line + "\n" for line in [f"{header},{column}"] + [f"{r},{value}" for r in records]
+    ))
+    cfg = write_cfg(tmp_path, "".join(
+        f"{k} = {data / (k + '.csv')}\n"
+        for k in ("features", "returns", "universe", "prices")
+    ))
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"SpecMismatch: {path}: header repeats column {column!r}" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 def test_report_bad_calendar_cell_exits_two(pipeline, tmp_path, caplog):
     shutil.copy(pipeline["bt"] / "kpis.json", tmp_path / "kpis.json")
     path = tmp_path / "calendar.csv"
@@ -1095,6 +1117,27 @@ def test_backtest_score_day_without_panel_rows_exits_two(pipeline, tmp_path, cap
     assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"SpecMismatch: no panel rows to score on {day}" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("extra", [["m = 5"], ["learning_years = all", "learning_years = none"]],
+                         ids=["m", "learning_years"])
+def test_config_key_set_twice_exits_one(pipeline, tmp_path, caplog, extra):
+    """A key set twice is refused, naming both lines, instead of the later
+    value silently winning."""
+    text = CFG_TEXT + "\n".join(extra) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    key = extra[-1].split(" = ")[0]
+    first, second = [n for n, line in enumerate(text.splitlines(), 1) if line.startswith(key)]
+    assert run([
+        "learn",
+        "--panel", str(pipeline["data"] / "features.csv"),
+        "--returns", str(pipeline["data"] / "returns.csv"),
+        "--config", cfg,
+        "--out", str(tmp_path / "learn" / "rules.json"),
+    ]) == 1
+    assert (f"ConfigError: {cfg}:{second}: config key {key!r} is already set on line {first}"
+            in caplog.text)
+    assert not (tmp_path / "learn").exists()
 
 
 @pytest.mark.parametrize("names", [("features", "returns"), ("universe",), ("prices",)],
@@ -1261,7 +1304,7 @@ def test_learn_on_cut_inputs_writes_the_studys_last_learning(pipeline, tmp_path)
 def test_backtest_out_of_range_study_key_exits_one(pipeline, tmp_path, caplog):
     """An out-of-range config value exits 1 before any input is read, not
     with a traceback from inside the study."""
-    lines = [CFG_TEXT, "initial_train_years = 0"]
+    lines = [CFG_TEXT.replace("initial_train_years = 3", "initial_train_years = 0")]
     for key in ("features", "returns", "universe", "prices"):
         lines.append(f"{key} = {pipeline['data'] / (key + '.csv')}")
     cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")

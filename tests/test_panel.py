@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rulescreen.errors import (
     BadSplitPoint,
+    DuplicateRow,
     EmptyPanel,
     MalformedRow,
     NonPositiveModalities,
@@ -29,6 +30,7 @@ from rulescreen.panel import (
     finite_float_cells,
     fit_discretizer,
     float_cells,
+    grid_keys,
     load_features_csv,
     load_returns_csv,
     record_keys,
@@ -190,7 +192,7 @@ def test_column_count_must_match_specs():
 
 def test_discretizer_json_round_trip():
     specs = [FeatureSpec("f0"), FeatureSpec("sec", kind="categorical")]
-    obs = raw_panel(["2020-01-01"] * 30, [f"S{i}" for i in range(30)],
+    obs = raw_panel(["2020-01-01"] * 30, [f"S{i:02d}" for i in range(30)],
                     numeric(range(30)), labels(["ab"[i % 2] for i in range(30)]))
     disc = fit_discretizer(obs, specs, m=4)
     clone = Discretizer.from_json(disc.to_json())
@@ -210,13 +212,43 @@ def test_discretizer_json_rejects_malformed_categories(categories):
         Discretizer.from_json(text)
 
 
-def test_apply_sorts_rows_by_date_then_stock():
-    obs = raw_panel(["2020-01-02", "2020-01-01", "2020-01-01"], ["B", "B", "A"],
-                    numeric([1.0, 2.0, 3.0]))
-    disc = fit_discretizer(obs, SPEC1, m=2)
-    out = apply_discretizer(obs, disc)
-    keys = list(zip(out.dates, out.stock_ids))
-    assert keys == sorted(keys)
+def test_panel_names_the_first_row_out_of_key_order():
+    with pytest.raises(SpecMismatch, match=r"^panel row 1: \(date, stock_id\) key "
+                       r"\(2020-01-01, 'B'\) comes after \(2020-01-02, 'B'\)$"):
+        raw_panel(["2020-01-02", "2020-01-01"], ["B", "B"], numeric([1.0, 2.0]))
+    with pytest.raises(SpecMismatch, match=r"^panel row 2: .* \(2020-01-01, 'A'\) comes after"):
+        raw_panel(["2020-01-01"] * 3, ["A", "B", "A"], numeric([1.0, 2.0, 3.0]))
+    with pytest.raises(DuplicateRow, match=r"^panel row 2: repeated \(date, stock_id\) key "
+                       r"\(2020-01-01, 'B'\)$"):
+        raw_panel(["2020-01-01"] * 3, ["A", "B", "B"], numeric([1.0, 2.0, 3.0]))
+
+
+def test_apply_keeps_the_panel_row_order():
+    obs = raw_panel(["2020-01-01", "2020-01-01", "2020-01-02"], ["A", "B", "A"],
+                    numeric([3.0, 1.0, 2.0]), y=[0.1, 0.2, 0.3])
+    out = apply_discretizer(obs, fit_discretizer(obs, SPEC1, m=3))
+    assert out.stock_ids.tolist() == ["A", "B", "A"]
+    assert out.x[:, 0].tolist() == [2, 0, 1] and out.y.tolist() == [0.1, 0.2, 0.3]
+
+
+IDS = ["A", "B", "A\0", "Ω", "", "a,b", 'q"']
+KEYS = st.tuples(st.integers(0, 5), st.sampled_from(IDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(KEYS, max_size=12))
+def test_panel_accepts_keys_exactly_when_record_keys_codes_increase(keys):
+    day = np.datetime64("2020-01-01")
+    dates = np.array([day + d for d, _ in keys], dtype="datetime64[D]")
+    stock_ids = np.array([sid for _, sid in keys], dtype=object)
+    _, row, ids, col = grid_keys(dates, stock_ids)
+    increasing = bool(np.all(np.diff(row * len(ids) + col) > 0))
+    try:
+        raw_panel(dates, stock_ids)
+    except (DuplicateRow, SpecMismatch):
+        assert not increasing
+    else:
+        assert increasing
 
 
 def test_split_is_chronological_prefix():
@@ -238,11 +270,25 @@ def test_split_rejects_degenerate_points():
             split(codes, bad)
 
 
-def test_shuffled_input_splits_like_sorted_input():
+def shuffle_records(path, rng):
+    """Rewrite a CSV file with its records in a random order, header first."""
+    header, *records = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(records[i] for i in rng.permutation(len(records))))
+
+
+def test_shuffled_input_splits_like_sorted_input(tmp_path):
+    """The loaders lay records out in (date, stock_id) order, so files whose
+    records are shuffled split as the panel they were written from."""
     rng = np.random.default_rng(3)
     obs = panel_of(rng.normal(size=40), y=list(rng.normal(size=40)))
+    features, returns = tmp_path / "features.csv", tmp_path / "returns.csv"
+    write_features_csv(features, obs, SPEC1)
+    write_returns_csv(returns, obs)
+    shuffle_records(features, rng)
+    shuffle_records(returns, rng)
+    loaded, _ = load_features_csv(features)
+    shuffled = attach_returns(loaded, load_returns_csv(returns))
     disc = fit_discretizer(obs, SPEC1, m=4)
-    shuffled = obs.take(rng.permutation(obs.n))
     a = split(apply_discretizer(obs, disc), 25)
     b = split(apply_discretizer(shuffled, disc), 25)
     assert np.array_equal(a.learn.x, b.learn.x)
@@ -264,7 +310,7 @@ def test_features_csv_round_trip(tmp_path):
     f1 = rng.normal(size=12)
     f1[5] = np.nan
     panel = raw_panel(
-        np.datetime64("2020-01-01") + np.arange(12) % 3,
+        np.datetime64("2020-01-01") + np.arange(12) // 4,
         [f"S{i % 4}" for i in range(12)],
         rng.normal(size=12),
         f1,
@@ -327,7 +373,7 @@ def test_returns_csv_round_trip_and_attach(tmp_path):
     write_returns_csv(path, panel)
     table = load_returns_csv(path)
     # only labeled rows are written
-    assert len(table) == 2
+    assert table.n == 2 and table.columns == []
     stripped = RawPanel(panel.dates, panel.stock_ids, panel.columns,
                         np.full(panel.n, np.nan))
     joined = attach_returns(stripped, table)
@@ -344,12 +390,9 @@ def attach_returns_by_loop(panel, returns):
     return y
 
 
-KEYS = st.tuples(st.integers(0, 5), st.sampled_from(["A", "B", "A\0", "Ω", "", "a,b", 'q"']))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(KEYS, max_size=30),
+    rows=st.sets(KEYS, max_size=30),
     labels=st.dictionaries(
         KEYS,
         st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0)),
@@ -357,17 +400,16 @@ KEYS = st.tuples(st.integers(0, 5), st.sampled_from(["A", "B", "A\0", "Ω", "", 
     ),
 )
 def test_attach_returns_matches_the_loop(rows, labels):
-    """Rows without a label, labels without a row, repeated rows and ids that
-    differ only in a trailing NUL all join as the per-row loop does."""
+    """Rows without a label, labels without a row and ids that differ only
+    in a trailing NUL all join as the per-row loop does. Python's order of
+    the (day, id) tuples is the panels' key order."""
     day = np.datetime64("2020-01-01")
-    panel = RawPanel(
-        dates=np.array([day + d for d, _ in rows], dtype="datetime64[D]"),
-        stock_ids=np.array([sid for _, sid in rows], dtype=object),
-        columns=[],
-        y=np.zeros(len(rows)),
-    )
-    returns = {(day + d, sid): value for (d, sid), value in labels.items()}
-    got = attach_returns(panel, returns)
+    rows, labels = sorted(rows), sorted(labels.items())
+    panel = raw_panel([day + d for d, _ in rows], [sid for _, sid in rows])
+    table = raw_panel([day + d for (d, _), _ in labels], [sid for (_, sid), _ in labels],
+                      y=[value for _, value in labels])
+    returns = {(day + d, sid): value for (d, sid), value in labels}
+    got = attach_returns(panel, table)
     assert got.y.dtype == np.float64
     assert got.y.tobytes() == attach_returns_by_loop(panel, returns).tobytes()
 
@@ -382,8 +424,8 @@ def test_ids_that_differ_in_a_trailing_nul_stay_apart(tmp_path):
         "date,stock_id,fwd_excess_return_3m\n2020-01-01,S1,0.1\n2020-01-01,S1\0,0.2\n",
         encoding="utf-8",
     )
-    day = np.datetime64("2020-01-01")
-    assert load_returns_csv(returns) == {(day, "S1"): 0.1, (day, "S1\0"): 0.2}
+    table = load_returns_csv(returns)
+    assert table.stock_ids.tolist() == ["S1", "S1\0"] and table.y.tolist() == [0.1, 0.2]
 
     prices = tmp_path / "prices.csv"
     prices.write_text(
