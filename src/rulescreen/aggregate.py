@@ -83,19 +83,11 @@ class AggregationState:
         return cls(weights=weights, eta=eta, epsilon=epsilon, step=json_int(blob["step"], "step"))
 
 
-def init_state(
-    n_rules: int,
-    eta: float,
-    epsilon: float = 0.0,
-) -> AggregationState:
+def init_state(n_rules: int, eta: float) -> AggregationState:
     """Uniform initial weights 1/R."""
     if n_rules < 1:
         raise SpecMismatch("cannot aggregate an empty ruleset")
-    return AggregationState(
-        weights=np.full(n_rules, 1.0 / n_rules, dtype=np.float64),
-        eta=eta,
-        epsilon=epsilon,
-    )
+    return AggregationState(weights=np.full(n_rules, 1.0 / n_rules, dtype=np.float64), eta=eta)
 
 
 def predict_many(
@@ -106,15 +98,15 @@ def predict_many(
 ) -> np.ndarray:
     """Vectorized predict over an (n, d) code matrix.
 
-    Rows activating no rule get the ruleset's default prediction instead of
-    raising: the scoring engine must be total even when the learning sample
-    happened to be coverable without the full-space rule.
+    Rows activating no rule get the ruleset's learning-set mean, global_mean,
+    instead of raising: the scoring engine must be total even when the
+    learning sample happened to be coverable without the full-space rule.
     """
     A = ruleset.activation_matrix(x_matrix) if activation is None else activation
     preds = np.array([r.prediction for r in ruleset.rules])
     den = A @ state.weights
     num = A @ (state.weights * preds)
-    out = np.full(len(x_matrix), ruleset.default_prediction(), dtype=np.float64)
+    out = np.full(len(x_matrix), ruleset.global_mean, dtype=np.float64)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
     # Rows with active rules whose weights all underflowed to zero.

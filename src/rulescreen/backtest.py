@@ -51,7 +51,6 @@ from .panel import (
     month_ends,
     parsed,
     record_keys,
-    split,
     str_cells,
     to_dates,
     to_floats,
@@ -514,6 +513,11 @@ def kpis(
 # walk-forward study
 
 
+# The trading days from 0001-01-01 to 9999-12-31, the dates with a
+# four-digit ISO form: no label resolves after a longer horizon, and a far
+# longer one wraps np.busday_offset round to dates before year 0.
+MAX_HORIZON_DAYS = int(np.busday_count("0001-01-01", "10000-01-01"))
+
 # The range of each study field that SearchParams does not check. The
 # comparisons are written so that nan fails them, and inf fails those that
 # need a finite value.
@@ -522,16 +526,17 @@ _RANGES = {
     "eta": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
     "epsilon": (lambda v: v is None or 0.0 <= v < math.inf, "finite and >= 0, or auto"),
     "learn_fraction": (lambda v: 0.0 < v < 1.0, "in (0,1)"),
-    "horizon_days": (lambda v: v >= 1, ">= 1"),
+    "horizon_days": (lambda v: 1 <= v <= MAX_HORIZON_DAYS, f"in [1, {MAX_HORIZON_DAYS}]"),
     "initial_train_years": (lambda v: v >= 1, ">= 1"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class WalkForwardConfig:
     """Every knob of a study: the rule search (see search_params), the
     aggregation and the study layout. Each range is checked when the config
-    is built; a value out of range raises SpecMismatch naming the field."""
+    is built; a value out of range raises SpecMismatch naming the field. The
+    config is frozen, so the ranges hold for its whole life."""
 
     m: int = 10
     alpha: float = 0.05
@@ -633,22 +638,23 @@ def learning_step(
     learned_at: np.datetime64,
 ) -> LearningRecord:
     """Fit the discretizer and rules on the first learn_fraction of the
-    labeled rows (in (date, stock_id) order) and replay the rest through the
-    weight update. The caller checks that raw has at least 2 rows."""
+    labeled rows (in (date, stock_id) order), at least one and at most all
+    but one, and replay the rest through the weight update. The caller
+    checks that raw has at least 2 rows."""
     discretizer = fit_discretizer(raw, specs, cfg.m)
     codes = apply_discretizer(raw, discretizer)
-    N = codes.n
-    parts = split(codes, max(1, min(N - 1, int(math.floor(cfg.learn_fraction * N)))))
-    ruleset, report = learn(parts.learn, cfg.search_params(), learned_at=learned_at)
-    state = replay_state(ruleset, parts.aggregate, cfg)
+    n_design = max(1, min(codes.n - 1, int(math.floor(cfg.learn_fraction * codes.n))))
+    design, replay = codes.take(slice(0, n_design)), codes.take(slice(n_design, None))
+    ruleset, report = learn(design, cfg.search_params(), learned_at)
+    state = replay_state(ruleset, replay, cfg)
     return LearningRecord(
         date=learned_at,
         year=_year(learned_at),
         ruleset=ruleset,
         epsilon=state.epsilon,
         report=report,
-        n_design=parts.learn.n,
-        n_replay=parts.aggregate.n,
+        n_design=design.n,
+        n_replay=replay.n,
         discretizer=discretizer,
         state=state,
     )
@@ -713,11 +719,12 @@ def _settings(specs: Sequence[FeatureSpec], cfg: WalkForwardConfig) -> bytes:
 
 class _Engine:
     """One study's own copies of everything its learnings and out-of-sample
-    segments read: the panel's arrays, the feature specs, the config and the
-    trading-day grid. Numeric arrays are copied; an object array's copy
-    shares its (immutable) elements, and is pickled once so that
-    same_inputs can tell a changed element type or value. Learnings and
-    segments take rows in the panel's (date, stock_id) order."""
+    segments read: the panel's arrays, the feature specs and the trading-day
+    grid. Numeric arrays are copied; an object array's copy shares its
+    (immutable) elements, and is pickled once so that same_inputs can tell a
+    changed element type or value. The specs are kept as a tuple of the
+    (frozen) FeatureSpecs, and the config, frozen too, as it is. Learnings
+    and segments take rows in the panel's (date, stock_id) order."""
 
     def __init__(self, raw_panel, specs, grid, cfg, score_rows):
         self.raw_panel = RawPanel(
@@ -727,7 +734,7 @@ class _Engine:
             y=raw_panel.y.copy(),
         )
         self.grid = grid.copy()
-        self.specs, self.cfg = copy.deepcopy(list(specs)), copy.deepcopy(cfg)
+        self.specs, self.cfg = tuple(specs), cfg
         self._settings = _settings(specs, cfg)
         self._pickles = [
             pickle.dumps(a) if a.dtype == object else None
@@ -996,11 +1003,11 @@ def run_study(
     same rows in the same order either way, so no day is scored twice.
 
     The schedule of the last study is kept in a one-entry memo with the
-    study's engine, which holds its own copies of the panel, specs,
-    trading-day grid and config (not of the universe or the returns, which
-    the schedule does not depend on). A walk-forward study never reads the
-    memo: it drops it, computes every entry on a new engine and replaces the
-    memo. A frozen study reuses the memo's engine and its entries up to
+    study's engine, which holds its own copies of the panel, spec list and
+    trading-day grid, and the frozen config (not the universe or the
+    returns, which the schedule does not depend on). A walk-forward study
+    never reads the memo: it drops it, computes every entry on a new engine
+    and replaces the memo. A frozen study reuses the memo's engine and its entries up to
     freeze_year when _Engine.same_inputs finds its inputs equal to the
     engine's copies (byte for byte; object arrays by their pickles), and
     computes only the rest, so its result is bit-identical to a cold run.

@@ -119,6 +119,15 @@ class RunConfig:
     worker_count: int = 1  # no effect; kept so config files that set it still parse
     study: WalkForwardConfig = field(default_factory=_default_study)
 
+    @functools.cached_property
+    def window(self):
+        """(start_date, end_date) as days, None for a key left empty; parsed
+        once, when the config is checked."""
+        return tuple(
+            _day(key, value) if value else None
+            for key, value in (("start_date", self.start_date), ("end_date", self.end_date))
+        )
+
     def as_dict(self) -> Dict[str, object]:
         """Every config key with its value, in --print-config order."""
         study_keys, run_keys, _ = _config_keys()
@@ -196,21 +205,26 @@ def parse_config(path: Optional[str]) -> RunConfig:
     return cfg
 
 
+def _day(name: str, value: str):
+    """value as a datetime64[D] day. A value that is not an ISO date raises
+    ConfigError naming `name`; so do "NaT" and "", which numpy reads as NaT."""
+    import numpy as np
+    try:
+        day = np.datetime64(value, "D")
+    except ValueError:
+        day = None
+    if day is None or np.isnat(day):
+        raise ConfigError(f"{name} must be an ISO date, got {value!r}")
+    return day
+
+
 def _validate_config(cfg: RunConfig) -> None:
     """The range check of the run's own keys, run before any input is read;
     WalkForwardConfig checks the study's."""
-    import numpy as np
     if cfg.worker_count < 1:
         raise ConfigError(f"worker_count must be >= 1, got {cfg.worker_count!r}")
-    window = {}
-    for key in ("start_date", "end_date"):
-        value = getattr(cfg, key)
-        try:
-            if value:
-                window[key] = np.datetime64(value, "D")
-        except ValueError:
-            raise ConfigError(f"{key} must be an ISO date or empty, got {value!r}") from None
-    if len(window) == 2 and window["start_date"] > window["end_date"]:
+    start, end = cfg.window
+    if start is not None and end is not None and start > end:
         raise ConfigError(f"start_date {cfg.start_date} is after end_date {cfg.end_date}")
     if cfg.learning_years not in ("all", "none"):
         try:
@@ -355,11 +369,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_score(args) -> int:
-    import numpy as np
-    try:
-        asof = np.datetime64(args.asof, "D")
-    except ValueError:
-        raise ConfigError(f"--asof must be an ISO date, got {args.asof!r}") from None
+    asof = _day("--asof", args.asof)
     disc = _parse_file(args.discretizer, Discretizer.from_json)
     feature_ids = [s.feature_id for s in disc.specs]
     n_codes = [disc.n_codes(fid) for fid in feature_ids]
@@ -389,7 +399,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    import numpy as np
     cfg = parse_config(args.config)
     for key in ("features", "returns", "universe", "prices"):
         if not getattr(cfg, key):
@@ -400,9 +409,10 @@ def cmd_backtest(args) -> int:
     universe = load_universe_csv(cfg.universe)
     prices = load_prices_csv(cfg.prices)
 
-    if cfg.start_date or cfg.end_date:
-        lo = np.datetime64(cfg.start_date, "D") if cfg.start_date else prices.dates[0]
-        hi = np.datetime64(cfg.end_date, "D") if cfg.end_date else prices.dates[-1]
+    start, end = cfg.window
+    if start is not None or end is not None:
+        lo = prices.dates[0] if start is None else start
+        hi = prices.dates[-1] if end is None else end
         dmask = (prices.dates >= lo) & (prices.dates <= hi)
         prices = type(prices)(
             dates=prices.dates[dmask],

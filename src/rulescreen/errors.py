@@ -44,10 +44,6 @@ class InputChanged(DataError):
     """An input file whose bytes changed between its hash and its parse."""
 
 
-class BadSplitPoint(ValidationError):
-    pass
-
-
 # rules
 class DimensionMismatch(ValidationError):
     pass

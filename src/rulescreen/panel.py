@@ -1,4 +1,4 @@
-"""Feature panel handling: loading, quantile discretization, chronological split.
+"""Feature panel handling: loading and quantile discretization.
 
 The raw panel is a time-indexed collection of (date, stock_id, feature vector,
 forward excess return) records. Numeric features are discretized into m
@@ -23,7 +23,6 @@ import numpy as np
 
 from .csvio import BLOCK_ROWS, InputCsv, parse_columns
 from .errors import (
-    BadSplitPoint,
     DuplicateRow,
     EmptyPanel,
     NonPositiveModalities,
@@ -226,10 +225,6 @@ class DiscretizedPanel:
     def feature_ids(self) -> List[str]:
         return [s.feature_id for s in self.specs]
 
-    def observed(self) -> "DiscretizedPanel":
-        """Rows whose outcome y is observed (used for training sums)."""
-        return self.take(np.isfinite(self.y))
-
     def take(self, index) -> "DiscretizedPanel":
         return DiscretizedPanel(
             specs=self.specs,
@@ -289,24 +284,6 @@ def month_ends(dates: np.ndarray) -> np.ndarray:
     keep = np.ones(len(dates), dtype=bool)
     keep[:-1] = months[:-1] != months[1:]
     return dates[keep]
-
-
-@dataclass
-class TrainSplit:
-    """Chronological learning/aggregation split: D_n is the first n rows of
-    the time-ordered panel, D_t the rest."""
-
-    learn: DiscretizedPanel
-    aggregate: DiscretizedPanel
-
-
-def split(panel: DiscretizedPanel, n: int) -> TrainSplit:
-    N = panel.n
-    if not 0 < n < N:
-        raise BadSplitPoint(f"split point {n} outside (0, {N})")
-    learn = panel.take(slice(0, n))
-    aggregate = panel.take(slice(n, N))
-    return TrainSplit(learn=learn, aggregate=aggregate)
 
 
 # ---------------------------------------------------------------------------

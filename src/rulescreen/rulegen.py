@@ -1,16 +1,18 @@
 """Rule search: exhaustive complexity-1 enumeration, recursive pairwise
 intersection up to cp_max, and greedy covering selection.
 
-All statistics are computed on the observed-y rows of the learning panel;
-the covering requirement is checked against every learning row's feature
-vector (rows with unobserved y still need a prediction later).
+`learn` prepares the learning panel once, as one LearningSet that every
+level and the covering read. All statistics are computed on the observed-y
+rows of the learning panel; the covering requirement is checked against
+every learning row's feature vector (rows with unobserved y still need a
+prediction later).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,28 +82,37 @@ class LearnReport:
 UNPACKED_BLOCK_BYTES = 1 << 22
 
 
-class PackedMasks:
-    """Activation masks over the rows of a discretized panel, held as packed
-    bits: a mask is a uint64 array of `words` = ceil(n / 64) words in which
-    row i is bit i % 64 of word i // 64, and padding bits are 0.
+class LearningSet:
+    """One learning panel, prepared once for the whole rule search: the
+    count, mean and sample std of its observed y, and its activation masks
+    as packed bits. Every level and the covering read this one set. A panel
+    with no observed y raises EmptyLearningSet.
 
-    For each feature, the masks of rows with 0 <= code < j, for j = 0..K, are
-    packed once. An interval [lo, hi] is then below[hi + 1] & ~below[lo], and
-    a condition, a hyper-rectangle, is the AND of its intervals' masks. So the
-    mask of an intersection is the AND of its parents' masks.
+    A mask is a uint64 array of `words` = ceil(n / 64) words in which row i
+    is bit i % 64 of word i // 64, and padding bits are 0. For each feature,
+    the masks of rows with 0 <= code < j, for j = 0..K, are packed once. An
+    interval [lo, hi] is then below[hi + 1] & ~below[lo], and a condition, a
+    hyper-rectangle, is the AND of its intervals' masks. So the mask of an
+    intersection is the AND of its parents' masks.
     """
 
     def __init__(self, panel: DiscretizedPanel):
+        self.panel = panel
         self.n = panel.n
         self.words = -(-self.n // 64)
         self.x = panel.x
         self.y = panel.y
-        self.all = self.pack(np.ones(self.n, dtype=bool))
         # The rows the search counts and averages: those whose y is observed.
-        self.observed = self.pack(np.isfinite(panel.y))
-        self.n_observed = int(_popcount(self.observed))
+        self.labeled = np.isfinite(panel.y)
+        self.n_observed = int(np.count_nonzero(self.labeled))
+        if self.n_observed == 0:
+            raise EmptyLearningSet("no rows with observed y")
+        self.global_mean = conditional_mean(Condition(), panel)
+        self.sigma = sample_std(panel)
+        self.all = self.pack(np.ones(self.n, dtype=bool))
+        self.observed = self.pack(self.labeled)
         self._below = []
-        step = max(1, UNPACKED_BLOCK_BYTES // max(self.n, 1))
+        step = max(1, UNPACKED_BLOCK_BYTES // self.n)
         for k in range(panel.d):
             col = panel.x[:, k]
             top = max(panel.n_codes[k], int(col.max(initial=-1)) + 1)
@@ -154,31 +165,32 @@ def _popcount(masks: np.ndarray):
     return np.bitwise_count(masks).sum(axis=-1, dtype=np.int64)
 
 
-def _with_means(candidates: Sequence[tuple], masks_of, bits: PackedMasks) -> List[tuple]:
+def _with_means(candidates: Sequence[tuple], masks_of, data: LearningSet) -> List[tuple]:
     """(condition, count, mean) of each (condition, count, source) candidate,
     where masks_of(sources) stacks the candidates' packed masks. The mean of
     observed y over a condition's rows, summed in row order, is bit for bit
-    conditional_mean(condition, panel.observed()). These means are the costly
-    part of the search, so a block of masks is unpacked in one call."""
-    block = max(1, UNPACKED_BLOCK_BYTES // max(bits.n, 1))
+    conditional_mean(condition, panel). These means are the costly part of
+    the search, so a block of masks is unpacked in one call."""
+    block = max(1, UNPACKED_BLOCK_BYTES // data.n)
     out = []
     for start in range(0, len(candidates), block):
         part = candidates[start : start + block]
-        rows = bits.rows(masks_of([source for _, _, source in part]))
-        out += [(cond, count, observed_mean(bits.y[r])) for (cond, count, _), r in zip(part, rows)]
+        rows = data.rows(masks_of([source for _, _, source in part]))
+        out += [(cond, count, observed_mean(data.y[r])) for (cond, count, _), r in zip(part, rows)]
     return out
 
 
 def _finalize_candidates(
     raw_candidates: List[Tuple[Condition, int, float]],
     params: SearchParams,
-    global_mean: float,
-    sigma: float,
+    data: LearningSet,
 ) -> List[Rule]:
     """Rules of the (condition, count, exact mean) candidates, which passed
-    the count and coverage screens, whose mean passes the significance test.
-    The means are gathered as conditional_mean gathers them, so emitted rules
-    pass independent re-checks exactly."""
+    the count and coverage screens, whose mean passes the significance test,
+    sorted by the selection criterion. The means are gathered as
+    conditional_mean gathers them, so emitted rules pass independent
+    re-checks exactly."""
+    global_mean, sigma = data.global_mean, data.sigma
     z_fn = Z_KINDS[params.z_kind]
     out = []
     for cond, count, mu in raw_candidates:
@@ -192,40 +204,30 @@ def _finalize_candidates(
                 sign=int(np.sign(mu - global_mean)),
             )
         )
+    out.sort(key=lambda r: rule_sort_key(r, global_mean, data.panel.n_codes))
     return out
 
 
 def enumerate_complexity1(
-    panel: DiscretizedPanel,
-    params: SearchParams,
-    report: Optional[LearnReport] = None,
-    bits: Optional[PackedMasks] = None,
+    data: LearningSet, params: SearchParams, report: LearnReport
 ) -> List[Rule]:
     """Evaluate every single-feature interval condition and keep suitable ones.
 
     For each feature with K codes there are K(K+1)/2 candidate intervals,
     including the full-width one (complexity 0 but still a stored condition).
     Candidates that activate nothing are skipped: their prediction is
-    undefined. Output is sorted by the selection criterion. `bits` are the
-    panel's packed masks, when the caller already holds them.
+    undefined. Counts and sums are bincounts of the observed rows, in row
+    order. Output is sorted by the selection criterion.
     """
-    obs = panel.observed()
-    if obs.n == 0:
-        raise EmptyLearningSet("no rows with observed y")
-    if bits is None:
-        bits = PackedMasks(panel)
-    n = obs.n
-    global_mean = conditional_mean(Condition(), obs)
-    sigma = sample_std(obs)
+    n, n_codes = data.n_observed, data.panel.n_codes
     z_fn = Z_KINDS[params.z_kind]
 
     raw = []
-    for k in range(obs.d):
-        col = obs.x[:, k]
-        K = obs.n_codes[k]
-        valid = col >= 0
+    for k, K in enumerate(n_codes):
+        col = data.x[:, k]
+        valid = (col >= 0) & data.labeled
         counts = np.bincount(col[valid], minlength=K)
-        sums = np.bincount(col[valid], weights=obs.y[valid], minlength=K)
+        sums = np.bincount(col[valid], weights=data.y[valid], minlength=K)
         c_pre = np.concatenate(([0], np.cumsum(counts)))
         s_pre = np.concatenate(([0.0], np.cumsum(sums)))
         for a in range(K):
@@ -238,18 +240,15 @@ def enumerate_complexity1(
                     continue
                 # A screen only: finalize re-tests with the exact mean.
                 mu = (s_pre[b + 1] - s_pre[a]) / count
-                if abs(mu - global_mean) < z_fn(count, params.alpha, sigma):
+                if abs(mu - data.global_mean) < z_fn(count, params.alpha, data.sigma):
                     continue
                 cond = Condition((Interval(k, a, b),))
                 raw.append((cond, count, cond))
-    n_candidates = sum(K * (K + 1) // 2 for K in obs.n_codes)
-    raw = _with_means(raw, lambda conds: np.array([bits.mask(c) for c in conds]), bits)
-    rules = _finalize_candidates(raw, params, global_mean, sigma)
-    rules.sort(key=lambda r: rule_sort_key(r, global_mean, obs.n_codes))
-    if report is not None:
-        row = report.level(1)
-        row.candidates = n_candidates
-        row.suitable = len(rules)
+    raw = _with_means(raw, lambda conds: np.array([data.mask(c) for c in conds]), data)
+    rules = _finalize_candidates(raw, params, data)
+    row = report.level(1)
+    row.candidates = sum(K * (K + 1) // 2 for K in n_codes)
+    row.suitable = len(rules)
     return rules
 
 
@@ -258,9 +257,8 @@ def generate_complexity_c(
     suitable_cminus1: List[Rule],
     c: int,
     params: SearchParams,
-    panel: DiscretizedPanel,
-    report: Optional[LearnReport] = None,
-    bits: Optional[PackedMasks] = None,
+    data: LearningSet,
+    report: LearnReport,
 ) -> List[Rule]:
     """Intersect top-M complexity-1 rules with top-M complexity-(c-1) rules.
 
@@ -274,17 +272,13 @@ def generate_complexity_c(
     its partners at a time; the geometric checks and the exact mean run only
     for the pairs whose count passes.
     """
-    if bits is None:
-        bits = PackedMasks(panel)
-    n = bits.n_observed
-    if n == 0:
-        raise EmptyLearningSet("no rows with observed y")
+    n = data.n_observed
     # c == 2: both parent lists are the complexity-1 list; unordered pairs
     # only, otherwise every intersection shows up twice.
     top1 = suitable_1[: params.M]
     topc = top1 if c == 2 else suitable_cminus1[: params.M]
-    masks1 = bits.observed_masks(top1)
-    masksc = masks1 if c == 2 else bits.observed_masks(topc)
+    masks1 = data.observed_masks(top1)
+    masksc = masks1 if c == 2 else data.observed_masks(topc)
     acts_c = np.array([r.activations for r in topc], dtype=np.int64)
 
     survivors = []
@@ -302,7 +296,7 @@ def generate_complexity_c(
         survivors.extend((i, first + j, int(counts[j])) for j in np.flatnonzero(passed))
     n_pairs = len(top1) * (len(top1) - 1) // 2 if c == 2 else len(top1) * len(topc)
 
-    n_codes = panel.n_codes
+    n_codes = data.panel.n_codes
     cp1 = [r.complexity(n_codes) for r in top1]
     cpc = [r.complexity(n_codes) for r in topc]
     seen: Dict[tuple, tuple] = {}
@@ -315,41 +309,28 @@ def generate_complexity_c(
             continue
         seen.setdefault(cond.key(), (cond, count, (i, j)))
 
-    global_mean = conditional_mean(Condition(), panel)
-    sigma = sample_std(panel)
     raw = _with_means(
         list(seen.values()),
         lambda pairs: masks1[[i for i, _ in pairs]] & masksc[[j for _, j in pairs]],
-        bits,
+        data,
     )
-    rules = _finalize_candidates(raw, params, global_mean, sigma)
-    rules.sort(key=lambda r: rule_sort_key(r, global_mean, n_codes))
-    if report is not None:
-        row = report.level(c)
-        row.candidates = n_pairs
-        row.suitable = len(rules)
+    rules = _finalize_candidates(raw, params, data)
+    row = report.level(c)
+    row.candidates = n_pairs
+    row.suitable = len(rules)
     return rules
 
 
-def design_rules(
-    panel: DiscretizedPanel,
-    params: SearchParams,
-    report: Optional[LearnReport] = None,
-    bits: Optional[PackedMasks] = None,
-) -> List[Rule]:
+def design_rules(data: LearningSet, params: SearchParams, report: LearnReport) -> List[Rule]:
     """All suitable rules up to cp_max; stops early when a level comes out
-    empty. Every level reads one set of packed masks of the panel."""
-    if bits is None:
-        bits = PackedMasks(panel)
-    level1 = enumerate_complexity1(panel, params, report=report, bits=bits)
+    empty."""
+    level1 = enumerate_complexity1(data, params, report)
     all_rules = list(level1)
     previous = level1
     for c in range(2, params.cp_max + 1):
         if not previous:
             break
-        level_c = generate_complexity_c(
-            level1, previous, c, params, panel, report=report, bits=bits
-        )
+        level_c = generate_complexity_c(level1, previous, c, params, data, report)
         if not level_c:
             break
         all_rules.extend(level_c)
@@ -358,11 +339,7 @@ def design_rules(
 
 
 def select_covering(
-    candidates: List[Rule],
-    panel: DiscretizedPanel,
-    learned_at=None,
-    report: Optional[LearnReport] = None,
-    bits: Optional[PackedMasks] = None,
+    candidates: List[Rule], data: LearningSet, learned_at, report: LearnReport
 ) -> RuleSet:
     """Greedy covering selection.
 
@@ -371,25 +348,20 @@ def select_covering(
     the walk, a full-space default rule predicting the learning-set mean is
     appended (flagged is_default). Coverage is kept as a packed mask.
     """
-    if bits is None:
-        bits = PackedMasks(panel)
-    global_mean = conditional_mean(Condition(), panel)
-    if learned_at is None:
-        learned_at = panel.dates.max() if panel.n else None
-
+    panel, global_mean = data.panel, data.global_mean
     ordered = sorted(
         candidates, key=lambda r: rule_sort_key(r, global_mean, panel.n_codes)
     )
-    covered = np.zeros_like(bits.all)
+    covered = np.zeros_like(data.all)
     selected: List[Rule] = []
     for rule in ordered:
-        if np.array_equal(covered, bits.all):
+        if np.array_equal(covered, data.all):
             break
-        mask = bits.mask(rule.condition)
+        mask = data.mask(rule.condition)
         if np.any(mask & ~covered):
             selected.append(rule)
             covered |= mask
-    appended_default = not np.array_equal(covered, bits.all)
+    appended_default = not np.array_equal(covered, data.all)
     if appended_default:
         selected.append(
             Rule(
@@ -400,18 +372,17 @@ def select_covering(
                 is_default=True,
             )
         )
-    if report is not None:
-        report.default_rule_appended = appended_default
-        by_level: Dict[int, List[Rule]] = {}
-        for rule in selected:
-            if rule.is_default:
-                continue
-            by_level.setdefault(rule.complexity(panel.n_codes), []).append(rule)
-        for c, rules_at_c in by_level.items():
-            row = report.level(c)
-            row.selected = len(rules_at_c)
-            row.selected_positive = sum(1 for r in rules_at_c if r.sign > 0)
-            row.selected_negative = sum(1 for r in rules_at_c if r.sign < 0)
+    report.default_rule_appended = appended_default
+    by_level: Dict[int, List[Rule]] = {}
+    for rule in selected:
+        if rule.is_default:
+            continue
+        by_level.setdefault(rule.complexity(panel.n_codes), []).append(rule)
+    for c, rules_at_c in by_level.items():
+        row = report.level(c)
+        row.selected = len(rules_at_c)
+        row.selected_positive = sum(1 for r in rules_at_c if r.sign > 0)
+        row.selected_negative = sum(1 for r in rules_at_c if r.sign < 0)
     return RuleSet(
         rules=selected,
         learned_at=learned_at,
@@ -422,17 +393,15 @@ def select_covering(
 
 
 def learn(
-    panel: DiscretizedPanel,
-    params: SearchParams,
-    learned_at=None,
+    panel: DiscretizedPanel, params: SearchParams, learned_at
 ) -> Tuple[RuleSet, LearnReport]:
-    """Full rule-learning pass over one learning panel."""
+    """Full rule-learning pass over one learning panel: the panel is
+    prepared once, as one LearningSet that every level and the covering
+    read."""
     report = LearnReport()
-    bits = PackedMasks(panel)
-    candidates = design_rules(panel, params, report=report, bits=bits)
-    ruleset = select_covering(
-        candidates, panel, learned_at=learned_at, report=report, bits=bits
-    )
+    data = LearningSet(panel)
+    candidates = design_rules(data, params, report)
+    ruleset = select_covering(candidates, data, learned_at, report)
     logger.info(
         "learned %d rules (%d candidates suitable) at %s",
         ruleset.R,

@@ -253,12 +253,6 @@ class RuleSet:
     def R(self) -> int:
         return len(self.rules)
 
-    def default_prediction(self) -> float:
-        for rule in self.rules:
-            if rule.is_default:
-                return rule.prediction
-        return self.global_mean
-
     def describe(self) -> List[str]:
         return [describe(r, self.feature_ids) for r in self.rules]
 

@@ -39,7 +39,7 @@ from rulescreen.panel import (
     apply_discretizer,
     fit_discretizer,
 )
-from rulescreen.rulegen import design_rules
+from rulescreen.rulegen import LearningSet, LearnReport, design_rules
 from rulescreen.rules import (
     Condition,
     Interval,
@@ -144,7 +144,7 @@ def test_c02_suitability_post_conditions():
         panel = panel_from_codes(x, y, 5)
         mu = float(y.mean())
         sigma = float(np.std(y, ddof=1))
-        for rule in design_rules(panel, params):
+        for rule in design_rules(LearningSet(panel), params, LearnReport()):
             emitted += 1
             mask = np.ones(n, dtype=bool)
             for iv in rule.condition.intervals:
@@ -194,7 +194,7 @@ def test_c03_planted_recovery_and_null_rate():
     for seed in range(100):
         rules = labeled_codes(
             recovery_spec(seed, [PlantedRule(TARGET3, 0.09)]))
-        found = design_rules(rules, PARAMS3)
+        found = design_rules(LearningSet(rules), PARAMS3, LearnReport())
         hits += any(r.condition == TARGET3 for r in found)
 
     num = den = 0

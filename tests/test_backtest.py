@@ -31,6 +31,7 @@ from rulescreen.backtest import (
     WalkForwardConfig,
     best_in_class,
     kpis,
+    learning_step,
     learning_y,
     load_prices_csv,
     load_universe_csv,
@@ -671,6 +672,48 @@ def test_study_logs_nothing_from_panel(caplog):
     assert [r for r in caplog.records if r.name == "rulescreen.panel"] == []
 
 
+def ten_day_panel():
+    """One stock on ten consecutive days, every outcome observed."""
+    return RawPanel(
+        dates=np.arange(D("2020-01-01"), D("2020-01-11")),
+        stock_ids=np.array(["S0"] * 10, dtype=object),
+        columns=[np.arange(10, dtype=np.float64)],
+        y=np.linspace(-0.05, 0.05, 10),
+    )
+
+
+@pytest.mark.parametrize("learn_fraction,n_design", [(0.7, 7), (0.95, 9), (0.05, 1)])
+def test_learning_step_designs_on_a_chronological_prefix(monkeypatch, learn_fraction, n_design):
+    """learning_step designs its rules on the first floor(learn_fraction * N)
+    rows, at least one, and replays the rest, in (date, stock_id) order."""
+    raw, seen = ten_day_panel(), {}
+    learn, replay_state = backtest.learn, backtest.replay_state
+
+    def designing(panel, params, learned_at):
+        seen["design"] = panel.dates
+        return learn(panel, params, learned_at)
+
+    def replaying(ruleset, replay, cfg):
+        seen["replay"] = replay.dates
+        return replay_state(ruleset, replay, cfg)
+
+    monkeypatch.setattr(backtest, "learn", designing)
+    monkeypatch.setattr(backtest, "replay_state", replaying)
+    cfg = WalkForwardConfig(m=3, learn_fraction=learn_fraction)
+    rec = learning_step(raw, [FeatureSpec("f0")], cfg, raw.dates[-1])
+    assert (rec.n_design, rec.n_replay) == (n_design, 10 - n_design)
+    assert seen["design"].tolist() == raw.dates[:n_design].tolist()
+    assert seen["replay"].tolist() == raw.dates[n_design:].tolist()
+
+
+def test_walk_forward_config_is_frozen():
+    """The ranges checked when a config is built hold for its whole life."""
+    cfg = WalkForwardConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.horizon_days = 0
+    assert cfg.horizon_days == 63
+
+
 def test_learning_y_first_year_matches_walk_forward_bitwise():
     data, universe, prices, cfg = small_study(seed=3)
     walk = run_study(data.panel, data.specs, universe, prices, cfg)
@@ -710,9 +753,9 @@ def learn_calls(monkeypatch):
     calls = []
     original = backtest.learn
 
-    def counting(panel, params, learned_at=None, **kw):
+    def counting(panel, params, learned_at):
         calls.append(learned_at)
-        return original(panel, params, learned_at=learned_at, **kw)
+        return original(panel, params, learned_at)
 
     monkeypatch.setattr(backtest, "learn", counting)
     return calls
@@ -794,8 +837,9 @@ def mid_month_monday(grid, after):
 ])
 def test_input_changed_in_place_misses_the_memo(learn_calls, change):
     """Each in-place change of a study input, even one that == cannot see
-    (0.0 to -0.0, 1 to 1.0, an id with a trailing NUL), makes the next
-    frozen study learn again, and its result equals a cold run."""
+    (0.0 to -0.0, 1 to 1.0, an id with a trailing NUL), and a config
+    replaced by one with another c_max, makes the next frozen study learn
+    again, and its result equals a cold run."""
     data, universe, prices, cfg = (
         categorical_market(8) if change == "categorical" else small_study(seed=8)
     )
@@ -818,7 +862,7 @@ def test_input_changed_in_place_misses_the_memo(learn_calls, change):
     elif change == "spec":
         data.specs[1] = replace(data.specs[1], feature_id="g1")
     else:
-        cfg.c_max = 0.6
+        args = args[:4] + (replace(cfg, c_max=0.6),)
     learn_calls.clear()
     got = frozen_bytes(learning_y(*args, year))
     assert learn_calls == [res.learnings[0].date]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rulescreen.errors import EmptyLearningSet
 from rulescreen.panel import MISSING_CODE, DiscretizedPanel, FeatureSpec
-from rulescreen.rulegen import LearnReport, PackedMasks, learn
+from rulescreen.rulegen import LearnReport, LearningSet, learn
 from rulescreen.rules import (
     Z_KINDS,
     Condition,
@@ -46,8 +46,12 @@ def ref_finalize(raw, obs, params, global_mean, sigma):
     return out
 
 
+def observed_rows(panel):
+    return panel.take(np.isfinite(panel.y))
+
+
 def ref_level1(panel, params, report):
-    obs = panel.observed()
+    obs = observed_rows(panel)
     if obs.n == 0:
         raise EmptyLearningSet("no rows with observed y")
     global_mean = conditional_mean(Condition(), obs)
@@ -80,7 +84,7 @@ def ref_level1(panel, params, report):
 
 def ref_level_c(suitable_1, suitable_cminus1, c, params, panel, report):
     """One `activation_mask` and one `conditional_mean` per parent pair."""
-    obs = panel.observed()
+    obs = observed_rows(panel)
     top1 = suitable_1[: params.M]
     topc = suitable_cminus1[: params.M]
     if c == 2:
@@ -151,6 +155,9 @@ def ref_learn(panel, params):
 # --- random panels -----------------------------------------------------------
 
 
+LEARNED_AT = np.datetime64("2020-01-01")
+
+
 def random_panel(seed, n, d, m, missing, unobserved):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, m, size=(n, d)).astype(np.int32)
@@ -198,10 +205,10 @@ def test_bitset_search_matches_the_per_pair_reference(
     params = SearchParams(alpha=alpha, c_min=c_min, c_max=c_max, cp_max=cp_max, M=M)
     if not np.isfinite(panel.y).any():
         with pytest.raises(EmptyLearningSet):
-            learn(panel, params)
+            learn(panel, params, LEARNED_AT)
         return
     candidates, selected, ref_report = ref_learn(panel, params)
-    ruleset, report = learn(panel, params)
+    ruleset, report = learn(panel, params, LEARNED_AT)
     rules = [r for r in ruleset.rules if not r.is_default]
     assert facts(rules) == facts(selected)
     assert ruleset.rules[-1].is_default == ref_report.default_rule_appended
@@ -223,7 +230,11 @@ def test_packed_mask_equals_activation_mask(seed, n, bounds):
     panel = random_panel(seed, n, 3, 4, 0.2, 0.3)
     by_feature = {k: Interval(k, min(lo, hi), max(lo, hi)) for k, lo, hi in bounds}
     cond = Condition(tuple(by_feature.values()))
-    bits = PackedMasks(panel)
-    mask = bits.mask(cond)
-    assert mask.dtype == np.uint64 and mask.shape == (bits.words,)
-    assert bits.rows(mask).tolist() == activation_mask(cond, panel.x).tolist()
+    if not np.isfinite(panel.y).any():  # no learning set without an observed y
+        with pytest.raises(EmptyLearningSet):
+            LearningSet(panel)
+        return
+    data = LearningSet(panel)
+    mask = data.mask(cond)
+    assert mask.dtype == np.uint64 and mask.shape == (data.words,)
+    assert data.rows(mask).tolist() == activation_mask(cond, panel.x).tolist()

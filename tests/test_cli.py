@@ -18,6 +18,7 @@ import pytest
 import rulescreen
 from rulescreen import cli, synth
 from rulescreen.backtest import (
+    MAX_HORIZON_DAYS,
     WalkForwardConfig,
     load_prices_csv,
     load_universe_csv,
@@ -106,6 +107,10 @@ def test_parse_config_bad_value(tmp_path):
 # of the field the key sets.
 STUDY_OUT_OF_RANGE = [
     ("horizon_days", 0),
+    ("horizon_days", MAX_HORIZON_DAYS + 1),
+    ("horizon_days", 7000000000000000000),
+    ("horizon_days", 2**63 - 1),
+    ("horizon_days", 2**63),
     ("learn_fraction", 1.0),
     ("learn_fraction", 0.0),
     ("c_max", 2),
@@ -141,6 +146,10 @@ def test_walk_forward_config_rejects_out_of_range(key, value):
     """A library caller gets the config file's range checks."""
     with pytest.raises(SpecMismatch):
         WalkForwardConfig(**{STUDY_FIELD.get(key, key): value})
+
+
+def test_horizon_up_to_the_last_four_digit_year_is_accepted():
+    assert WalkForwardConfig(horizon_days=MAX_HORIZON_DAYS).horizon_days == MAX_HORIZON_DAYS
 
 
 def test_default_config_text_round_trips(tmp_path):
@@ -1312,6 +1321,45 @@ def test_backtest_out_of_range_study_key_exits_one(pipeline, tmp_path, caplog):
     assert "ConfigError: initial_train_years must be >= 1, got 0" in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("horizon", [7000000000000000000, 2**63 - 1, 2**63])
+def test_backtest_horizon_past_the_calendar_exits_one(pipeline, tmp_path, caplog, horizon):
+    """A horizon_days longer than the trading days up to 9999-12-31 exits 1
+    before any input is read. 7e18 and 2**63 - 1 days wrap np.busday_offset
+    round to dates before year 0, which resolved every label at every
+    learning; 2**63 overflows it."""
+    lines = [CFG_TEXT.replace("horizon_days = 63", f"horizon_days = {horizon}")]
+    for key in ("features", "returns", "universe", "prices"):
+        lines.append(f"{key} = {pipeline['data'] / (key + '.csv')}")
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert (f"ConfigError: horizon_days must be in [1, {MAX_HORIZON_DAYS}], got {horizon}"
+            in caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["start_date", "end_date"])
+def test_backtest_nat_window_date_exits_one_before_reading(tmp_path, caplog, key):
+    """numpy reads "NaT" as a date; the window refuses it before any input
+    is read (the inputs named here do not exist)."""
+    lines = [CFG_TEXT, f"{key} = NaT"]
+    lines += [f"{name} = {tmp_path / (name + '.csv')}"
+              for name in ("features", "returns", "universe", "prices")]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert run(["backtest", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"ConfigError: {key} must be an ISO date, got 'NaT'" in caplog.text
+
+
+@pytest.mark.parametrize("asof", ["NaT", ""])
+def test_score_nat_or_empty_asof_exits_one_before_reading(tmp_path, caplog, asof):
+    """numpy reads "NaT" and "" as NaT; --asof refuses both before any input
+    is read (the inputs named here do not exist)."""
+    argv = ["score", "--asof", asof, "--out", str(tmp_path / "scores.csv")]
+    for flag in ("rules", "state", "discretizer", "panel"):
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.missing")]
+    assert run(argv) == 1
+    assert f"ConfigError: --asof must be an ISO date, got {asof!r}" in caplog.text
 
 
 def test_backtest_window_after_the_data_exits_two(pipeline, tmp_path):

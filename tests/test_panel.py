@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulescreen.errors import (
-    BadSplitPoint,
     DuplicateRow,
     EmptyPanel,
     MalformedRow,
@@ -34,7 +33,6 @@ from rulescreen.panel import (
     load_features_csv,
     load_returns_csv,
     record_keys,
-    split,
     str_cells,
     write_csv_columns,
     write_features_csv,
@@ -251,25 +249,6 @@ def test_panel_accepts_keys_exactly_when_record_keys_codes_increase(keys):
         assert increasing
 
 
-def test_split_is_chronological_prefix():
-    obs = panel_of(range(10), y=[0.01] * 10)
-    disc = fit_discretizer(obs, SPEC1, m=5)
-    codes = apply_discretizer(obs, disc)
-    parts = split(codes, 7)
-    assert parts.learn.n == 7 and parts.aggregate.n == 3
-    assert parts.learn.dates.max() < parts.aggregate.dates.min()
-    # n = N-1 leaves a single aggregation row
-    assert split(codes, 9).aggregate.n == 1
-
-
-def test_split_rejects_degenerate_points():
-    obs = panel_of(range(5))
-    codes = apply_discretizer(obs, fit_discretizer(obs, SPEC1, m=3))
-    for bad in (0, 5, -1, 6):
-        with pytest.raises(BadSplitPoint):
-            split(codes, bad)
-
-
 def shuffle_records(path, rng):
     """Rewrite a CSV file with its records in a random order, header first."""
     header, *records = path.read_text().splitlines(keepends=True)
@@ -278,7 +257,8 @@ def shuffle_records(path, rng):
 
 def test_shuffled_input_splits_like_sorted_input(tmp_path):
     """The loaders lay records out in (date, stock_id) order, so files whose
-    records are shuffled split as the panel they were written from."""
+    records are shuffled give the rows of the panel they were written from,
+    in its order, and so the same design and replay slices."""
     rng = np.random.default_rng(3)
     obs = panel_of(rng.normal(size=40), y=list(rng.normal(size=40)))
     features, returns = tmp_path / "features.csv", tmp_path / "returns.csv"
@@ -289,10 +269,10 @@ def test_shuffled_input_splits_like_sorted_input(tmp_path):
     loaded, _ = load_features_csv(features)
     shuffled = attach_returns(loaded, load_returns_csv(returns))
     disc = fit_discretizer(obs, SPEC1, m=4)
-    a = split(apply_discretizer(obs, disc), 25)
-    b = split(apply_discretizer(shuffled, disc), 25)
-    assert np.array_equal(a.learn.x, b.learn.x)
-    assert np.array_equal(a.aggregate.y, b.aggregate.y)
+    a = apply_discretizer(obs, disc)
+    b = apply_discretizer(shuffled, disc)
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.y, b.y)
 
 
 def test_same_bytes_same_codes():

@@ -15,7 +15,12 @@ from rulescreen.errors import (
     SpecMismatch,
 )
 from rulescreen.panel import MISSING_CODE, DiscretizedPanel, FeatureSpec
-from rulescreen.rulegen import enumerate_complexity1, generate_complexity_c
+from rulescreen.rulegen import (
+    LearningSet,
+    LearnReport,
+    enumerate_complexity1,
+    generate_complexity_c,
+)
 from rulescreen.rules import (
     Condition,
     Interval,
@@ -241,14 +246,18 @@ def suitable_fixture():
     return toy_panel(x, y)
 
 
+def level1(panel, params):
+    return enumerate_complexity1(LearningSet(panel), params, LearnReport())
+
+
 def suitable_conditions(panel, params):
-    return [r.condition for r in enumerate_complexity1(panel, params)]
+    return [r.condition for r in level1(panel, params)]
 
 
 def test_planted_strong_rule_is_suitable():
     panel = suitable_fixture()
     params = SearchParams(alpha=0.05, c_min=0.05, c_max=0.7, cp_max=2, M=10)
-    found = {r.condition: r for r in enumerate_complexity1(panel, params)}
+    found = {r.condition: r for r in level1(panel, params)}
     assert found[C((0, 0, 1))].sign == 1
 
 
@@ -280,7 +289,8 @@ OPEN = SearchParams(alpha=1.0, c_min=0.0, c_max=1.0, cp_max=2, M=50)
 
 def level2(panel, *conditions):
     rules = [rule_on(c, panel) for c in conditions]
-    return [r.condition for r in generate_complexity_c(rules, rules, 2, OPEN, panel)]
+    found = generate_complexity_c(rules, rules, 2, OPEN, LearningSet(panel), LearnReport())
+    return [r.condition for r in found]
 
 
 def test_intersection_disjoint_features_accepted():
@@ -333,7 +343,6 @@ def test_ruleset_json_round_trip():
         assert a.prediction == b.prediction
         assert a.activations == b.activations
         assert a.is_default == b.is_default
-    assert clone.default_prediction() == rs.default_prediction()
     assert clone.global_mean == rs.global_mean
     assert str(clone.learned_at) == "2015-12-31"
 
@@ -344,7 +353,6 @@ def test_ruleset_json_keeps_the_mean_without_a_default_rule():
     rs.global_mean = 0.0125
     clone = RuleSet.from_json(rs.to_json(), ["f0", "f1"], [5, 5])
     assert clone.global_mean == 0.0125
-    assert clone.default_prediction() == 0.0125
     assert [r.sign for r in clone.rules] == [1, -1]
 
 

@@ -57,10 +57,9 @@ STAGE_SPANS = {
 }
 
 
-def test_tracer_sees_every_stage_call(tmp_path):
-    """Each stage run through cli.run calls the library at the names the
-    tracer wraps, so a stage that called around a cli binding would lose
-    its spans here."""
+def planted_market(tmp_path):
+    """A 12-stock synthetic market with one planted rule, and a config that
+    names its files: (data directory, config path)."""
     from rulescreen import cli
 
     spec = tmp_path / "spec.json"
@@ -68,13 +67,24 @@ def test_tracer_sees_every_stage_call(tmp_path):
         "n_stocks": 12, "n_dates": 1008, "d": 3, "m": 3, "seed": 11,
         "planted": [{"intervals": [{"feature_index": 0, "lo": 0, "hi": 0}], "effect": 0.06}],
     }))
-    data, learned = tmp_path / "data", tmp_path / "learn"
+    data = tmp_path / "data"
     assert cli.run(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 3\ninitial_train_years = 3\n" + "".join(
         f"{key} = {data / (key + '.csv')}\n"
         for key in ("features", "returns", "universe", "prices")
     ))
+    return data, cfg
+
+
+def test_tracer_sees_every_stage_call(tmp_path):
+    """Each stage run through cli.run calls the library at the names the
+    tracer wraps, so a stage that called around a cli binding would lose
+    its spans here."""
+    from rulescreen import cli
+
+    data, cfg = planted_market(tmp_path)
+    learned = tmp_path / "learn"
     stages = {
         "learn": ["--panel", data / "features.csv", "--returns", data / "returns.csv",
                   "--config", cfg, "--out", learned / "rules.json"],
@@ -97,3 +107,32 @@ def test_tracer_sees_every_stage_call(tmp_path):
     finally:
         tracer.uninstall()
     assert recorded == STAGE_SPANS
+
+
+# The spans of the rule search that a traced learn records, each at least once.
+SEARCH_SPANS = {
+    "rulegen.level1", "rulegen.levelc", "rulegen.covering", "rules.threshold",
+    "rules.conditional_mean",
+}
+
+
+def test_traced_learn_records_every_search_layer(tmp_path):
+    """A traced `learn` on the planted market calls each rule-search layer
+    at the name the tracer wraps, so a search that called around a binding
+    would zero that layer's metrics here."""
+    from rulescreen import cli
+
+    data, cfg = planted_market(tmp_path)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.run([
+            "learn", "--panel", str(data / "features.csv"),
+            "--returns", str(data / "returns.csv"), "--config", str(cfg),
+            "--out", str(tmp_path / "learn" / "rules.json"),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    counts = {name: sum(span[1] == name for span in tracer.spans) for name in SEARCH_SPANS}
+    assert all(counts.values()), counts
+    assert counts["rules.conditional_mean"] == 1
